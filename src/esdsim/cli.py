@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import evolve_xstate_closed  # noqa: F401  (re-exported for scripts)
 from .deathclock import (
     DEFAULT_TOL,
     Fate,
@@ -83,7 +82,7 @@ class GridSpec:
 
 @dataclass
 class ScenarioConfig:
-    """One scenario: initial X state, decay rate, switches, grid, tolerance.
+    """One scenario: initial X state, decay rate, switches, grid, threshold tol.
 
     ``switch`` + ``t_sw`` describe the common single-switch case; an explicit
     ``schedule`` (list of ``{"time": ..., "switch": ...}``) covers multi-switch
@@ -323,7 +322,7 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
             return f"{name},{status},,"
         return f"{name},{status},{_fmt(tau)},{_fmt(tau / cfg.gamma)}"
 
-    baseline = find_end_time(state, Schedule(), cfg.tol)
+    baseline = find_end_time(state)
     status = {
         Fate.FINITE_END: "finite",
         Fate.AVERTED: "averted",
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_parse_grid, metavar="START:STOP:COUNT",
                        help="override the grid")
         p.add_argument("--tol", type=float, metavar="FLOAT",
-                       help="override the root-finding tolerance")
+                       help="override the aversion-threshold search tolerance")
         p.add_argument("--gamma", type=float, metavar="FLOAT",
                        help="override the decay rate")
         p.add_argument("--dump-config", action="store_true",

@@ -11,9 +11,11 @@ Along any switch-free stretch the discriminant is ``u**2 * Q(u)`` with
 ``u = 1``; ``Q`` therefore only increases along the flow, so each stretch
 admits at most one sign change and, once non-negative, the discriminant can
 never return below zero (the named swaps preserve its value at the switch
-instant).  The walkers below exploit that: endpoint checks decide finite
-stretches exactly, and the open-ended tail is decided by the ``u -> 0``
-limit of ``Q`` backed by a fine sign scan.
+instant).  Death times therefore come in closed form: the first stretch
+whose ``Q`` turns non-negative dies at the smaller root of ``Q``, and the
+open-ended tail dies iff its ``u -> 0`` limit ``Q(0)`` is positive.  The
+only remaining search is the bisection over switch times for the aversion
+threshold, which is what ``tol`` controls.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .intervention import Schedule, Switch, apply_xstate
 from .qstate import UnsupportedShapeError, XState, negativity_xstate
 
 DEFAULT_TOL = 1e-10
-TAIL_SCAN_INTERVALS = 10_000
 
 _CANONICAL = (1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
 
@@ -55,9 +56,10 @@ class BracketError(ValueError):
 class DeathReport:
     """Result of a death search.
 
-    ``tau_end`` is the first time the discriminant reaches zero (None unless
-    the fate is FINITE_END).  ``witness`` is a sign certificate: the
-    discriminant at ``tau_end`` (about zero) for FINITE_END, the discriminant
+    ``tau_end`` is the first time the discriminant reaches zero, from the
+    closed-form root of the dying stretch (None unless the fate is
+    FINITE_END).  ``witness`` is a sign certificate: the discriminant at
+    ``tau_end`` (zero up to round-off) for FINITE_END, the discriminant
     at tau = 0 (non-negative) for NEVER_ENTANGLED, and for AVERTED the
     ``u -> 0`` limit of the tail quadratic ``Q`` (non-positive; its distance
     from zero measures how far the schedule is from allowing death).
@@ -176,120 +178,60 @@ def trajectory(
     return [(t, negativity_xstate(state_at(state, schedule, t))) for t in taus]
 
 
-def _bisect_sign_change(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Root of f on [lo, hi] given f(lo) < 0 <= f(hi), to within tol."""
-    f_lo = f(lo)
-    if f_lo >= 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def find_end_time(
-    state: XState, schedule: Schedule = Schedule(), tol: float = DEFAULT_TOL
-) -> DeathReport:
+def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport:
     """First time the discriminant reaches zero, walking the schedule.
 
-    Finite stretches are decided by their endpoint sign (the segment
-    quadratic is monotone along the flow); the final open-ended stretch is
-    decided by the u -> 0 limit of the quadratic, cross-checked by a sign
-    scan on TAIL_SCAN_INTERVALS subintervals that also brackets the root for
-    bisection.  Death located to within tol.
+    Each switch-free stretch, the open-ended tail last, is decided in closed
+    form.  Along a stretch Q only rises, from Q(1) at its start to Q(u_end)
+    at its end (u_end = 0 for the tail), so the stretch dies iff
+    Q(u_end) >= 0, at the smaller root of Q, taken in the cancellation-free
+    form u* = 2 p0 / (-p1 + sqrt(p1**2 - 4 p2 p0)).  A stretch whose Q is
+    already non-negative at its start (a switch landing where the
+    discriminant is zero to round-off) dies at its start.  The tail dies iff
+    p0 = Q(0) > 0; otherwise death is averted.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
     _require_swaps(schedule)
     d0 = discriminant(state)
     if d0 >= 0.0:
         return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
 
     current, t_prev = state, 0.0
-    for event in schedule.events:
-        length = event.tau - t_prev
-        if length > 0.0:
-            p2, p1, p0 = _segment_quadratic(current)
-            q = lambda u: (p2 * u + p1) * u + p0  # noqa: E731
-            if q(math.exp(-length)) >= 0.0:
-                delta = _bisect_sign_change(
-                    lambda dd: q(math.exp(-dd)), 0.0, length, tol
-                )
-                tau_end = t_prev + delta
-                witness = discriminant(state_at(state, schedule, tau_end))
-                return DeathReport(Fate.FINITE_END, tau_end, witness)
-            current = evolve_xstate_closed(current, length)
+    for event in (*schedule.events, None):
+        p2, p1, p0 = _segment_quadratic(current)
+        if event is None and p0 <= 0.0:  # the tail never reaches Q = 0
+            break
+        u_end = 0.0 if event is None else math.exp(t_prev - event.tau)
+        if (p2 * u_end + p1) * u_end + p0 >= 0.0:
+            if p2 + p1 + p0 >= 0.0:
+                u_root = 1.0
+            else:
+                # Q(1) < 0 <= Q(u_end) rules out p1 = 0 (a constant Q).  The
+                # root is scaled by -p1 because p1**2 and p2 underflow once
+                # a < ~1e-154.  Clamped because round-off can put the root a
+                # hair outside the stretch when Q is near zero at an end.
+                w, r = p0 / -p1, p2 / -p1
+                u_root = 2.0 * w / (1.0 + math.sqrt(max(1.0 - 4.0 * r * w, 0.0)))
+                u_root = min(max(u_root, u_end), 1.0)
+            tau_end = t_prev - math.log(u_root)
+            witness = discriminant(state_at(state, schedule, tau_end))
+            return DeathReport(Fate.FINITE_END, tau_end, witness)
+        current = evolve_xstate_closed(current, event.tau - t_prev)
         current = apply_xstate(current, event.op)
         t_prev = event.tau
-
-    p2, p1, p0 = _segment_quadratic(current)
-    q = lambda u: (p2 * u + p1) * u + p0  # noqa: E731
-    us = np.linspace(1.0, 0.0, TAIL_SCAN_INTERVALS + 1)
-    signs = (p2 * us + p1) * us + p0
-    nonneg = np.flatnonzero(signs >= 0.0)
-    if nonneg.size == 0:
-        return DeathReport(Fate.AVERTED, None, p0)
-    k = int(nonneg[0])
-    if k == 0:  # pragma: no cover - excluded by the d0 < 0 gate above
-        raise AssertionError("discriminant non-negative at segment start")
-    if us[k] > 0.0:
-        u_neg, u_pos = us[k - 1], us[k]
-    elif p0 <= 0.0:
-        # Only the exact u = 0 endpoint is non-negative: no finite root.
-        return DeathReport(Fate.AVERTED, None, p0)
-    else:
-        # Root below the scan resolution; halve until Q turns non-negative.
-        u_neg, u_pos = us[k - 1], us[k - 1] / 2.0
-        for _ in range(2000):
-            if q(u_pos) >= 0.0:
-                break
-            u_neg, u_pos = u_pos, u_pos / 2.0
-        else:  # pragma: no cover - p0 > 0 guarantees termination
-            raise RuntimeError("failed to bracket the tail sign change")
-    delta = _bisect_sign_change(
-        lambda dd: q(math.exp(-dd)), -math.log(u_neg), -math.log(u_pos), tol
-    )
-    tau_end = t_prev + delta
-    witness = discriminant(state_at(state, schedule, tau_end))
-    return DeathReport(Fate.FINITE_END, tau_end, witness)
+    return DeathReport(Fate.AVERTED, None, p0)
 
 
-def find_ad_crossing(state: XState, tol: float = 1e-12) -> float:
+def find_ad_crossing(state: XState) -> float:
     """Time at which the outer occupations meet, a(tau) = d(tau).
 
-    The difference a - d falls monotonically toward -3, so the crossing is
-    unique; raises NoCrossingError when a < d already at tau = 0 (then a
-    both-qubit swap is counterproductive from the start).
+    a - d = (2a + b + c) u - 3 along the flow, so the crossing is unique, at
+    tau = ln((2a + b + c) / 3); raises NoCrossingError when a < d already at
+    tau = 0 (then a both-qubit swap is counterproductive from the start).
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
-    def gap(tau: float) -> float:
-        s = evolve_xstate_closed(state, tau)
-        return s.a - s.d
-
-    g0 = gap(0.0)
-    if g0 < 0.0:
+    slope = 2.0 * state.a + state.b + state.c
+    if slope < 3.0:
         raise NoCrossingError("a < d already at tau = 0; no crossing ahead")
-    if g0 == 0.0:
-        return 0.0
-    hi = 1.0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:  # pragma: no cover - gap -> -3 rules this out
-            raise NoCrossingError("failed to bracket the a = d crossing")
-    return _bisect_sign_change(lambda t: -gap(t), 0.0, hi, tol)
-
-
-def _fate_for_switch_time(
-    state: XState, kind: Switch, tau_sw: float, tol: float
-) -> Fate:
-    return find_end_time(state, Schedule.single(tau_sw, kind), tol).fate
+    return math.log(slope / 3.0)
 
 
 def find_aversion_threshold(
@@ -300,13 +242,15 @@ def find_aversion_threshold(
 ) -> float:
     """Switch time separating averted death from finite-time death.
 
-    By default brackets with [0, baseline end time]; raises BracketError when
-    no default bracket exists or both ends classify alike as non-finite, and
-    NoCrossingError when death is finite across the whole bracket (the given
-    switch kind never averts it there).
+    Bisects over switch times until the bracket is narrower than tol or can
+    no longer be halved in floating point.  By default brackets with [0,
+    baseline end time]; raises BracketError when no default bracket exists
+    or both ends classify alike as non-finite, and NoCrossingError when
+    death is finite across the whole bracket (the given switch kind never
+    averts it there).
     """
     if bracket is None:
-        baseline = find_end_time(state, Schedule(), tol)
+        baseline = find_end_time(state)
         if baseline.fate is not Fate.FINITE_END:
             raise BracketError(
                 "unswitched evolution never dies; pass an explicit bracket"
@@ -316,8 +260,9 @@ def find_aversion_threshold(
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise BracketError(f"bad bracket {bracket!r}")
-    fate_lo = _fate_for_switch_time(state, kind, lo, tol)
-    fate_hi = _fate_for_switch_time(state, kind, hi, tol)
+    fate_lo, fate_hi = (
+        find_end_time(state, Schedule.single(t, kind)).fate for t in (lo, hi)
+    )
     if fate_lo == fate_hi:
         if fate_lo is Fate.FINITE_END:
             raise NoCrossingError(
@@ -327,7 +272,9 @@ def find_aversion_threshold(
         raise BracketError("death averted at both bracket ends; widen the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _fate_for_switch_time(state, kind, mid, tol) == fate_lo:
+        if mid in (lo, hi):  # tol below the float spacing at the threshold
+            break
+        if find_end_time(state, Schedule.single(mid, kind)).fate == fate_lo:
             lo = mid
         else:
             hi = mid
@@ -385,8 +332,9 @@ def sweep_switch_times(
     an explicit grid must be strictly increasing and stay below the baseline
     end time when that is finite.  The grid minimum of the end time is
     refined between its neighbouring grid points by golden-section search.
+    ``tol`` is the aversion-threshold tolerance; end times are exact.
     """
-    baseline = find_end_time(state, Schedule(), tol)
+    baseline = find_end_time(state)
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
     if grid is None:
         if baseline_end is None:
@@ -412,7 +360,7 @@ def sweep_switch_times(
 
     rows = []
     for tau_sw in taus:
-        report = find_end_time(state, Schedule.single(tau_sw, kind), tol)
+        report = find_end_time(state, Schedule.single(tau_sw, kind))
         rows.append(SweepRow(tau_sw, report.fate, report.tau_end))
 
     try:
@@ -425,7 +373,7 @@ def sweep_switch_times(
         threshold = None
 
     def end_at(tau_sw: float) -> float:
-        report = find_end_time(state, Schedule.single(tau_sw, kind), tol)
+        report = find_end_time(state, Schedule.single(tau_sw, kind))
         return report.tau_end if report.fate is Fate.FINITE_END else math.inf
 
     finite_idx = [i for i, row in enumerate(rows) if row.fate is Fate.FINITE_END]

@@ -49,7 +49,7 @@ def report(num: int, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_01_unswitched_death_time():
     found = find_end_time(CANONICAL)
-    ok = found.fate is Fate.FINITE_END and abs(found.tau_end - TAU_0) <= 1e-9
+    ok = found.fate is Fate.FINITE_END and abs(found.tau_end - TAU_0) <= 1e-12
     assert report(1, ok, f"tau_end = {found.tau_end!r}")
 
 
@@ -69,9 +69,9 @@ def test_criterion_02_state_at_death():
 
 def test_criterion_03_switch_at_balance_point_is_no_op():
     tau_a = find_ad_crossing(CANONICAL)
-    ok_a = abs(tau_a - math.log(4.0 / 3.0)) <= 1e-9
+    ok_a = abs(tau_a - math.log(4.0 / 3.0)) <= 1e-12
     swapped = find_end_time(CANONICAL, Schedule.single(math.log(4.0 / 3.0), Switch.BOTH))
-    ok_b = swapped.fate is Fate.FINITE_END and abs(swapped.tau_end - TAU_0) <= 1e-9
+    ok_b = swapped.fate is Fate.FINITE_END and abs(swapped.tau_end - TAU_0) <= 1e-12
     assert report(3, ok_a and ok_b, f"crossing = {tau_a!r}, end = {swapped.tau_end!r}")
 
 
@@ -109,9 +109,9 @@ def test_criterion_07_single_sided_switch_curve():
         expected = -math.log(single_switch_curve(math.exp(-tau_sw)))
         found = find_end_time(CANONICAL, Schedule.single(tau_sw, Switch.ALICE))
         devs.append(abs(found.tau_end - expected))
-    ok_curve = max(devs) <= 1e-9
+    ok_curve = max(devs) <= 1e-12
     max_delay = find_end_time(CANONICAL, Schedule.single(0.0, Switch.ALICE)).tau_end
-    ok_delay = abs(max_delay - math.log((3.0 + math.sqrt(5.0)) / 2.0)) <= 1e-9
+    ok_delay = abs(max_delay - math.log((3.0 + math.sqrt(5.0)) / 2.0)) <= 1e-12
     fixed = 2.0 - SQRT2
     ok_fixed = abs(single_switch_curve(fixed) - fixed) <= 1e-12
     assert report(7, ok_curve and ok_delay and ok_fixed,

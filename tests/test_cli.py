@@ -1,18 +1,27 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from esdsim.cli import GridSpec, ScenarioConfig, config_from_dict, config_to_dict
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, expect_code=0):
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
     result = subprocess.run(
         [sys.executable, "-m", "esdsim", *args],
         capture_output=True,
         text=True,
+        env=env,
+        timeout=60,
     )
     assert result.returncode == expect_code, result.stderr
     return result
@@ -176,6 +185,17 @@ def test_critical_table_values():
         0.1293, abs=5e-4
     )
     assert float(table["min_end_time_both"][2]) == pytest.approx(0.4759, abs=1e-3)
+
+
+def test_critical_terminates_for_tol_below_float_spacing():
+    # The threshold bisection cannot narrow its bracket below the float
+    # spacing near 0.13; it must stop there rather than loop forever.
+    out = run_cli("critical", "--tol", "1e-18")
+    lines = out.stdout.strip().split("\n")
+    table = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    assert float(table["aversion_threshold_both"][2]) == pytest.approx(
+        math.log((2.0 + math.sqrt(2.0)) / 3.0), abs=1e-9
+    )
 
 
 def test_critical_physical_times_scale_with_gamma():

@@ -23,6 +23,7 @@ from esdsim import (
     find_end_time,
     negativity,
     negativity_xstate,
+    partial_transpose,
     single_switch_curve,
     state_at,
     sweep_switch_times,
@@ -67,6 +68,22 @@ def matrix_end_time(state, kind, tau_sw, horizon=4.0):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def kraus_rho_at(m0, schedule, tau):
+    """Density matrix at tau on the matrix route; switches at tau applied."""
+    m, t_prev = m0, 0.0
+    for event in schedule.events:
+        if event.tau > tau:
+            break
+        m = apply_unitary(evolve_kraus(m, event.tau - t_prev), event.op)
+        t_prev = event.tau
+    return evolve_kraus(m, tau - t_prev)
+
+
+def pt_min_eig(m):
+    """Lowest partial-transpose eigenvalue: negative iff entangled."""
+    return float(np.linalg.eigvalsh(partial_transpose(m))[0])
 
 
 # -- discriminant -----------------------------------------------------------
@@ -143,14 +160,7 @@ def test_state_at_matches_matrix_route():
     for _ in range(40):
         s0 = random_xstate(rng, slot="inner")
         tau = rng.uniform(0.0, 1.5)
-        m = to_density_matrix(s0)
-        t_prev = 0.0
-        for event in schedule.events:
-            if event.tau > tau:
-                break
-            m = apply_unitary(evolve_kraus(m, event.tau - t_prev), event.op)
-            t_prev = event.tau
-        m = evolve_kraus(m, tau - t_prev)
+        m = kraus_rho_at(to_density_matrix(s0), schedule, tau)
         assert np.max(np.abs(to_density_matrix(state_at(s0, schedule, tau)) - m)) <= 1e-12
 
 
@@ -259,13 +269,7 @@ def test_multi_switch_schedule():
     m0 = to_density_matrix(CANONICAL)
 
     def entangled(tau):
-        m, t_prev = m0, 0.0
-        for event in schedule.events:
-            if event.tau > tau:
-                break
-            m = apply_unitary(evolve_kraus(m, event.tau - t_prev), event.op)
-            t_prev = event.tau
-        return negativity(evolve_kraus(m, tau - t_prev)) > 1e-14
+        return negativity(kraus_rho_at(m0, schedule, tau)) > 1e-14
 
     lo, hi = 0.6, 4.0
     assert entangled(lo) and not entangled(hi)
@@ -275,22 +279,82 @@ def test_multi_switch_schedule():
     assert report.tau_end == pytest.approx(0.5 * (lo + hi), abs=1e-7)
 
 
-def test_tolerance_controls_localization():
-    coarse = find_end_time(CANONICAL, tol=1e-4).tau_end
-    fine = find_end_time(CANONICAL, tol=1e-12).tau_end
-    assert abs(fine - TAU_0) <= 1e-11
-    assert abs(coarse - TAU_0) <= 1e-4
+def test_end_time_is_exact():
+    assert abs(find_end_time(CANONICAL).tau_end - TAU_0) <= 1e-12
+
+
+def test_switch_landing_on_zero_discriminant_dies_at_the_switch():
+    # Switching at the located end time starts the tail where the
+    # discriminant is zero to round-off; that stretch dies at its start.
+    # The default threshold bracket ends with the same switch.
+    state = XState(
+        a=0.18948721813361247, b=0.7236946564399099, c=1.8611373350515408,
+        d=0.22568079037493693, z_inner=0.751690567684598,
+    )
+    tau0 = find_end_time(state).tau_end
+    report = find_end_time(state, Schedule.single(tau0, Switch.BOTH))
+    assert report.fate is Fate.FINITE_END
+    assert abs(report.tau_end - tau0) <= 1e-12
+    with pytest.raises(NoCrossingError):  # no both-qubit swap averts this death
+        find_aversion_threshold(state, Switch.BOTH)
+
+
+def test_end_time_survives_underflow_of_the_quadratic():
+    # With a = 1e-300 the term a**2 of Q and p1**2 in its radicand
+    # underflow.  Up to terms in a**2 the discriminant along the flow is
+    # u**2 (a (3 - 0.1 u) - z0**2), and z0**2 = 2.95 a puts its zero at
+    # u = 1/2.
+    a, b, c = 1e-300, 0.05, 0.05
+    state = XState(a, b, c, 3.0 - a - b - c, z_inner=math.sqrt(2.95e-300))
+    report = find_end_time(state)
+    assert report.fate is Fate.FINITE_END
+    assert abs(report.tau_end - math.log(2.0)) <= 1e-12
+
+
+def test_end_time_matches_kraus_route_on_random_states():
+    # Random entangled states of both coherence slots, one- and two-switch
+    # schedules of every kind.  Switch times in the first half of the
+    # unswitched life, where early swaps can avert death.
+    rng = np.random.default_rng(89)
+    kinds = list(Switch)
+    fates = []
+    for i in range(48):
+        state = random_xstate(rng, slot="inner" if i % 2 else "corner")
+        while discriminant(state) >= 0.0:
+            state = random_xstate(rng, slot="inner" if i % 2 else "corner")
+        baseline = find_end_time(state)
+        scale = baseline.tau_end if baseline.fate is Fate.FINITE_END else 1.0
+        t1, t2 = sorted(rng.uniform(0.0, 0.5 * scale, size=2))
+        k1, k2 = kinds[i % 3], kinds[(i // 3) % 3]
+        m0 = to_density_matrix(state)
+        for schedule in (
+            Schedule.single(t1, k1),
+            Schedule((SwitchEvent(t1, k1), SwitchEvent(t2, k2))),
+        ):
+            report = find_end_time(state, schedule)
+            fates.append(report.fate)
+            if report.fate is Fate.AVERTED:
+                t_last = schedule.events[-1].tau
+                for later in (t_last + 1.0, t_last + 3.0):
+                    assert pt_min_eig(kraus_rho_at(m0, schedule, later)) < 0.0
+                continue
+            assert report.fate is Fate.FINITE_END
+            lo, hi = max(report.tau_end - 1e-6, 0.0), report.tau_end + 1e-6
+            assert pt_min_eig(kraus_rho_at(m0, schedule, lo)) < 0.0
+            assert pt_min_eig(kraus_rho_at(m0, schedule, hi)) >= 0.0
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                if pt_min_eig(kraus_rho_at(m0, schedule, mid)) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert report.tau_end == pytest.approx(mid, abs=1e-9)
+    assert Fate.AVERTED in fates and Fate.FINITE_END in fates
 
 
 def test_find_end_time_rejects_general_unitaries():
     op = GeneralUnitary(np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="named swaps"):
         find_end_time(CANONICAL, Schedule.single(0.1, op))
-
-
-def test_find_end_time_rejects_bad_tol():
-    with pytest.raises(ValueError, match="tol"):
-        find_end_time(CANONICAL, tol=0.0)
 
 
 # -- ad crossing and aversion threshold ---------------------------------------
