@@ -23,6 +23,7 @@ from .deathclock import (
     NoCrossingError,
     SweepCurve,
     SweepRow,
+    Trajectory,
     discriminant,
     find_ad_crossing,
     find_aversion_threshold,
@@ -46,12 +47,12 @@ from .qstate import (
     UnsupportedShapeError,
     XState,
     concurrence,
-    eigenvalues_hermitian4,
     negativity,
     negativity_xstate,
     partial_transpose,
     to_density_matrix,
     von_neumann_entropy,
+    xstate_measures,
 )
 
 __version__ = "0.1.0"
@@ -69,6 +70,7 @@ __all__ = [
     "NoCrossingError",
     "SweepCurve",
     "SweepRow",
+    "Trajectory",
     "discriminant",
     "find_ad_crossing",
     "find_aversion_threshold",
@@ -88,11 +90,11 @@ __all__ = [
     "UnsupportedShapeError",
     "XState",
     "concurrence",
-    "eigenvalues_hermitian4",
     "negativity",
     "negativity_xstate",
     "partial_transpose",
     "to_density_matrix",
     "von_neumann_entropy",
+    "xstate_measures",
     "__version__",
 ]

@@ -49,15 +49,21 @@ def evolve_xstate_closed(state: XState, tau: float) -> XState:
         a(u) = a0 * u**2
         b(u) = b0 * u + a0 * (u - u**2)
         c(u) = c0 * u + a0 * (u - u**2)
-    (the doubly excited level feeds both singly excited ones), d absorbs the
-    rest of the trace, and both coherences are damped by the same factor u.
+    (the doubly excited level feeds both singly excited ones), d gains what
+    the others lose,
+        d(u) = d0 + (1 - u) * (b0 + c0 + a0 * (1 - u)),
+    and both coherences are damped by the same factor u.  At tau = 0 every
+    coefficient comes back unchanged, bit for bit.
     """
-    u = gamma_factor(tau) ** 2
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
+    u = math.exp(-tau)
     a = state.a * u * u
     feed = state.a * (u - u * u)
     b = state.b * u + feed
     c = state.c * u + feed
-    d = 3.0 - a - b - c
+    loss = 1.0 - u
+    d = state.d + loss * (state.b + state.c + state.a * loss)
     return XState(a, b, c, d, state.z_inner * u, state.z_corner * u)
 
 

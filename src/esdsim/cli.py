@@ -31,23 +31,23 @@ from .deathclock import (
     find_ad_crossing,
     find_aversion_threshold,
     find_end_time,
-    state_at,
     sweep_switch_times,
+    trajectory,
 )
 from .intervention import Schedule, Switch, SwitchEvent
-from .qstate import (
-    XState,
-    concurrence,
-    negativity_xstate,
-    to_density_matrix,
-    von_neumann_entropy,
-)
+from .qstate import XState
 
 _SWITCH_CHOICES = ("both", "alice", "bob", "none")
 
+# An evolve grid holds ten float columns (80 bytes) per point, so a mistyped
+# count must not reach the allocation unbounded.
+MAX_GRID_COUNT = 10_000_000
+
+_FLOAT = "%.11e"
+
 
 def _fmt(x: float) -> str:
-    return f"{x:.11e}"
+    return _FLOAT % x
 
 
 @dataclass
@@ -67,17 +67,18 @@ class GridSpec:
             raise ValueError(
                 f"config field 'grid.stop': must be >= grid.start, got {self.stop!r}"
             )
-        if not (isinstance(self.count, int) and self.count >= 1):
+        if not (isinstance(self.count, int) and 1 <= self.count <= MAX_GRID_COUNT):
             raise ValueError(
-                f"config field 'grid.count': must be an integer >= 1, got {self.count!r}"
+                f"config field 'grid.count': must be an integer in "
+                f"[1, {MAX_GRID_COUNT}], got {self.count!r}"
             )
         if self.count > 1 and self.stop == self.start:
             raise ValueError(
                 "config field 'grid.stop': must exceed grid.start for count > 1"
             )
 
-    def points(self) -> list[float]:
-        return np.linspace(self.start, self.stop, self.count).tolist()
+    def points(self) -> np.ndarray:
+        return np.linspace(self.start, self.stop, self.count)
 
 
 @dataclass
@@ -154,7 +155,7 @@ class ScenarioConfig:
     def initial_state(self) -> XState:
         return XState(self.a, self.b, self.c, self.d, self.z_inner, self.z_corner)
 
-    def to_tau(self, t: float) -> float:
+    def to_tau(self, t):
         return t * self.gamma if self.time_unit == "physical" else t
 
     def resolved_schedule(self) -> Schedule:
@@ -260,19 +261,16 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 
 def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
-    state = cfg.initial_state()
-    schedule = cfg.resolved_schedule()
     grid = cfg.grid if cfg.grid is not None else GridSpec(0.0, 1.2, 121)
+    taus = cfg.to_tau(grid.points())
+    traj = trajectory(cfg.initial_state(), cfg.resolved_schedule(), taus)
+    columns = (
+        traj.tau, traj.a, traj.b, traj.c, traj.d, traj.z_inner, traj.z_corner,
+        traj.negativity, traj.concurrence, traj.entropy,
+    )
+    row_format = ",".join([_FLOAT] * len(columns))
     lines = ["tau,a,b,c,d,z_inner,z_corner,negativity,concurrence,entropy"]
-    for point in grid.points():
-        tau = cfg.to_tau(point)
-        s = state_at(state, schedule, tau)
-        m = to_density_matrix(s)
-        row = (
-            tau, s.a, s.b, s.c, s.d, s.z_inner, s.z_corner,
-            negativity_xstate(s), concurrence(m), von_neumann_entropy(m),
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [row_format % row for row in zip(*(c.tolist() for c in columns))]
     _emit(lines, out_path)
     return 0
 
@@ -289,7 +287,7 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
             raise ValueError(
                 f"config field 'grid.count': sweeps need >= 2 points, got {cfg.grid.count}"
             )
-        taus = [cfg.to_tau(t) for t in cfg.grid.points()]
+        taus = cfg.to_tau(cfg.grid.points()).tolist()
     curve = sweep_switch_times(state, kind, taus, cfg.tol)
     lines = ["tau_sw,fate,tau_end"]
     for row in curve.rows:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import evolve_xstate_closed
 from .intervention import Schedule, Switch, apply_xstate
-from .qstate import UnsupportedShapeError, XState, negativity_xstate
+from .qstate import UnsupportedShapeError, XState, xstate_measures
 
 DEFAULT_TOL = 1e-10
 
@@ -165,17 +165,71 @@ def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -
     return evolve_xstate_closed(current, tau - t_prev)
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """Coefficients and measures of an X state sampled on a time grid.
+
+    Every field is a float array with one entry per grid time ``tau``;
+    entry i equals ``state_at(state, schedule, tau[i])`` and the measures
+    ``xstate_measures`` gives for it.
+    """
+
+    tau: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    z_inner: np.ndarray
+    z_corner: np.ndarray
+    negativity: np.ndarray
+    concurrence: np.ndarray
+    entropy: np.ndarray
+
+
 def trajectory(
     state: XState,
     schedule: Schedule = Schedule(),
     grid: Sequence[float] = (),
-) -> list[tuple[float, float]]:
-    """Negativity sampled on a strictly increasing time grid."""
-    taus = [float(t) for t in grid]
-    for earlier, later in zip(taus, taus[1:]):
-        if not later > earlier:
-            raise ValueError("trajectory grid must be strictly increasing")
-    return [(t, negativity_xstate(state_at(state, schedule, t))) for t in taus]
+) -> Trajectory:
+    """The state and its measures on a strictly increasing time grid.
+
+    Evaluated on whole arrays: each grid time falls in a switch-free
+    stretch (a switch at that very time already applied, as in
+    ``state_at``), and the closed-form flow runs from the state at the
+    stretch's start.  ``u = exp(-offset)`` is taken with ``math.exp`` and
+    the flow's operation order is that of ``evolve_xstate_closed``, so every
+    entry equals ``state_at`` bit for bit.
+    """
+    _require_swaps(schedule)
+    taus = np.array(grid, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("trajectory grid must be a flat sequence of times")
+    if not np.all(np.isfinite(taus) & (taus >= 0.0)):
+        raise ValueError("trajectory grid times must be finite and non-negative")
+    if not np.all(taus[1:] > taus[:-1]):
+        raise ValueError("trajectory grid must be strictly increasing")
+
+    starts, initial = [0.0], [state]
+    for event in schedule.events:
+        current = evolve_xstate_closed(initial[-1], event.tau - starts[-1])
+        initial.append(apply_xstate(current, event.op))
+        starts.append(event.tau)
+    stretch = np.searchsorted(starts[1:], taus, side="right")
+    offset = taus - np.array(starts)[stretch]
+    u = np.array([math.exp(-t) for t in offset.tolist()])
+
+    a0, b0, c0, d0, z_inner0, z_corner0 = np.array(
+        [(s.a, s.b, s.c, s.d, s.z_inner, s.z_corner) for s in initial]
+    )[stretch].T
+    a = a0 * u * u
+    feed = a0 * (u - u * u)
+    b = b0 * u + feed
+    c = c0 * u + feed
+    loss = 1.0 - u
+    d = d0 + loss * (b0 + c0 + a0 * loss)
+    z_inner, z_corner = z_inner0 * u, z_corner0 * u
+    measures = xstate_measures(a, b, c, d, z_inner, z_corner)
+    return Trajectory(taus, a, b, c, d, z_inner, z_corner, *measures)
 
 
 def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport:
@@ -303,7 +357,9 @@ def _golden_minimize(
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    # Stops also once the bracket is too narrow to hold distinct interior
+    # points: a tol below the float spacing is never reached.
+    while hi - lo > tol and lo < x1 < hi and lo < x2 < hi:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)

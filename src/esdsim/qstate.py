@@ -9,6 +9,14 @@ coherences that sit on the anti-diagonal: the "inner" one between |+-> and
 Coefficients are stored scaled by 3 (so the occupations sum to 3, not 1, and
 the density matrix is the coefficient matrix divided by 3).  That keeps the
 canonical initial state at small integers, a = b = c = z_inner = 1, d = 0.
+
+The X form splits the density matrix into two 2x2 blocks, the outer (a, d,
+z_corner) and the inner (b, c, z_inner), so ``xstate_measures`` gives
+negativity, concurrence and entropy in closed form, elementwise on whole
+coefficient arrays.  The generic matrix functions (``negativity``,
+``concurrence``, ``von_neumann_entropy``) take any two-qubit density matrix
+through an eigensolve; they are the independent oracle the tests hold the
+closed forms to.
 """
 
 from __future__ import annotations
@@ -137,11 +145,6 @@ def partial_transpose(m: np.ndarray, subsystem: str = "B") -> np.ndarray:
     return pt.reshape(4, 4)
 
 
-def eigenvalues_hermitian4(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian 4x4 matrix, ascending."""
-    return np.linalg.eigvalsh(require_hermitian(m))
-
-
 def negativity(m: np.ndarray) -> float:
     """Sum of |negative eigenvalues| of the partial transpose.
 
@@ -149,32 +152,74 @@ def negativity(m: np.ndarray) -> float:
     transpose has at most one negative eigenvalue.
     """
     m = validate_density_matrix(m)
-    eigenvalues = eigenvalues_hermitian4(partial_transpose(m))
+    eigenvalues = np.linalg.eigvalsh(partial_transpose(m))
     return float(-eigenvalues[eigenvalues < 0.0].sum())
 
 
-def negativity_xstate(state: XState) -> float:
-    """Closed-form negativity for an X state with one active coherence slot.
+def _block_entropy(p: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """-sum(lam ln lam) over the spectrum of the block [[p, z], [z, q]] / 3.
 
-    The partial transpose moves the inner coherence to the corner slot and
-    vice versa, where it pairs with the (a, d) or (b, c) occupations in a
-    2x2 block whose lower eigenvalue, rationalized to avoid cancellation at
-    late times, is 2 (z**2 - p q) / (sqrt((p-q)**2 + 4 z**2) + p + q); its
-    sign therefore matches the sign of z**2 - p*q exactly.
+    The smaller eigenvalue is rationalized, (p q - z**2) / (larger), because
+    the plain difference cancels when the block is nearly singular; an
+    eigenvalue that is zero or (by round-off) negative contributes nothing.
     """
-    inner, corner = state.z_inner != 0.0, state.z_corner != 0.0
-    if inner and corner:
+    larger = 0.5 * (p + q) + np.sqrt((0.5 * (p - q)) ** 2 + z * z)
+    smaller = np.divide(p * q - z * z, larger, out=np.zeros_like(larger),
+                        where=larger > 0.0)
+    lam = np.stack((larger, smaller)) / 3.0
+    ln_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return -(lam * ln_lam).sum(axis=0)
+
+
+def xstate_measures(
+    a, b, c, d, z_inner, z_corner
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Negativity, concurrence and von Neumann entropy of X states.
+
+    Takes the six (3x-scaled) coefficients as arrays of one shape, or
+    scalars, and returns three float arrays of that shape.  Each element
+    may populate at most one coherence slot (UnsupportedShapeError
+    otherwise).
+
+    * Negativity: the partial transpose moves the inner coherence to the
+      corner slot and vice versa, where it pairs with the (a, d) or (b, c)
+      occupations in a 2x2 block whose lower eigenvalue, rationalized to
+      avoid cancellation at late times, is
+      2 (z**2 - p q) / (sqrt((p-q)**2 + 4 z**2) + p + q); its sign
+      therefore matches the sign of z**2 - p*q exactly.
+    * Concurrence: (2/3) max(0, |z_inner| - sqrt(a d), |z_corner| - sqrt(b c))
+      (Wootters, PRL 80, 2245 (1998); Yu and Eberly, QIC 7, 459 (2007)).
+    * Entropy: from the spectra of the outer and inner blocks, in natural-log
+      units, with 0 ln 0 = 0.
+    """
+    a, b, c, d, z_inner, z_corner = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, c, d, z_inner, z_corner))
+    )
+    corner = z_corner != 0.0
+    if np.any(corner & (z_inner != 0.0)):
         raise UnsupportedShapeError(
-            "closed-form negativity needs at most one active coherence slot"
+            "closed-form measures need at most one active coherence slot"
         )
-    if corner:
-        p, q, z = state.b, state.c, state.z_corner
-    else:
-        p, q, z = state.a, state.d, state.z_inner
-    if z == 0.0:
-        return 0.0
-    root = math.sqrt((p - q) ** 2 + 4.0 * z * z)
-    return max(0.0, 2.0 * (z * z - p * q) / (3.0 * (root + p + q)))
+    p, q = np.where(corner, b, a), np.where(corner, c, d)
+    z = np.where(corner, z_corner, z_inner)
+    root = np.sqrt((p - q) ** 2 + 4.0 * z * z)
+    negativity_ = np.maximum(0.0, np.divide(
+        2.0 * (z * z - p * q), 3.0 * (root + p + q),
+        out=np.zeros_like(z), where=z != 0.0,
+    ))
+    concurrence_ = (2.0 / 3.0) * np.maximum(0.0, np.maximum(
+        np.abs(z_inner) - np.sqrt(a * d), np.abs(z_corner) - np.sqrt(b * c)
+    ))
+    entropy = _block_entropy(a, d, z_corner) + _block_entropy(b, c, z_inner)
+    return negativity_, concurrence_, entropy
+
+
+def negativity_xstate(state: XState) -> float:
+    """Closed-form negativity of one X state; see ``xstate_measures``."""
+    negativity_, _, _ = xstate_measures(
+        state.a, state.b, state.c, state.d, state.z_inner, state.z_corner
+    )
+    return float(negativity_)
 
 
 def concurrence(m: np.ndarray) -> float:

@@ -63,6 +63,7 @@ def test_config_rejects_unknown_field():
         ({"grid": {"start": 0.0, "stop": 1.0, "count": 0}}, "grid.count"),
         ({"schedule": [{"time": 0.1}]}, "schedule"),
         ({"schedule": [{"time": -1.0, "switch": "both"}]}, "schedule"),
+        ({"grid": {"start": 0.0, "stop": 1.0, "count": 10_000_001}}, "grid.count"),
     ],
 )
 def test_config_rejects_bad_fields(data, field):

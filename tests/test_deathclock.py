@@ -15,6 +15,7 @@ from esdsim import (
     XState,
     apply_unitary,
     apply_xstate,
+    concurrence,
     discriminant,
     evolve_kraus,
     evolve_xstate_closed,
@@ -29,12 +30,16 @@ from esdsim import (
     sweep_switch_times,
     to_density_matrix,
     trajectory,
+    von_neumann_entropy,
 )
-from esdsim.deathclock import _segment_quadratic
+from esdsim.cli import main as cli_main
+from esdsim.deathclock import _golden_minimize, _segment_quadratic
 
 from conftest import random_xstate
 
 CANONICAL = XState(1.0, 1.0, 1.0, 0.0, z_inner=1.0)
+COLUMNS = ("a", "b", "c", "d", "z_inner", "z_corner",
+           "negativity", "concurrence", "entropy")
 TAU_0 = math.log(1.0 + 1.0 / math.sqrt(2.0))
 
 # End times frozen from the per-branch closed forms (independently
@@ -172,10 +177,69 @@ def test_state_at_rejects_negative_time():
 def test_trajectory_matches_pointwise_negativity():
     grid = [0.0, 0.1, 0.3, 0.8]
     schedule = Schedule.single(0.223, Switch.BOTH)
-    rows = trajectory(CANONICAL, schedule, grid)
-    assert [tau for tau, _ in rows] == grid
-    for tau, value in rows:
+    traj = trajectory(CANONICAL, schedule, grid)
+    assert traj.tau.tolist() == grid
+    for tau, value in zip(grid, traj.negativity.tolist()):
         assert value == negativity_xstate(state_at(CANONICAL, schedule, tau))
+
+
+def test_trajectory_matches_matrix_route():
+    # Every column against the Kraus route and the eigenvalue measures, and
+    # the coefficients bit for bit against state_at.  The edge states put
+    # z**2 = b*c exactly in floating point (inner and corner slots), a = 0
+    # and d = 0; tau = 800 underflows u = exp(-tau) to zero.
+    rng = np.random.default_rng(79)
+    edges = [
+        XState(1.0, 1.0, 0.25, 0.75, z_inner=0.5),
+        XState(0.75, 1.0, 0.25, 1.0, z_inner=-0.5),
+        XState(1.0, 0.75, 1.0, 0.25, z_corner=0.5),
+        XState(0.0, 1.25, 1.5, 0.25, z_inner=-1.25),
+        XState(0.5, 1.0, 1.5, 0.0, z_inner=1.2),
+        CANONICAL,
+    ]
+    randoms = [random_xstate(rng, slot=slot) for slot in ("inner", "corner") * 12]
+    kinds = list(Switch)
+    for s0 in edges + randoms:
+        t1 = float(rng.uniform(0.05, 0.6))
+        t2 = t1 + float(rng.uniform(0.05, 0.8))
+        schedule = Schedule((
+            SwitchEvent(t1, kinds[rng.integers(3)]),
+            SwitchEvent(t2, kinds[rng.integers(3)]),
+        ))
+        # Straddles both switches (and lands on them) and, for most
+        # states, the death time.
+        grid = np.unique(np.r_[np.linspace(0.0, 3.0, 31), t1, t2, 800.0])
+        traj = trajectory(s0, schedule, grid)
+        assert traj.a[-1] == 0.0  # u = exp(-800) underflows
+        m0 = to_density_matrix(s0)
+        for k, tau in enumerate(grid.tolist()):
+            m = kraus_rho_at(m0, schedule, tau)
+            expected = (
+                3.0 * m[0, 0].real, 3.0 * m[1, 1].real, 3.0 * m[2, 2].real,
+                3.0 * m[3, 3].real, 3.0 * m[1, 2].real, 3.0 * m[0, 3].real,
+                negativity(m), concurrence(m), von_neumann_entropy(m),
+            )
+            got = tuple(float(getattr(traj, name)[k]) for name in COLUMNS)
+            assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12, (s0, tau)
+            s = state_at(s0, schedule, tau)
+            assert got[:6] == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner)
+
+
+def test_trajectory_rejects_two_active_slots():
+    both = XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=0.3)
+    with pytest.raises(UnsupportedShapeError):
+        trajectory(both, Schedule(), [0.0, 1.0])
+
+
+def test_evolve_makes_no_eigen_call(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve must not call an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    argv = ["evolve", "--switch", "both", "--t-sw", "0.223", "--grid", "0:2:201"]
+    assert cli_main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 201
 
 
 def test_trajectory_rejects_unsorted_grid():
@@ -436,6 +500,22 @@ def test_single_switch_curve_rejects_out_of_range():
     for x in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             single_switch_curve(x)
+
+
+def test_golden_minimize_terminates_below_float_spacing():
+    # A one-ulp bracket holds no interior point and tol = 1e-20 is never
+    # met; with the minimum at the upper end the search used to cycle.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 100:
+            raise RuntimeError("golden search does not terminate")
+        return -x
+
+    lo = 0.3
+    hi = math.nextafter(lo, 1.0)
+    assert lo <= _golden_minimize(f, lo, hi, tol=1e-20) <= hi
 
 
 @pytest.mark.parametrize("kind", [Switch.ALICE, Switch.BOB])
