@@ -9,7 +9,6 @@ times, with a CSV-emitting command line on top.
 """
 
 from .channel import (
-    DampingParams,
     amplitude_damping_kraus,
     evolve_kraus,
     evolve_xstate_closed,
@@ -22,9 +21,9 @@ from .deathclock import (
     Fate,
     NoCrossingError,
     SweepCurve,
-    SweepRow,
     Trajectory,
     discriminant,
+    end_times,
     find_ad_crossing,
     find_aversion_threshold,
     find_end_time,
@@ -58,7 +57,6 @@ from .qstate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DampingParams",
     "amplitude_damping_kraus",
     "evolve_kraus",
     "evolve_xstate_closed",
@@ -69,9 +67,9 @@ __all__ = [
     "Fate",
     "NoCrossingError",
     "SweepCurve",
-    "SweepRow",
     "Trajectory",
     "discriminant",
+    "end_times",
     "find_ad_crossing",
     "find_aversion_threshold",
     "find_end_time",

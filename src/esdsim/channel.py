@@ -1,7 +1,8 @@
 """Amplitude damping of two independently decaying qubits.
 
-Each qubit decays |+> -> |-> at rate ``rate``; time enters only through the
-dimensionless combination tau = rate * t.  The single-qubit amplitude
+Each qubit decays |+> -> |-> at a rate Gamma; time enters only through the
+dimensionless combination tau = Gamma * t (the command line converts
+physical times with its ``gamma`` field).  The single-qubit amplitude
 survival factor is gamma = exp(-tau / 2), so populations decay by gamma**2
 per excited qubit.  Two equivalent propagators are provided: a closed form
 on X states (the family is preserved) and a Kraus-operator channel on
@@ -11,28 +12,10 @@ arbitrary density matrices, kept as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .qstate import XState, validate_density_matrix
-
-
-@dataclass(frozen=True)
-class DampingParams:
-    """Spontaneous-decay rate; converts between physical t and tau = rate*t."""
-
-    rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"DampingParams.rate must be positive, got {self.rate!r}")
-
-    def tau(self, t: float) -> float:
-        return self.rate * t
-
-    def t(self, tau: float) -> float:
-        return tau / self.rate
 
 
 def gamma_factor(tau: float) -> float:
@@ -57,14 +40,29 @@ def evolve_xstate_closed(state: XState, tau: float) -> XState:
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    u = math.exp(-tau)
-    a = state.a * u * u
-    feed = state.a * (u - u * u)
-    b = state.b * u + feed
-    c = state.c * u + feed
+    s = state
+    return XState(*damped_coefficients(
+        s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, math.exp(-tau)
+    ))
+
+
+def damped_coefficients(a, b, c, d, z_inner, z_corner, u):
+    """The closed-form flow of ``evolve_xstate_closed`` at u = exp(-tau).
+
+    Plain arithmetic on the six coefficients, so floats and numpy arrays
+    (one entry per time) go through the same operations in the same order
+    and agree bit for bit.
+    """
+    feed = a * (u - u * u)
     loss = 1.0 - u
-    d = state.d + loss * (state.b + state.c + state.a * loss)
-    return XState(a, b, c, d, state.z_inner * u, state.z_corner * u)
+    return (
+        a * u * u,
+        b * u + feed,
+        c * u + feed,
+        d + loss * (b + c + a * loss),
+        z_inner * u,
+        z_corner * u,
+    )
 
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:

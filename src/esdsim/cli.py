@@ -16,10 +16,12 @@ physical times t = tau / gamma.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -27,10 +29,10 @@ from .deathclock import (
     DEFAULT_TOL,
     Fate,
     NoCrossingError,
-    BracketError,
+    SweepCurve,
     find_ad_crossing,
-    find_aversion_threshold,
     find_end_time,
+    single_switch_curve,
     sweep_switch_times,
     trajectory,
 )
@@ -43,7 +45,13 @@ _SWITCH_CHOICES = ("both", "alice", "bob", "none")
 # count must not reach the allocation unbounded.
 MAX_GRID_COUNT = 10_000_000
 
+# evolve computes and writes its rows this many at a time, so its memory
+# does not grow with the grid; the 2001-point figure grids are one block.
+EVOLVE_BLOCK = 1 << 16
+
 _FLOAT = "%.11e"
+
+_CANONICAL = (1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def _fmt(x: float) -> str:
@@ -248,13 +256,17 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write text chunks, in order, to ``out_path`` or to stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _text(lines: list[str]) -> list[str]:
+    return ["\n".join(lines) + "\n"]
 
 
 # -- subcommands ----------------------------------------------------------
@@ -263,16 +275,49 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
     grid = cfg.grid if cfg.grid is not None else GridSpec(0.0, 1.2, 121)
     taus = cfg.to_tau(grid.points())
-    traj = trajectory(cfg.initial_state(), cfg.resolved_schedule(), taus)
-    columns = (
-        traj.tau, traj.a, traj.b, traj.c, traj.d, traj.z_inner, traj.z_corner,
-        traj.negativity, traj.concurrence, traj.entropy,
-    )
-    row_format = ",".join([_FLOAT] * len(columns))
-    lines = ["tau,a,b,c,d,z_inner,z_corner,negativity,concurrence,entropy"]
-    lines += [row_format % row for row in zip(*(c.tolist() for c in columns))]
-    _emit(lines, out_path)
+    # Rows go out block by block, so the whole grid is checked first: a grid
+    # that collapses or overflows in tau fails before any row is written.
+    if not (math.isfinite(taus[-1]) and np.all(taus[1:] > taus[:-1])):
+        raise ValueError(
+            "config field 'grid': times must be finite and strictly increasing "
+            "in tau"
+        )
+    state, schedule = cfg.initial_state(), cfg.resolved_schedule()
+    row_format = ",".join([_FLOAT] * 10) + "\n"
+
+    def block(start: int) -> str:
+        traj = trajectory(state, schedule, taus[start:start + EVOLVE_BLOCK])
+        columns = (
+            traj.tau, traj.a, traj.b, traj.c, traj.d, traj.z_inner,
+            traj.z_corner, traj.negativity, traj.concurrence, traj.entropy,
+        )
+        return "".join([row_format % row for row in zip(*(c.tolist() for c in columns))])
+
+    header = "tau,a,b,c,d,z_inner,z_corner,negativity,concurrence,entropy\n"
+    first = block(0)  # a state the measures reject fails before any output
+    rest = map(block, range(EVOLVE_BLOCK, taus.size, EVOLVE_BLOCK))
+    _emit(itertools.chain([header, first], rest), out_path)
     return 0
+
+
+def _is_canonical(state: XState) -> bool:
+    values = (state.a, state.b, state.c, state.d, state.z_inner, state.z_corner)
+    return all(abs(v - ref) <= 1e-12 for v, ref in zip(values, _CANONICAL))
+
+
+def _curve_max_dev(curve: SweepCurve) -> float | None:
+    """Largest |tau_end - exact| over the rows that die, or None if none does.
+
+    The exact end time of a single flip from the canonical state is
+    -ln y with y = single_switch_curve(e^-tau_sw); exp and log come from
+    ``math``, as in the end times themselves.
+    """
+    dies = curve.fate == Fate.FINITE_END
+    if not dies.any():
+        return None
+    x = np.array([math.exp(-t) for t in curve.tau_sw[dies].tolist()])
+    exact = np.array([-math.log(y) for y in single_switch_curve(x).tolist()])
+    return float(np.max(np.abs(curve.tau_end[dies] - exact)))
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
@@ -287,12 +332,15 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
             raise ValueError(
                 f"config field 'grid.count': sweeps need >= 2 points, got {cfg.grid.count}"
             )
-        taus = cfg.to_tau(cfg.grid.points()).tolist()
+        taus = cfg.to_tau(cfg.grid.points())
     curve = sweep_switch_times(state, kind, taus, cfg.tol)
+    dying, open_ended = f"{_FLOAT},%d,{_FLOAT}", f"{_FLOAT},%d,"
     lines = ["tau_sw,fate,tau_end"]
-    for row in curve.rows:
-        end = _fmt(row.tau_end) if row.fate is Fate.FINITE_END else ""
-        lines.append(f"{_fmt(row.tau_sw)},{int(row.fate)},{end}")
+    columns = (curve.tau_sw.tolist(), curve.fate.tolist(), curve.tau_end.tolist())
+    lines += [
+        dying % row if row[1] == Fate.FINITE_END else open_ended % row[:2]
+        for row in zip(*columns)
+    ]
     if curve.baseline_end is not None:
         lines.append(f"# baseline_end = {_fmt(curve.baseline_end)}")
     if curve.ad_crossing is not None:
@@ -304,9 +352,11 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
             f"# min_end: tau_sw = {_fmt(curve.min_tau_sw)}, "
             f"tau_end = {_fmt(curve.min_tau_end)}"
         )
-    if curve.curve_max_dev is not None:
-        lines.append(f"# curve_max_abs_dev = {_fmt(curve.curve_max_dev)}")
-    _emit(lines, out_path)
+    if kind is not Switch.BOTH and _is_canonical(state):
+        dev = _curve_max_dev(curve)
+        if dev is not None:
+            lines.append(f"# curve_max_abs_dev = {_fmt(dev)}")
+    _emit(_text(lines), out_path)
     return 0
 
 
@@ -320,37 +370,36 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
             return f"{name},{status},,"
         return f"{name},{status},{_fmt(tau)},{_fmt(tau / cfg.gamma)}"
 
+    def found(name: str, tau: float | None) -> str:
+        return row(name, "undefined" if tau is None else "found", tau)
+
     baseline = find_end_time(state)
     status = {
         Fate.FINITE_END: "finite",
         Fate.AVERTED: "averted",
         Fate.NEVER_ENTANGLED: "never_entangled",
     }[baseline.fate]
-    lines.append(row("baseline_end", status, baseline.tau_end))
-
-    try:
-        lines.append(row("ad_crossing", "found", find_ad_crossing(state)))
-    except NoCrossingError:
-        lines.append(row("ad_crossing", "undefined", None))
-
-    try:
-        threshold = find_aversion_threshold(state, kind, cfg.tol)
-        lines.append(row(f"aversion_threshold_{kind.value}", "found", threshold))
-    except (BracketError, NoCrossingError):
-        lines.append(row(f"aversion_threshold_{kind.value}", "undefined", None))
-
-    min_tau_sw = min_tau_end = None
     if baseline.fate is Fate.FINITE_END:
         curve = sweep_switch_times(state, kind, None, cfg.tol)
+        baseline_end, ad_crossing = curve.baseline_end, curve.ad_crossing
+        threshold = curve.aversion_threshold
         min_tau_sw, min_tau_end = curve.min_tau_sw, curve.min_tau_end
-    if min_tau_sw is None:
-        lines.append(row(f"min_end_switch_time_{kind.value}", "undefined", None))
-        lines.append(row(f"min_end_time_{kind.value}", "undefined", None))
     else:
-        lines.append(row(f"min_end_switch_time_{kind.value}", "found", min_tau_sw))
-        lines.append(row(f"min_end_time_{kind.value}", "found", min_tau_end))
-
-    _emit(lines, out_path)
+        # The threshold search brackets with the unswitched end time, so
+        # without one it is undefined, as is the sweep's minimum.
+        baseline_end = threshold = min_tau_sw = min_tau_end = None
+        try:
+            ad_crossing = find_ad_crossing(state)
+        except NoCrossingError:
+            ad_crossing = None
+    lines += [
+        row("baseline_end", status, baseline_end),
+        found("ad_crossing", ad_crossing),
+        found(f"aversion_threshold_{kind.value}", threshold),
+        found(f"min_end_switch_time_{kind.value}", min_tau_sw),
+        found(f"min_end_time_{kind.value}", min_tau_end),
+    ]
+    _emit(_text(lines), out_path)
     return 0
 
 
@@ -390,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _apply_overrides(_load_config(args.config), args)
         if args.dump_config:
-            _emit([json.dumps(config_to_dict(cfg), indent=2)], args.out)
+            _emit(_text([json.dumps(config_to_dict(cfg), indent=2)]), args.out)
             return 0
         handler = {"evolve": cmd_evolve, "sweep": cmd_sweep, "critical": cmd_critical}
         return handler[args.command](cfg, args.out)

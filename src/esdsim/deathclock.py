@@ -16,6 +16,10 @@ whose ``Q`` turns non-negative dies at the smaller root of ``Q``, and the
 open-ended tail dies iff its ``u -> 0`` limit ``Q(0)`` is positive.  The
 only remaining search is the bisection over switch times for the aversion
 threshold, which is what ``tol`` controls.
+
+``find_end_time`` walks one schedule; ``end_times`` decides a single switch
+at a whole array of switch times with the same arithmetic, and the sweep
+(``sweep_switch_times``) is one call to it.
 """
 
 from __future__ import annotations
@@ -27,13 +31,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import evolve_xstate_closed
-from .intervention import Schedule, Switch, apply_xstate
+from .channel import damped_coefficients, evolve_xstate_closed
+from .intervention import Schedule, Switch, apply_xstate, switch_coefficients
 from .qstate import UnsupportedShapeError, XState, xstate_measures
 
 DEFAULT_TOL = 1e-10
-
-_CANONICAL = (1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
 
 
 class Fate(IntEnum):
@@ -71,34 +73,28 @@ class DeathReport:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    tau_sw: float
-    fate: Fate
-    tau_end: float | None
-
-
-@dataclass(frozen=True)
 class SweepCurve:
     """End-time-versus-switch-time curve plus the features located on it.
 
+    ``tau_sw``, ``fate`` and ``tau_end`` are arrays with one entry per
+    switch time, as ``end_times`` returns them (``fate`` holds ``Fate``
+    values, ``tau_end`` is NaN unless the fate is FINITE_END).
     ``ad_crossing`` is the time where the outer occupations meet (a = d),
     after which a both-qubit swap no longer helps; ``aversion_threshold`` is
     the largest switch time below which death is averted (None when the
     sweep's switch kind never averts); ``min_tau_sw``/``min_tau_end`` locate
-    the sweep minimum of the end time, refined beyond the grid;
-    ``curve_max_dev`` is the largest deviation from the closed-form
-    single-switch curve (populated only for single-sided sweeps from the
-    canonical initial state the curve describes).
+    the sweep minimum of the end time, refined beyond the grid.
     """
 
     kind: Switch
-    rows: tuple[SweepRow, ...]
+    tau_sw: np.ndarray
+    fate: np.ndarray
+    tau_end: np.ndarray
     baseline_end: float | None
     ad_crossing: float | None
     aversion_threshold: float | None
     min_tau_sw: float | None
     min_tau_end: float | None
-    curve_max_dev: float | None
 
 
 def discriminant(state: XState) -> float:
@@ -125,6 +121,7 @@ def _segment_quadratic(state: XState) -> tuple[float, float, float]:
     Quadratic and linear terms are common to both coherence slots; only the
     constant term differs.  The vertex -p1 / (2 p2) = (b+c+2a) / (2a) >= 1,
     so Q never decreases along the flow (u falling from 1 toward 0).
+    Coherences are squared as ``z * z``, as ``end_times`` squares arrays.
     """
     a, b, c = state.a, state.b, state.c
     inner, corner = state.z_inner != 0.0, state.z_corner != 0.0
@@ -135,10 +132,20 @@ def _segment_quadratic(state: XState) -> tuple[float, float, float]:
     p2 = a * a
     p1 = -a * (b + c + 2.0 * a)
     if corner:
-        p0 = (b + a) * (c + a) - state.z_corner**2
+        p0 = (b + a) * (c + a) - state.z_corner * state.z_corner
     else:
-        p0 = 3.0 * a - state.z_inner**2
+        p0 = 3.0 * a - state.z_inner * state.z_inner
     return p2, p1, p0
+
+
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied to each entry of a flat array.
+
+    The array paths take exp and log from ``math``, as the scalar paths do,
+    so that they agree bit for bit: ``np.exp`` and ``np.log`` differ from
+    them by an ulp on some inputs.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def _require_swaps(schedule: Schedule) -> None:
@@ -197,7 +204,7 @@ def trajectory(
     stretch (a switch at that very time already applied, as in
     ``state_at``), and the closed-form flow runs from the state at the
     stretch's start.  ``u = exp(-offset)`` is taken with ``math.exp`` and
-    the flow's operation order is that of ``evolve_xstate_closed``, so every
+    the flow is ``evolve_xstate_closed``'s ``damped_coefficients``, so every
     entry equals ``state_at`` bit for bit.
     """
     _require_swaps(schedule)
@@ -215,21 +222,12 @@ def trajectory(
         initial.append(apply_xstate(current, event.op))
         starts.append(event.tau)
     stretch = np.searchsorted(starts[1:], taus, side="right")
-    offset = taus - np.array(starts)[stretch]
-    u = np.array([math.exp(-t) for t in offset.tolist()])
-
-    a0, b0, c0, d0, z_inner0, z_corner0 = np.array(
+    u = _libm(math.exp, np.array(starts)[stretch] - taus)
+    coefficients = damped_coefficients(*np.array(
         [(s.a, s.b, s.c, s.d, s.z_inner, s.z_corner) for s in initial]
-    )[stretch].T
-    a = a0 * u * u
-    feed = a0 * (u - u * u)
-    b = b0 * u + feed
-    c = c0 * u + feed
-    loss = 1.0 - u
-    d = d0 + loss * (b0 + c0 + a0 * loss)
-    z_inner, z_corner = z_inner0 * u, z_corner0 * u
-    measures = xstate_measures(a, b, c, d, z_inner, z_corner)
-    return Trajectory(taus, a, b, c, d, z_inner, z_corner, *measures)
+    )[stretch].T, u)
+    measures = xstate_measures(*coefficients)
+    return Trajectory(taus, *coefficients, *measures)
 
 
 def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport:
@@ -273,6 +271,67 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
         current = apply_xstate(current, event.op)
         t_prev = event.tau
     return DeathReport(Fate.AVERTED, None, p0)
+
+
+def _switch_times(grid: Sequence[float]) -> np.ndarray:
+    taus = np.array(grid, dtype=float)
+    if taus.ndim != 1:
+        raise ValueError("switch times must be a flat sequence of times")
+    bad = ~(np.isfinite(taus) & (taus >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"switch times must be finite and >= 0, got {taus[bad][0].item()!r}"
+        )
+    return taus
+
+
+def end_times(
+    state: XState, kind: Switch, switch_times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fate and end time after one ``kind`` switch at each given switch time.
+
+    Entry i is what ``find_end_time(state, Schedule.single(switch_times[i],
+    kind))`` reports, bit for bit, decided on whole arrays with its
+    arithmetic: the closed-form flow to each switch time, the switch as a
+    coefficient permutation, the first stretch dying iff Q(u_sw) >= 0, the
+    tail after the switch dying iff its p0 > 0, and each death at the
+    stable root of its stretch.  Returns ``fate`` (int8 ``Fate`` values) and
+    ``tau_end`` (NaN where the fate is not FINITE_END); no witness is kept.
+    """
+    if not isinstance(kind, Switch):
+        raise TypeError(f"expected a named Switch, got {kind!r}")
+    tau_sw = _switch_times(switch_times)
+    fate = np.full(tau_sw.size, Fate.NEVER_ENTANGLED, dtype=np.int8)
+    tau_end = np.full(tau_sw.size, np.nan)
+    if discriminant(state) >= 0.0:
+        return fate, tau_end
+
+    p2, p1, p0 = _segment_quadratic(state)
+    u_sw = _libm(math.exp, -tau_sw)
+    first = (p2 * u_sw + p1) * u_sw + p0 >= 0.0
+    flowed = damped_coefficients(
+        state.a, state.b, state.c, state.d, state.z_inner, state.z_corner, u_sw
+    )
+    a, b, c, _, z_inner, z_corner = switch_coefficients(kind, flowed)
+    q2, q1 = a * a, -a * (b + c + 2.0 * a)
+    q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
+                  3.0 * a - z_inner * z_inner)
+    dies = first | (q0 > 0.0)
+    fate[:] = np.where(dies, Fate.FINITE_END, Fate.AVERTED)
+
+    # The dying stretch of each row: the first, from u = 1 at tau = 0 down
+    # to u_sw, or the tail, from u = 1 at tau_sw down to u = 0.
+    r2, r1, r0, u_end, start = (
+        np.where(first, x, y)[dies]
+        for x, y in ((p2, q2), (p1, q1), (p0, q0), (u_sw, 0.0), (0.0, tau_sw))
+    )
+    u_root = np.ones_like(r0)
+    inside = r2 + r1 + r0 < 0.0  # else Q(1) >= 0: death at the stretch start
+    w, r = r0[inside] / -r1[inside], r2[inside] / -r1[inside]
+    root = 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
+    u_root[inside] = np.minimum(np.maximum(root, u_end[inside]), 1.0)
+    tau_end[dies] = start - _libm(math.log, u_root)
+    return fate, tau_end
 
 
 def find_ad_crossing(state: XState) -> float:
@@ -335,18 +394,24 @@ def find_aversion_threshold(
     return 0.5 * (lo + hi)
 
 
-def single_switch_curve(x: float) -> float:
+def single_switch_curve(x):
     """Damping factor y = exp(-tau_end) after one single-qubit flip.
 
     Closed form for the canonical initial state (a = b = c = z_inner = 1,
     d = 0): flipping either qubit alone at the time where exp(-tau_sw) = x
     leads to death at y = (3 - sqrt(9 - 24 x + 20 x**2)) / (2 (2 - x)).
     The radicand is positive for every real x, and the curve has the fixed
-    point y = x at x = 2 - sqrt(2).
+    point y = x at x = 2 - sqrt(2).  Takes a float (returns a float) or an
+    array (returns an array of the same shape).
     """
-    if not (0.0 < x <= 1.0):
-        raise ValueError(f"x = exp(-tau_sw) must lie in (0, 1], got {x!r}")
-    return (3.0 - math.sqrt(9.0 - 24.0 * x + 20.0 * x * x)) / (2.0 * (2.0 - x))
+    x = np.asarray(x, dtype=float)
+    outside = ~((0.0 < x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(
+            f"x = exp(-tau_sw) must lie in (0, 1], got {x[outside][0].item()!r}"
+        )
+    y = (3.0 - np.sqrt(9.0 - 24.0 * x + 20.0 * x * x)) / (2.0 * (2.0 - x))
+    return y if y.ndim else float(y)
 
 
 def _golden_minimize(
@@ -371,11 +436,6 @@ def _golden_minimize(
     return 0.5 * (lo + hi)
 
 
-def _is_canonical(state: XState) -> bool:
-    values = (state.a, state.b, state.c, state.d, state.z_inner, state.z_corner)
-    return all(abs(v - ref) <= 1e-12 for v, ref in zip(values, _CANONICAL))
-
-
 def sweep_switch_times(
     state: XState,
     kind: Switch = Switch.BOTH,
@@ -386,9 +446,10 @@ def sweep_switch_times(
 
     The default grid is 400 evenly spaced switch times in [0, baseline end);
     an explicit grid must be strictly increasing and stay below the baseline
-    end time when that is finite.  The grid minimum of the end time is
-    refined between its neighbouring grid points by golden-section search.
-    ``tol`` is the aversion-threshold tolerance; end times are exact.
+    end time when that is finite.  Every grid row comes from one
+    ``end_times`` call.  The grid minimum of the end time is refined between
+    its neighbouring grid points by golden-section search.  ``tol`` is the
+    aversion-threshold tolerance; end times are exact.
     """
     baseline = find_end_time(state)
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
@@ -397,27 +458,19 @@ def sweep_switch_times(
             raise ValueError(
                 "unswitched evolution never dies; pass an explicit switch-time grid"
             )
-        taus = np.linspace(0.0, baseline_end, 400, endpoint=False).tolist()
+        taus = np.linspace(0.0, baseline_end, 400, endpoint=False)
     else:
-        taus = [float(t) for t in grid]
-        if not taus:
+        taus = _switch_times(grid)
+        if not taus.size:
             raise ValueError("switch-time grid must not be empty")
-        for t in taus:
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ValueError(f"switch times must be finite and >= 0, got {t!r}")
-        for earlier, later in zip(taus, taus[1:]):
-            if not later > earlier:
-                raise ValueError("switch-time grid must be strictly increasing")
+        if not np.all(taus[1:] > taus[:-1]):
+            raise ValueError("switch-time grid must be strictly increasing")
         if baseline_end is not None and taus[-1] >= baseline_end:
             raise ValueError(
                 f"switch times must precede the unswitched end time "
-                f"{baseline_end!r}, got {taus[-1]!r}"
+                f"{baseline_end!r}, got {taus[-1].item()!r}"
             )
-
-    rows = []
-    for tau_sw in taus:
-        report = find_end_time(state, Schedule.single(tau_sw, kind))
-        rows.append(SweepRow(tau_sw, report.fate, report.tau_end))
+    fate, tau_end = end_times(state, kind, taus)
 
     try:
         ad_crossing = find_ad_crossing(state)
@@ -432,35 +485,26 @@ def sweep_switch_times(
         report = find_end_time(state, Schedule.single(tau_sw, kind))
         return report.tau_end if report.fate is Fate.FINITE_END else math.inf
 
-    finite_idx = [i for i, row in enumerate(rows) if row.fate is Fate.FINITE_END]
-    if finite_idx:
-        i_best = min(finite_idx, key=lambda i: rows[i].tau_end)
-        lo = rows[i_best - 1].tau_sw if i_best - 1 in finite_idx else rows[i_best].tau_sw
-        hi = rows[i_best + 1].tau_sw if i_best + 1 in finite_idx else rows[i_best].tau_sw
+    dies = fate == Fate.FINITE_END
+    min_tau_sw = min_tau_end = None
+    if dies.any():
+        i = int(np.argmin(np.where(dies, tau_end, np.inf)))
+        lo = taus[i - 1] if i > 0 and dies[i - 1] else taus[i]
+        hi = taus[i + 1] if i + 1 < taus.size and dies[i + 1] else taus[i]
         if lo < hi:
-            min_tau_sw = _golden_minimize(end_at, lo, hi)
+            min_tau_sw = _golden_minimize(end_at, float(lo), float(hi))
             min_tau_end = end_at(min_tau_sw)
         else:
-            min_tau_sw, min_tau_end = rows[i_best].tau_sw, rows[i_best].tau_end
-    else:
-        min_tau_sw = min_tau_end = None
-
-    curve_max_dev = None
-    if kind in (Switch.ALICE, Switch.BOB) and _is_canonical(state):
-        devs = [
-            abs(row.tau_end - (-math.log(single_switch_curve(math.exp(-row.tau_sw)))))
-            for row in rows
-            if row.fate is Fate.FINITE_END
-        ]
-        curve_max_dev = max(devs) if devs else None
+            min_tau_sw, min_tau_end = float(taus[i]), float(tau_end[i])
 
     return SweepCurve(
         kind=kind,
-        rows=tuple(rows),
+        tau_sw=taus,
+        fate=fate,
+        tau_end=tau_end,
         baseline_end=baseline_end,
         ad_crossing=ad_crossing,
         aversion_threshold=threshold,
         min_tau_sw=min_tau_sw,
         min_tau_end=min_tau_end,
-        curve_max_dev=curve_max_dev,
     )

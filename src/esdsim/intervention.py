@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Union
 
 import numpy as np
@@ -74,21 +75,34 @@ def apply_unitary(m: np.ndarray, op: LocalUnitary) -> np.ndarray:
     return u @ m @ u.conj().T
 
 
-def apply_xstate(state: XState, switch: Switch) -> XState:
-    """Exact coefficient permutation a named switch performs on an X state.
+# Where each of (a, b, c, d, z_inner, z_corner) comes from after a named
+# switch.  Flipping both qubits reverses the occupation order and keeps each
+# coherence in its slot; flipping a single qubit exchanges the inner and
+# corner slots instead.
+_SWITCHED = {
+    Switch.BOTH: itemgetter(3, 2, 1, 0, 4, 5),
+    Switch.ALICE: itemgetter(2, 3, 0, 1, 5, 4),
+    Switch.BOB: itemgetter(1, 0, 3, 2, 5, 4),
+}
 
-    Flipping both qubits reverses the occupation order and keeps each
-    coherence in its slot; flipping a single qubit exchanges the inner and
-    corner slots instead.
+
+def switch_coefficients(switch: Switch, coefficients: tuple) -> tuple:
+    """The coefficient permutation a named switch performs on an X state.
+
+    ``coefficients`` is (a, b, c, d, z_inner, z_corner), as floats or as
+    numpy arrays of one shape; the same entries come back reordered.
     """
+    if not isinstance(switch, Switch):
+        raise TypeError(f"expected a named Switch, got {switch!r}")
+    return _SWITCHED[switch](coefficients)
+
+
+def apply_xstate(state: XState, switch: Switch) -> XState:
+    """Exact coefficient permutation a named switch performs on an X state."""
     s = state
-    if switch is Switch.BOTH:
-        return XState(s.d, s.c, s.b, s.a, s.z_inner, s.z_corner)
-    if switch is Switch.ALICE:
-        return XState(s.c, s.d, s.a, s.b, s.z_corner, s.z_inner)
-    if switch is Switch.BOB:
-        return XState(s.b, s.a, s.d, s.c, s.z_corner, s.z_inner)
-    raise TypeError(f"expected a named Switch, got {switch!r}")
+    return XState(*switch_coefficients(
+        switch, (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner)
+    ))
 
 
 @dataclass(frozen=True)

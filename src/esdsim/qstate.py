@@ -223,7 +223,15 @@ def negativity_xstate(state: XState) -> float:
 
 
 def concurrence(m: np.ndarray) -> float:
-    """Concurrence of a two-qubit density matrix (spin-flip construction)."""
+    """Concurrence of a two-qubit density matrix (spin-flip construction).
+
+    Takes square roots of the eigenvalues of ``m @ flipped``, so an
+    eigenvalue that is zero only up to round-off (~1e-17) comes back as
+    ~3e-9: on X states at the positivity edge ``z**2 = b*c`` this route
+    keeps only about half the digits of the closed form in
+    ``xstate_measures`` (off by 2e-9 to 6e-9 on random such states; exact
+    only where the products are exact, as for b = 1, c = 0.25, z = 0.5).
+    """
     m = validate_density_matrix(m)
     yy = np.kron(SIGMA_Y, SIGMA_Y)
     flipped = yy @ m.conj() @ yy

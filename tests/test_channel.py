@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esdsim import (
-    DampingParams,
     XState,
     amplitude_damping_kraus,
     evolve_kraus,
@@ -18,18 +17,6 @@ from esdsim.qstate import validate_density_matrix
 from conftest import random_xstate
 
 CANONICAL = XState(1.0, 1.0, 1.0, 0.0, z_inner=1.0)
-
-
-def test_damping_params_conversions():
-    params = DampingParams(rate=2.5)
-    assert params.tau(2.0) == pytest.approx(5.0)
-    assert params.t(5.0) == pytest.approx(2.0)
-
-
-@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
-def test_damping_params_rejects_bad_rate(rate):
-    with pytest.raises(ValueError, match="rate"):
-        DampingParams(rate=rate)
 
 
 def test_gamma_factor_values():

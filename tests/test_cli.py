@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import esdsim.cli
 from esdsim.cli import GridSpec, ScenarioConfig, config_from_dict, config_to_dict
 
 
@@ -118,6 +119,31 @@ def test_evolve_negativity_drops_to_zero_after_death():
         assert float(line.split(",")[7]) == 0.0
 
 
+def test_evolve_streams_blocks_byte_for_byte(monkeypatch, capsys):
+    argv = ["evolve", "--switch", "alice", "--t-sw", "0.2", "--grid", "0:1.5:50"]
+    assert esdsim.cli.main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(esdsim.cli, "EVOLVE_BLOCK", 7)  # 8 blocks, the last short
+    assert esdsim.cli.main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert len(whole.splitlines()) == 51
+
+
+def test_evolve_checks_the_whole_grid_before_writing(tmp_path):
+    # Distinct grid points that coincide in floating point.
+    result = run_cli("evolve", "--grid", "1:1.0000000000000002:100", expect_code=2)
+    assert "'grid'" in result.stderr and result.stdout == ""
+    # A state the closed-form measures reject leaves no output file behind.
+    config, out = tmp_path / "two_slots.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps(
+        {"a": 0.75, "b": 0.75, "c": 0.75, "d": 0.75, "z_inner": 0.3, "z_corner": 0.3}
+    ))
+    result = run_cli(
+        "evolve", "--config", str(config), "--out", str(out), expect_code=2
+    )
+    assert "coherence slot" in result.stderr and not out.exists()
+
+
 def test_evolve_schedule_from_config(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"schedule": [{"time": 0.223, "switch": "both"}]}))
@@ -143,6 +169,7 @@ def test_sweep_output_shape_and_summary():
     assert averted and averted[0].split(",")[2] == ""
     summary = "\n".join(line for line in lines if line.startswith("#"))
     assert "ad_crossing" in summary and "aversion_threshold" in summary
+    assert "curve_max_abs_dev" not in summary  # the curve is single-flip only
     threshold = float(summary.split("aversion_threshold = ")[1].split("\n")[0])
     assert threshold == pytest.approx(0.1293, abs=5e-4)
     crossing = float(summary.split("ad_crossing = ")[1].split("\n")[0])
@@ -156,6 +183,22 @@ def test_sweep_single_sided_reports_curve_deviation():
     assert len(dev_lines) == 1
     assert float(dev_lines[0].split("= ")[1]) <= 1e-9
     assert not any("aversion_threshold" in line for line in summary)
+
+
+def test_sweep_curve_deviation_needs_the_canonical_state(tmp_path):
+    # The closed-form single-flip curve describes the canonical state only.
+    bob = run_cli("sweep", "--switch", "bob", "--grid", "0:0.5:101")
+    dev_lines = [
+        line for line in bob.stdout.splitlines() if "curve_max_abs_dev" in line
+    ]
+    assert len(dev_lines) == 1 and float(dev_lines[0].split("= ")[1]) <= 1e-9
+    path = tmp_path / "other.json"
+    path.write_text(
+        json.dumps({"a": 0.9, "b": 1.2, "c": 0.7, "d": 0.2, "z_inner": 0.85})
+    )
+    other = run_cli("sweep", "--switch", "alice", "--config", str(path))
+    assert "min_end" in other.stdout
+    assert "curve_max_abs_dev" not in other.stdout
 
 
 def test_sweep_rejects_grid_past_baseline_end():

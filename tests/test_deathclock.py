@@ -17,6 +17,7 @@ from esdsim import (
     apply_xstate,
     concurrence,
     discriminant,
+    end_times,
     evolve_kraus,
     evolve_xstate_closed,
     find_ad_crossing,
@@ -32,6 +33,7 @@ from esdsim import (
     trajectory,
     von_neumann_entropy,
 )
+from esdsim import deathclock
 from esdsim.cli import main as cli_main
 from esdsim.deathclock import _golden_minimize, _segment_quadratic
 
@@ -421,6 +423,95 @@ def test_find_end_time_rejects_general_unitaries():
         find_end_time(CANONICAL, Schedule.single(0.1, op))
 
 
+# -- end_times: find_end_time on a whole switch-time array ----------------------
+
+END_TIME_EDGES = [
+    XState(0.0, 1.25, 1.5, 0.25, z_inner=-1.25),  # a = 0
+    XState(0.5, 1.0, 1.5, 0.0, z_inner=1.2),  # d = 0
+    XState(0.25, 1.0, 1.0, 0.75, z_inner=1.0),  # z_inner**2 = b*c exactly
+    XState(1.0, 0.25, 0.75, 1.0, z_corner=1.0),  # z_corner**2 = a*d exactly
+    XState(1.0, 1.0, 0.5, 0.5, z_corner=1e-320),  # subnormal coherence
+    XState(1.0, 1.0, 1.0, 0.0),  # never entangled
+    XState(0.0, 1.2, 1.2, 0.6, z_inner=1.0),  # unswitched death averted
+    CANONICAL,
+]
+
+
+def assert_end_times_match(state, kind, grid):
+    fate, tau_end = end_times(state, kind, grid)
+    assert fate.shape == tau_end.shape == (len(grid),)
+    for tau_sw, f, end in zip(list(grid), fate.tolist(), tau_end.tolist()):
+        report = find_end_time(state, Schedule.single(tau_sw, kind))
+        assert f == report.fate, (state, kind, tau_sw)
+        if report.fate is Fate.FINITE_END:  # same arithmetic, so bit for bit
+            assert end == report.tau_end, (state, kind, tau_sw)
+        else:
+            assert math.isnan(end)
+    return fate
+
+
+@pytest.mark.parametrize("kind", list(Switch))
+def test_end_times_match_find_end_time(kind):
+    # Switch times run past each state's unswitched death (deaths in the
+    # first stretch) and out to where u = exp(-tau) is subnormal or zero.
+    rng = np.random.default_rng(97)
+    states = END_TIME_EDGES + [
+        random_xstate(rng, slot=slot) for slot in ("inner", "corner") * 15
+    ]
+    fates = set()
+    for state in states:
+        baseline = find_end_time(state)
+        scale = baseline.tau_end if baseline.fate is Fate.FINITE_END else 1.0
+        grid = [*np.linspace(0.0, 2.0 * scale, 41).tolist(), 740.0, 745.0, 800.0]
+        if baseline.fate is Fate.FINITE_END:
+            grid.append(math.nextafter(baseline.tau_end, 0.0))
+        fates.update(assert_end_times_match(state, kind, grid).tolist())
+    assert fates == set(Fate)
+
+
+def test_end_times_validate_their_inputs():
+    both = XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=1e-320)
+    with pytest.raises(UnsupportedShapeError):
+        end_times(both, Switch.BOTH, [0.1])
+    with pytest.raises(UnsupportedShapeError):
+        find_end_time(both, Schedule.single(0.1, Switch.BOTH))
+    with pytest.raises(ValueError, match="finite and >= 0, got -0.1"):
+        end_times(CANONICAL, Switch.ALICE, [0.0, -0.1])
+    with pytest.raises(TypeError):
+        end_times(CANONICAL, "both", [0.1])
+    fate, tau_end = end_times(CANONICAL, Switch.BOB, [])
+    assert fate.size == tau_end.size == 0
+
+
+def test_sweep_rows_at_the_edges_of_the_grid():
+    # An averted baseline with an explicit grid, and a grid whose last
+    # switch comes one ulp before the unswitched death.
+    always = XState(0.0, 1.2, 1.2, 0.6, z_inner=1.0)
+    last = math.nextafter(TAU_0, 0.0)
+    for state, grid in ((always, [0.0, 0.5, 1.0, 3.0]), (CANONICAL, [0.0, 0.3, last])):
+        for kind in Switch:
+            curve = sweep_switch_times(state, kind, grid)
+            assert curve.tau_sw.tolist() == grid
+            fate = assert_end_times_match(state, kind, grid)
+            assert curve.fate.tolist() == fate.tolist()
+
+
+def test_sweep_calls_find_end_time_per_search_step_not_per_row(monkeypatch, capsys):
+    calls = []
+    find = deathclock.find_end_time
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(deathclock, "find_end_time", counted)
+    for kind in ("both", "alice"):
+        calls.clear()
+        assert cli_main(["sweep", "--switch", kind, "--grid", "0:0.53:4001"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) > 4001
+        assert len(calls) < 200, kind
+
+
 # -- ad crossing and aversion threshold ---------------------------------------
 
 def test_ad_crossing_canonical():
@@ -500,6 +591,16 @@ def test_single_switch_curve_rejects_out_of_range():
     for x in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             single_switch_curve(x)
+    with pytest.raises(ValueError, match="got 1.5"):
+        single_switch_curve(np.array([0.5, 1.5, 1.0]))
+
+
+def test_single_switch_curve_on_arrays_matches_floats():
+    x = np.linspace(0.05, 1.0, 40)
+    y = single_switch_curve(x)
+    assert y.shape == x.shape
+    assert y.tolist() == [single_switch_curve(v) for v in x.tolist()]
+    assert isinstance(single_switch_curve(0.5), float)
 
 
 def test_golden_minimize_terminates_below_float_spacing():
@@ -530,9 +631,9 @@ def test_single_switch_end_times_match_curve(kind):
 
 def test_sweep_default_grid_and_features():
     curve = sweep_switch_times(CANONICAL, Switch.BOTH)
-    assert len(curve.rows) == 400
-    assert curve.rows[0].tau_sw == 0.0
-    assert curve.rows[-1].tau_sw < curve.baseline_end
+    assert len(curve.tau_sw) == len(curve.fate) == len(curve.tau_end) == 400
+    assert curve.tau_sw[0] == 0.0
+    assert curve.tau_sw[-1] < curve.baseline_end
     assert curve.baseline_end == pytest.approx(TAU_0, abs=1e-9)
     assert curve.ad_crossing == pytest.approx(math.log(4.0 / 3.0), abs=1e-9)
     assert curve.aversion_threshold == pytest.approx(
@@ -540,12 +641,11 @@ def test_sweep_default_grid_and_features():
     )
     assert curve.min_tau_sw == pytest.approx(MIN_BOTH[0], abs=1e-4)
     assert curve.min_tau_end == pytest.approx(MIN_BOTH[1], abs=1e-8)
-    assert curve.curve_max_dev is None
 
 
 def test_sweep_fates_change_exactly_once():
     curve = sweep_switch_times(CANONICAL, Switch.BOTH)
-    fates = [row.fate for row in curve.rows]
+    fates = [Fate(f) for f in curve.fate.tolist()]
     flips = sum(1 for f1, f2 in zip(fates, fates[1:]) if f1 is not f2)
     assert flips == 1
     assert fates[0] is Fate.AVERTED
@@ -554,9 +654,8 @@ def test_sweep_fates_change_exactly_once():
 
 def test_sweep_single_sided_matches_curve_and_min():
     curve = sweep_switch_times(CANONICAL, Switch.ALICE)
-    assert all(row.fate is Fate.FINITE_END for row in curve.rows)
+    assert np.all(curve.fate == Fate.FINITE_END)
     assert curve.aversion_threshold is None
-    assert curve.curve_max_dev is not None and curve.curve_max_dev <= 1e-9
     assert curve.min_tau_sw == pytest.approx(MIN_ALICE[0], abs=1e-4)
     assert curve.min_tau_end == pytest.approx(MIN_ALICE[1], abs=1e-8)
 
@@ -565,9 +664,9 @@ def test_sweep_bob_mirrors_alice():
     grid = np.linspace(0.0, 0.5, 40)
     alice = sweep_switch_times(CANONICAL, Switch.ALICE, grid)
     bob = sweep_switch_times(CANONICAL, Switch.BOB, grid)
-    for row_a, row_b in zip(alice.rows, bob.rows):
-        assert row_a.fate is row_b.fate
-        assert row_a.tau_end == pytest.approx(row_b.tau_end, abs=1e-8)
+    assert alice.fate.tolist() == bob.fate.tolist()
+    for end_a, end_b in zip(alice.tau_end.tolist(), bob.tau_end.tolist()):
+        assert end_a == pytest.approx(end_b, abs=1e-8)
 
 
 def test_sweep_rejects_grid_reaching_baseline_end():
@@ -589,11 +688,11 @@ def test_sweep_without_finite_baseline_needs_explicit_grid():
     # would have avoided.
     curve = sweep_switch_times(always, Switch.BOTH, [0.0, 0.5, 1.0])
     assert curve.baseline_end is None
-    assert all(row.fate is Fate.FINITE_END for row in curve.rows)
+    assert np.all(curve.fate == Fate.FINITE_END)
     assert curve.min_tau_end is not None
 
 
 def test_sweep_two_point_grid_is_well_formed():
     curve = sweep_switch_times(CANONICAL, Switch.BOTH, [0.2, 0.3])
-    assert len(curve.rows) == 2
+    assert len(curve.tau_sw) == len(curve.fate) == len(curve.tau_end) == 2
     assert curve.min_tau_end is not None
