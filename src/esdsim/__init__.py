@@ -15,7 +15,6 @@ from .channel import (
     gamma_factor,
 )
 from .deathclock import (
-    DEFAULT_TOL,
     BracketError,
     DeathReport,
     Fate,
@@ -61,7 +60,6 @@ __all__ = [
     "evolve_kraus",
     "evolve_xstate_closed",
     "gamma_factor",
-    "DEFAULT_TOL",
     "BracketError",
     "DeathReport",
     "Fate",

@@ -26,7 +26,6 @@ from typing import Iterable
 import numpy as np
 
 from .deathclock import (
-    DEFAULT_TOL,
     Fate,
     NoCrossingError,
     SweepCurve,
@@ -91,7 +90,7 @@ class GridSpec:
 
 @dataclass
 class ScenarioConfig:
-    """One scenario: initial X state, decay rate, switches, grid, threshold tol.
+    """One scenario: initial X state, decay rate, switches and grid.
 
     ``switch`` + ``t_sw`` describe the common single-switch case; an explicit
     ``schedule`` (list of ``{"time": ..., "switch": ...}``) covers multi-switch
@@ -112,17 +111,14 @@ class ScenarioConfig:
     t_sw: float | None = None
     schedule: list[dict] = field(default_factory=list)
     grid: GridSpec | None = None
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d", "z_inner", "z_corner", "gamma", "tol"):
+        for name in ("a", "b", "c", "d", "z_inner", "z_corner", "gamma"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"config field '{name}': must be a finite number")
         if self.gamma <= 0.0:
             raise ValueError(f"config field 'gamma': must be positive, got {self.gamma!r}")
-        if self.tol <= 0.0:
-            raise ValueError(f"config field 'tol': must be positive, got {self.tol!r}")
         if self.time_unit not in ("tau", "physical"):
             raise ValueError(
                 f"config field 'time_unit': must be 'tau' or 'physical', got {self.time_unit!r}"
@@ -233,8 +229,6 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
         data["t_sw"] = args.t_sw
     if args.gamma is not None:
         data["gamma"] = args.gamma
-    if args.tol is not None:
-        data["tol"] = args.tol
     if args.grid is not None:
         data["grid"] = {
             "start": args.grid[0],
@@ -333,7 +327,7 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
                 f"config field 'grid.count': sweeps need >= 2 points, got {cfg.grid.count}"
             )
         taus = cfg.to_tau(cfg.grid.points())
-    curve = sweep_switch_times(state, kind, taus, cfg.tol)
+    curve = sweep_switch_times(state, kind, taus)
     dying, open_ended = f"{_FLOAT},%d,{_FLOAT}", f"{_FLOAT},%d,"
     lines = ["tau_sw,fate,tau_end"]
     columns = (curve.tau_sw.tolist(), curve.fate.tolist(), curve.tau_end.tolist())
@@ -380,7 +374,7 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
         Fate.NEVER_ENTANGLED: "never_entangled",
     }[baseline.fate]
     if baseline.fate is Fate.FINITE_END:
-        curve = sweep_switch_times(state, kind, None, cfg.tol)
+        curve = sweep_switch_times(state, kind)
         baseline_end, ad_crossing = curve.baseline_end, curve.ad_crossing
         threshold = curve.aversion_threshold
         min_tau_sw, min_tau_end = curve.min_tau_sw, curve.min_tau_end
@@ -424,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the switch time")
         p.add_argument("--grid", type=_parse_grid, metavar="START:STOP:COUNT",
                        help="override the grid")
-        p.add_argument("--tol", type=float, metavar="FLOAT",
-                       help="override the aversion-threshold search tolerance")
         p.add_argument("--gamma", type=float, metavar="FLOAT",
                        help="override the decay rate")
         p.add_argument("--dump-config", action="store_true",

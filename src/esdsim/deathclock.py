@@ -14,8 +14,9 @@ never return below zero (the named swaps preserve its value at the switch
 instant).  Death times therefore come in closed form: the first stretch
 whose ``Q`` turns non-negative dies at the smaller root of ``Q``, and the
 open-ended tail dies iff its ``u -> 0`` limit ``Q(0)`` is positive.  The
-only remaining search is the bisection over switch times for the aversion
-threshold, which is what ``tol`` controls.
+aversion threshold and the sweep minimum come from one bisection over switch
+times that halves until no float lies between its ends, on the exact fate
+test and on the sign of the end time's slope; neither has a tolerance.
 
 ``find_end_time`` walks one schedule; ``end_times`` decides a single switch
 at a whole array of switch times with the same arithmetic, and the sweep
@@ -34,8 +35,6 @@ import numpy as np
 from .channel import damped_coefficients, evolve_xstate_closed
 from .intervention import Schedule, Switch, apply_xstate, switch_coefficients
 from .qstate import UnsupportedShapeError, XState, xstate_measures
-
-DEFAULT_TOL = 1e-10
 
 
 class Fate(IntEnum):
@@ -83,7 +82,8 @@ class SweepCurve:
     after which a both-qubit swap no longer helps; ``aversion_threshold`` is
     the largest switch time below which death is averted (None when the
     sweep's switch kind never averts); ``min_tau_sw``/``min_tau_end`` locate
-    the sweep minimum of the end time, refined beyond the grid.
+    the sweep minimum of the end time, refined between the grid rows by the
+    sign of its slope, and never above the grid's own lowest row.
     """
 
     kind: Switch
@@ -124,14 +124,9 @@ def _segment_quadratic(state: XState) -> tuple[float, float, float]:
     Coherences are squared as ``z * z``, as ``end_times`` squares arrays.
     """
     a, b, c = state.a, state.b, state.c
-    inner, corner = state.z_inner != 0.0, state.z_corner != 0.0
-    if inner and corner:
-        raise UnsupportedShapeError(
-            "segment analysis needs at most one active coherence slot"
-        )
     p2 = a * a
     p1 = -a * (b + c + 2.0 * a)
-    if corner:
+    if state.z_corner != 0.0:  # discriminant() rejects two active slots
         p0 = (b + a) * (c + a) - state.z_corner * state.z_corner
     else:
         p0 = 3.0 * a - state.z_inner * state.z_inner
@@ -148,20 +143,10 @@ def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def _require_swaps(schedule: Schedule) -> None:
-    for event in schedule.events:
-        if not isinstance(event.op, Switch):
-            raise ValueError(
-                "piecewise analysis supports the named swaps only; apply "
-                "general unitaries through the matrix route instead"
-            )
-
-
 def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -> XState:
     """State at time tau under the schedule (switches at tau already applied)."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    _require_swaps(schedule)
     current, t_prev = state, 0.0
     for event in schedule.events:
         if event.tau > tau:
@@ -207,7 +192,6 @@ def trajectory(
     the flow is ``evolve_xstate_closed``'s ``damped_coefficients``, so every
     entry equals ``state_at`` bit for bit.
     """
-    _require_swaps(schedule)
     taus = np.array(grid, dtype=float)
     if taus.ndim != 1:
         raise ValueError("trajectory grid must be a flat sequence of times")
@@ -242,7 +226,6 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     discriminant is zero to round-off) dies at its start.  The tail dies iff
     p0 = Q(0) > 0; otherwise death is averted.
     """
-    _require_swaps(schedule)
     d0 = discriminant(state)
     if d0 >= 0.0:
         return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
@@ -285,6 +268,41 @@ def _switch_times(grid: Sequence[float]) -> np.ndarray:
     return taus
 
 
+def _single_switch(state: XState, kind: Switch, u):
+    """First-stretch Q(u) and the tail after one ``kind`` switch at u = e^-tau_sw.
+
+    Returns Q(u), the tail quadratic (q2, q1, q0) and its u-derivatives, in
+    plain arithmetic as in ``damped_coefficients``: a float u and an array
+    agree bit for bit.  The tail's slot is read off the switched z_corner.
+    """
+    p2, p1, p0 = _segment_quadratic(state)
+    s, slope = state, state.a * (1.0 - 2.0 * u)
+    (a, b, c, _, z_inner, z_corner), (da, db, dc, _, dz_inner, dz_corner) = (
+        switch_coefficients(kind, x) for x in (
+            damped_coefficients(s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, u),
+            (2.0 * s.a * u, s.b + slope, s.c + slope,
+             -(s.b + s.c + 2.0 * s.a * (1.0 - u)), s.z_inner, s.z_corner),
+        )
+    )
+    corner = z_corner != 0.0  # np.where costs microseconds on a float
+    where = np.where if isinstance(corner, np.ndarray) else (
+        lambda k, x, y: x if k else y)
+    q0 = where(corner, (b + a) * (c + a) - z_corner * z_corner,
+               3.0 * a - z_inner * z_inner)
+    dq0 = where(corner, (db + da) * (c + a) + (b + a) * (dc + da)
+                - 2.0 * z_corner * dz_corner, 3.0 * da - 2.0 * z_inner * dz_inner)
+    tail = (a * a, -a * (b + c + 2.0 * a), q0)
+    rates = (2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da), dq0)
+    return (p2 * u + p1) * u + p0, tail, rates
+
+
+def _smaller_root(r2, r1, r0):
+    """Smaller root of r2 u**2 + r1 u + r0 when Q(1) < 0 <= Q(0), as in
+    ``find_end_time``: scaled by -r1 > 0, as r1**2 and r2 underflow first."""
+    w, r = r0 / -r1, r2 / -r1
+    return 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
+
+
 def end_times(
     state: XState, kind: Switch, switch_times: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -306,29 +324,22 @@ def end_times(
     if discriminant(state) >= 0.0:
         return fate, tau_end
 
-    p2, p1, p0 = _segment_quadratic(state)
     u_sw = _libm(math.exp, -tau_sw)
-    first = (p2 * u_sw + p1) * u_sw + p0 >= 0.0
-    flowed = damped_coefficients(
-        state.a, state.b, state.c, state.d, state.z_inner, state.z_corner, u_sw
-    )
-    a, b, c, _, z_inner, z_corner = switch_coefficients(kind, flowed)
-    q2, q1 = a * a, -a * (b + c + 2.0 * a)
-    q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
-                  3.0 * a - z_inner * z_inner)
-    dies = first | (q0 > 0.0)
+    q_first, tail, _ = _single_switch(state, kind, u_sw)
+    first = q_first >= 0.0
+    dies = first | (tail[2] > 0.0)
     fate[:] = np.where(dies, Fate.FINITE_END, Fate.AVERTED)
 
     # The dying stretch of each row: the first, from u = 1 at tau = 0 down
     # to u_sw, or the tail, from u = 1 at tau_sw down to u = 0.
     r2, r1, r0, u_end, start = (
-        np.where(first, x, y)[dies]
-        for x, y in ((p2, q2), (p1, q1), (p0, q0), (u_sw, 0.0), (0.0, tau_sw))
+        np.where(first, x, y)[dies] for x, y in (
+            *zip(_segment_quadratic(state), tail), (u_sw, 0.0), (0.0, tau_sw)
+        )
     )
     u_root = np.ones_like(r0)
     inside = r2 + r1 + r0 < 0.0  # else Q(1) >= 0: death at the stretch start
-    w, r = r0[inside] / -r1[inside], r2[inside] / -r1[inside]
-    root = 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
+    root = _smaller_root(r2[inside], r1[inside], r0[inside])
     u_root[inside] = np.minimum(np.maximum(root, u_end[inside]), 1.0)
     tau_end[dies] = start - _libm(math.log, u_root)
     return fate, tau_end
@@ -347,20 +358,31 @@ def find_ad_crossing(state: XState) -> float:
     return math.log(slope / 3.0)
 
 
+def _bisect(rising: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Neighbouring floats lo < hi where ``rising`` turns from false to true.
+
+    Takes a finite bracket 0 <= lo < hi with ``rising(lo)`` false and
+    ``rising(hi)`` true, and halves it until the midpoint rounds to an end:
+    no tolerance, and log2(width / final float spacing) halvings at most.
+    """
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+        lo, hi = (lo, mid) if rising(mid) else (mid, hi)
+    return lo, hi
+
+
 def find_aversion_threshold(
     state: XState,
     kind: Switch = Switch.BOTH,
-    tol: float = DEFAULT_TOL,
     bracket: tuple[float, float] | None = None,
 ) -> float:
     """Switch time separating averted death from finite-time death.
 
-    Bisects over switch times until the bracket is narrower than tol or can
-    no longer be halved in floating point.  By default brackets with [0,
-    baseline end time]; raises BracketError when no default bracket exists
-    or both ends classify alike as non-finite, and NoCrossingError when
-    death is finite across the whole bracket (the given switch kind never
-    averts it there).
+    The first switch time whose fate differs from that at the bracket's
+    lower end, bisected on the fate test of ``end_times`` down to
+    neighbouring floats.  By default brackets with [0, baseline end time];
+    raises BracketError when no default bracket exists or both ends
+    classify alike as non-finite, and NoCrossingError when death is finite
+    across the whole bracket (the switch kind never averts it there).
     """
     if bracket is None:
         baseline = find_end_time(state)
@@ -373,25 +395,21 @@ def find_aversion_threshold(
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise BracketError(f"bad bracket {bracket!r}")
-    fate_lo, fate_hi = (
-        find_end_time(state, Schedule.single(t, kind)).fate for t in (lo, hi)
-    )
-    if fate_lo == fate_hi:
-        if fate_lo is Fate.FINITE_END:
+    entangled = discriminant(state) < 0.0
+
+    def dies(tau_sw: float) -> bool:
+        q_first, tail, _ = _single_switch(state, kind, math.exp(-tau_sw))
+        return entangled and bool(q_first >= 0.0 or tail[2] > 0.0)
+
+    dies_lo, dies_hi = dies(lo), dies(hi)
+    if dies_lo == dies_hi:
+        if dies_lo:
             raise NoCrossingError(
                 f"death is finite at both bracket ends; a {kind.value} switch "
                 "never averts it there"
             )
         raise BracketError("death averted at both bracket ends; widen the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # tol below the float spacing at the threshold
-            break
-        if find_end_time(state, Schedule.single(mid, kind)).fate == fate_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: dies(t) != dies_lo, lo, hi)[1]
 
 
 def single_switch_curve(x):
@@ -414,42 +432,20 @@ def single_switch_curve(x):
     return y if y.ndim else float(y)
 
 
-def _golden_minimize(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> float:
-    """Abscissa of the minimum of a unimodal f on [lo, hi], to within tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    # Stops also once the bracket is too narrow to hold distinct interior
-    # points: a tol below the float spacing is never reached.
-    while hi - lo > tol and lo < x1 < hi and lo < x2 < hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
 def sweep_switch_times(
     state: XState,
     kind: Switch = Switch.BOTH,
     grid: Sequence[float] | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> SweepCurve:
     """End time as a function of switch time, with located features.
 
     The default grid is 400 evenly spaced switch times in [0, baseline end);
     an explicit grid must be strictly increasing and stay below the baseline
     end time when that is finite.  Every grid row comes from one
-    ``end_times`` call.  The grid minimum of the end time is refined between
-    its neighbouring grid points by golden-section search.  ``tol`` is the
-    aversion-threshold tolerance; end times are exact.
+    ``end_times`` call; only the baseline calls ``find_end_time``.  If the
+    end time falls at the lower and rises at the upper of the grid minimum's
+    dying neighbours, the minimum is bisected between them on the sign of
+    its slope; otherwise it is the grid row itself.
     """
     baseline = find_end_time(state)
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
@@ -476,26 +472,36 @@ def sweep_switch_times(
         ad_crossing = find_ad_crossing(state)
     except NoCrossingError:
         ad_crossing = None
-    try:
-        threshold = find_aversion_threshold(state, kind, tol)
-    except (BracketError, NoCrossingError):
-        threshold = None
+    threshold = None
+    if baseline_end is not None:  # the default bracket, with no second search
+        try:
+            threshold = find_aversion_threshold(state, kind, (0.0, baseline_end))
+        except (BracketError, NoCrossingError):
+            pass
 
-    def end_at(tau_sw: float) -> float:
-        report = find_end_time(state, Schedule.single(tau_sw, kind))
-        return report.tau_end if report.fate is Fate.FINITE_END else math.inf
+    def rising(tau_sw: float) -> bool:
+        # The end time -ln(x v), x = e^-tau_sw, with the tail root v of
+        # Q(v; x) = 0, has dv/dx = -Q_x / Q_v and Q_v < 0: it falls iff
+        # x Q_x < v Q_v.  Deaths at or before the switch do not fall.
+        x = math.exp(-tau_sw)
+        q_first, (q2, q1, q0), (d2, d1, d0) = _single_switch(state, kind, x)
+        if q_first >= 0.0 or not q2 + q1 + q0 < 0.0 < q0:
+            return True
+        v = min(_smaller_root(q2, q1, q0), 1.0)
+        return x * ((d2 * v + d1) * v + d0) >= v * (2.0 * q2 * v + q1)
 
     dies = fate == Fate.FINITE_END
     min_tau_sw = min_tau_end = None
     if dies.any():
         i = int(np.argmin(np.where(dies, tau_end, np.inf)))
-        lo = taus[i - 1] if i > 0 and dies[i - 1] else taus[i]
-        hi = taus[i + 1] if i + 1 < taus.size and dies[i + 1] else taus[i]
-        if lo < hi:
-            min_tau_sw = _golden_minimize(end_at, float(lo), float(hi))
-            min_tau_end = end_at(min_tau_sw)
-        else:
-            min_tau_sw, min_tau_end = float(taus[i]), float(tau_end[i])
+        lo = float(taus[i - 1] if i > 0 and dies[i - 1] else taus[i])
+        hi = float(taus[i + 1] if i + 1 < taus.size and dies[i + 1] else taus[i])
+        min_tau_sw, min_tau_end = float(taus[i]), float(tau_end[i])
+        if lo < hi and not rising(lo) and rising(hi):
+            pair = _bisect(rising, lo, hi)
+            for tau_sw, end in zip(pair, end_times(state, kind, pair)[1].tolist()):
+                if end < min_tau_end:  # an averted end (NaN) never wins
+                    min_tau_sw, min_tau_end = tau_sw, end
 
     return SweepCurve(
         kind=kind,

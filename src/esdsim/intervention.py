@@ -107,16 +107,16 @@ def apply_xstate(state: XState, switch: Switch) -> XState:
 
 @dataclass(frozen=True)
 class SwitchEvent:
-    """One intervention: apply ``op`` at dimensionless time ``tau``."""
+    """One intervention: the named switch ``op`` at dimensionless time ``tau``."""
 
     tau: float
-    op: LocalUnitary
+    op: Switch
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise ValueError(f"SwitchEvent.tau must be >= 0, got {self.tau!r}")
-        if not isinstance(self.op, (Switch, GeneralUnitary)):
-            raise TypeError(f"SwitchEvent.op must be a local unitary, got {self.op!r}")
+        if not isinstance(self.op, Switch):
+            raise TypeError(f"SwitchEvent.op must be a named Switch, got {self.op!r}")
 
 
 @dataclass(frozen=True)
@@ -136,5 +136,5 @@ class Schedule:
                 )
 
     @classmethod
-    def single(cls, tau: float, op: LocalUnitary) -> "Schedule":
+    def single(cls, tau: float, op: Switch) -> "Schedule":
         return cls((SwitchEvent(tau, op),))

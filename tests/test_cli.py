@@ -54,7 +54,7 @@ def test_config_rejects_unknown_field():
     "data,field",
     [
         ({"gamma": 0.0}, "gamma"),
-        ({"tol": -1.0}, "tol"),
+        ({"tol": 1e-10}, "tol"),  # no longer a field: old configs are rejected
         ({"time_unit": "seconds"}, "time_unit"),
         ({"switch": "charlie"}, "switch"),
         ({"t_sw": 0.1}, "t_sw"),
@@ -231,15 +231,10 @@ def test_critical_table_values():
     assert float(table["min_end_time_both"][2]) == pytest.approx(0.4759, abs=1e-3)
 
 
-def test_critical_terminates_for_tol_below_float_spacing():
-    # The threshold bisection cannot narrow its bracket below the float
-    # spacing near 0.13; it must stop there rather than loop forever.
-    out = run_cli("critical", "--tol", "1e-18")
-    lines = out.stdout.strip().split("\n")
-    table = {line.split(",")[0]: line.split(",") for line in lines[1:]}
-    assert float(table["aversion_threshold_both"][2]) == pytest.approx(
-        math.log((2.0 + math.sqrt(2.0)) / 3.0), abs=1e-9
-    )
+def test_searches_have_no_tolerance_option():
+    result = run_cli("critical", "--tol", "1e-10", expect_code=2)
+    assert "--tol" in result.stderr
+    assert "tol" not in json.loads(run_cli("critical", "--dump-config").stdout)
 
 
 def test_critical_physical_times_scale_with_gamma():

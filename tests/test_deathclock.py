@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from esdsim import (
 )
 from esdsim import deathclock
 from esdsim.cli import main as cli_main
-from esdsim.deathclock import _golden_minimize, _segment_quadratic
+from esdsim.deathclock import _segment_quadratic
 
 from conftest import random_xstate
 
@@ -52,6 +53,7 @@ END_BOTH_03 = 0.5183361000316491
 END_ALICE_01 = 0.7003754682442952
 MIN_BOTH = (0.38621740095322066, 0.47590847891137866)
 MIN_ALICE = (0.3781349374580251, 0.49351944447290497)
+THRESHOLD_BOTH = -math.log(3.0 - 3.0 / math.sqrt(2.0))
 
 
 def matrix_end_time(state, kind, tau_sw, horizon=4.0):
@@ -418,8 +420,12 @@ def test_end_time_matches_kraus_route_on_random_states():
 
 
 def test_find_end_time_rejects_general_unitaries():
+    # Schedules hold named switches only, so a general unitary never
+    # reaches the closed-form walk.
     op = GeneralUnitary(np.eye(2), np.eye(2))
-    with pytest.raises(ValueError, match="named swaps"):
+    with pytest.raises(TypeError, match="named Switch"):
+        SwitchEvent(0.1, op)
+    with pytest.raises(TypeError, match="named Switch"):
         find_end_time(CANONICAL, Schedule.single(0.1, op))
 
 
@@ -497,6 +503,8 @@ def test_sweep_rows_at_the_edges_of_the_grid():
 
 
 def test_sweep_calls_find_end_time_per_search_step_not_per_row(monkeypatch, capsys):
+    # The threshold and the minimum search the closed-form tail, so the
+    # baseline is the only find_end_time call left.
     calls = []
     find = deathclock.find_end_time
 
@@ -509,7 +517,7 @@ def test_sweep_calls_find_end_time_per_search_step_not_per_row(monkeypatch, caps
         calls.clear()
         assert cli_main(["sweep", "--switch", kind, "--grid", "0:0.53:4001"]) == 0
         assert len(capsys.readouterr().out.splitlines()) > 4001
-        assert len(calls) < 200, kind
+        assert len(calls) == 1, kind
 
 
 # -- ad crossing and aversion threshold ---------------------------------------
@@ -546,7 +554,7 @@ def test_switch_at_ad_crossing_is_a_no_op():
 
 def test_aversion_threshold_canonical():
     expected = math.log((2.0 + math.sqrt(2.0)) / 3.0)
-    assert find_aversion_threshold(CANONICAL) == pytest.approx(expected, abs=1e-8)
+    assert find_aversion_threshold(CANONICAL) == pytest.approx(expected, abs=1e-12)
 
 
 def test_aversion_threshold_brackets_the_fate_change():
@@ -555,6 +563,85 @@ def test_aversion_threshold_brackets_the_fate_change():
     just_above = find_end_time(CANONICAL, Schedule.single(threshold + 1e-6, Switch.BOTH))
     assert just_below.fate is Fate.AVERTED
     assert just_above.fate is Fate.FINITE_END
+
+
+def test_aversion_threshold_straddles_the_fate_change():
+    # The threshold is the first float whose single-switch fate differs from
+    # the bracket's lower end, so the floats either side of it end unalike.
+    # The bracket ends are classified as find_end_time classifies them,
+    # also past the unswitched death, where the first stretch dies, and out
+    # to where u = exp(-tau) is zero.
+    rng = np.random.default_rng(43)
+    found = 0
+    for k in range(600):
+        state = random_xstate(rng, slot=("inner", "corner")[k % 2])
+        for kind, bracket in itertools.product(Switch, (None, (0.0, 800.0))):
+            def fate(tau_sw):
+                return find_end_time(state, Schedule.single(tau_sw, kind)).fate
+
+            ends = bracket
+            if bracket is None and (base := find_end_time(state)).tau_end is not None:
+                ends = (0.0, base.tau_end)
+            try:
+                t = find_aversion_threshold(state, kind, bracket)
+            except NoCrossingError:
+                assert fate(ends[0]) is fate(ends[1]) is Fate.FINITE_END
+                continue
+            except BracketError:
+                assert ends is None or Fate.FINITE_END not in map(fate, ends)
+                continue
+            found += 1
+            below, above = (fate(math.nextafter(t, x)) for x in (-math.inf, math.inf))
+            assert below is not above, (state, kind, t)
+            assert fate(t) is above is not fate(0.0), (state, kind, t)
+    assert found >= 40
+
+
+def test_searches_halve_a_bounded_number_of_times(monkeypatch):
+    # Each search tests its bracket ends, then evaluates its predicate once
+    # per halving until the ends are neighbouring floats; the halvings are
+    # bounded by log2 of the bracket width over the final float spacing.
+    bisect, single = deathclock._bisect, deathclock._single_switch
+    one_ulp = (0.3, math.nextafter(0.3, 1.0))
+    assert bisect(lambda t: pytest.fail("evaluated"), *one_ulp) == one_ulp
+
+    calls, searches = [], []
+
+    def counted(*args):
+        calls.append(args)
+        return single(*args)
+
+    def recorded(rising, lo, hi):
+        start = len(calls)
+        pair = bisect(rising, lo, hi)
+        searches.append((lo, hi, *pair, len(calls) - start))
+        return pair
+
+    monkeypatch.setattr(deathclock, "_single_switch", counted)
+    monkeypatch.setattr(deathclock, "_bisect", recorded)
+
+    def halvings():
+        for lo, hi, end_lo, end_hi, count in searches:
+            assert math.nextafter(end_lo, math.inf) == end_hi
+            assert count <= math.log2((hi - lo) / (end_hi - end_lo)) + 1.0
+        return sum(search[-1] for search in searches)
+
+    for bracket in (None, (0.0, 0.2), (0.0, 1e308)):
+        calls.clear()
+        searches.clear()
+        assert find_aversion_threshold(CANONICAL, bracket=bracket) == pytest.approx(
+            THRESHOLD_BOTH, abs=1e-12
+        )
+        assert len(searches) == 1
+        assert len(calls) == 2 + halvings()
+    for kind in Switch:
+        calls.clear()
+        searches.clear()
+        sweep_switch_times(CANONICAL, kind, np.linspace(0.0, 0.53, 4001))
+        # end_times on the grid and on the minimum's final pair, and the
+        # bracket ends of the threshold and of the minimum.
+        assert len(searches) == (2 if kind is Switch.BOTH else 1)
+        assert len(calls) == 6 + halvings()
 
 
 def test_aversion_threshold_single_sided_never_averts():
@@ -603,22 +690,6 @@ def test_single_switch_curve_on_arrays_matches_floats():
     assert isinstance(single_switch_curve(0.5), float)
 
 
-def test_golden_minimize_terminates_below_float_spacing():
-    # A one-ulp bracket holds no interior point and tol = 1e-20 is never
-    # met; with the minimum at the upper end the search used to cycle.
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        if len(calls) > 100:
-            raise RuntimeError("golden search does not terminate")
-        return -x
-
-    lo = 0.3
-    hi = math.nextafter(lo, 1.0)
-    assert lo <= _golden_minimize(f, lo, hi, tol=1e-20) <= hi
-
-
 @pytest.mark.parametrize("kind", [Switch.ALICE, Switch.BOB])
 def test_single_switch_end_times_match_curve(kind):
     for tau_sw in np.linspace(0.0, 0.5, 20):
@@ -637,10 +708,63 @@ def test_sweep_default_grid_and_features():
     assert curve.baseline_end == pytest.approx(TAU_0, abs=1e-9)
     assert curve.ad_crossing == pytest.approx(math.log(4.0 / 3.0), abs=1e-9)
     assert curve.aversion_threshold == pytest.approx(
-        math.log((2.0 + math.sqrt(2.0)) / 3.0), abs=1e-8
+        math.log((2.0 + math.sqrt(2.0)) / 3.0), abs=1e-12
     )
-    assert curve.min_tau_sw == pytest.approx(MIN_BOTH[0], abs=1e-4)
-    assert curve.min_tau_end == pytest.approx(MIN_BOTH[1], abs=1e-8)
+    assert curve.min_tau_sw == pytest.approx(MIN_BOTH[0], abs=1e-12)
+    assert curve.min_tau_end == pytest.approx(MIN_BOTH[1], abs=1e-12)
+
+
+def test_sweep_minimum_is_exact():
+    both = sweep_switch_times(CANONICAL, Switch.BOTH)
+    assert both.aversion_threshold == pytest.approx(THRESHOLD_BOTH, abs=1e-12)
+    assert both.min_tau_sw == pytest.approx(
+        math.log(7.0 / (3.0 * (3.0 - math.sqrt(2.0)))), abs=1e-12
+    )
+    assert both.min_tau_end == pytest.approx(
+        math.log(2.0 * (1.0 + math.sqrt(2.0)) / 3.0), abs=1e-12
+    )
+    # One flip: the maximum of y = single_switch_curve(x), x = exp(-tau_sw),
+    # is where y'(x) = 0, i.e. 3 sqrt(9 - 24 x + 20 x**2) = 28 x - 15, whose
+    # admissible root is x = (78 + 18 sqrt(2)) / 151.
+    x = (78.0 + 18.0 * math.sqrt(2.0)) / 151.0
+    y = single_switch_curve(x)
+    around = single_switch_curve(x + np.linspace(-1e-2, 1e-2, 2001))
+    assert np.all(around <= y + 1e-15)
+    for kind in (Switch.ALICE, Switch.BOB):
+        curve = sweep_switch_times(CANONICAL, kind)
+        assert curve.min_tau_sw == pytest.approx(-math.log(x), abs=1e-12)
+        assert curve.min_tau_end == pytest.approx(-math.log(y), abs=1e-12)
+
+
+def test_sweep_minimum_is_never_above_the_grid():
+    # The minimum is refined between the grid minimum's dying neighbours.
+    # It is never above the grid's lowest row or a dense grid over those
+    # neighbours, and it is that row itself when nothing between them is
+    # lower; this includes grid minima at the first row and at the last
+    # row before the unswitched death.
+    rng = np.random.default_rng(61)
+    edges = 0
+    for k in range(80):
+        state = random_xstate(rng, slot=("inner", "corner")[k % 2])
+        if find_end_time(state).fate is not Fate.FINITE_END:
+            continue
+        for kind in Switch:
+            curve = sweep_switch_times(state, kind)
+            dies = curve.fate == Fate.FINITE_END
+            if not dies.any():
+                continue
+            i = int(np.nanargmin(curve.tau_end))
+            last = curve.tau_sw.size - 1
+            assert curve.min_tau_end <= curve.tau_end[i], (state, kind)
+            dense = np.linspace(
+                curve.tau_sw[max(i - 1, 0)], curve.tau_sw[min(i + 1, last)], 2001
+            )
+            lowest = np.nanmin(end_times(state, kind, dense)[1])
+            assert curve.min_tau_end <= lowest, (state, kind)
+            if lowest >= curve.tau_end[i]:
+                assert curve.min_tau_sw == curve.tau_sw[i], (state, kind)
+            edges += i in (0, last) or not (dies[i - 1] and dies[i + 1])
+    assert edges >= 20
 
 
 def test_sweep_fates_change_exactly_once():
