@@ -42,7 +42,7 @@ def evolve_xstate_closed(state: XState, tau: float) -> XState:
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
     s = state
     return XState(*damped_coefficients(
-        s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, math.exp(-tau)
+        s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, float(np.exp(-tau))
     ))
 
 
@@ -51,7 +51,8 @@ def damped_coefficients(a, b, c, d, z_inner, z_corner, u):
 
     Plain arithmetic on the six coefficients, so floats and numpy arrays
     (one entry per time) go through the same operations in the same order
-    and agree bit for bit.
+    and agree bit for bit.  Every engine path takes u from ``np.exp``,
+    which gives the same bits on a float as on an array.
     """
     feed = a * (u - u * u)
     loss = 1.0 - u

@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -175,20 +175,6 @@ class ScenarioConfig:
         return Schedule(events)
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    out: dict = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "grid":
-            value = (
-                None
-                if value is None
-                else {"start": value.start, "stop": value.stop, "count": value.count}
-            )
-        out[f.name] = value
-    return out
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
@@ -219,7 +205,7 @@ def _load_config(path: str | None) -> ScenarioConfig:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    data = config_to_dict(cfg)
+    data = asdict(cfg)
     if args.switch is not None:
         data["switch"] = args.switch
         data["schedule"] = []
@@ -304,13 +290,12 @@ def _curve_max_dev(curve: SweepCurve) -> float | None:
 
     The exact end time of a single flip from the canonical state is
     -ln y with y = single_switch_curve(e^-tau_sw); exp and log come from
-    ``math``, as in the end times themselves.
+    numpy, as in the end times themselves.
     """
     dies = curve.fate == Fate.FINITE_END
     if not dies.any():
         return None
-    x = np.array([math.exp(-t) for t in curve.tau_sw[dies].tolist()])
-    exact = np.array([-math.log(y) for y in single_switch_curve(x).tolist()])
+    exact = -np.log(single_switch_curve(np.exp(-curve.tau_sw[dies])))
     return float(np.max(np.abs(curve.tau_end[dies] - exact)))
 
 
@@ -431,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _apply_overrides(_load_config(args.config), args)
         if args.dump_config:
-            _emit(_text([json.dumps(config_to_dict(cfg), indent=2)]), args.out)
+            _emit(_text([json.dumps(asdict(cfg), indent=2)]), args.out)
             return 0
         handler = {"evolve": cmd_evolve, "sweep": cmd_sweep, "critical": cmd_critical}
         return handler[args.command](cfg, args.out)

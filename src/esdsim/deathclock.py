@@ -20,7 +20,8 @@ test and on the sign of the end time's slope; neither has a tolerance.
 
 ``find_end_time`` walks one schedule; ``end_times`` decides a single switch
 at a whole array of switch times with the same arithmetic, and the sweep
-(``sweep_switch_times``) is one call to it.
+(``sweep_switch_times``) is one call to it.  exp and log come from numpy on
+every path, floats and arrays alike, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,28 +134,43 @@ def _segment_quadratic(state: XState) -> tuple[float, float, float]:
     return p2, p1, p0
 
 
-def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` applied to each entry of a flat array.
-
-    The array paths take exp and log from ``math``, as the scalar paths do,
-    so that they agree bit for bit: ``np.exp`` and ``np.log`` differ from
-    them by an ulp on some inputs.
+def _smaller_root(r2, r1, r0):
+    """Smaller root of r2 u**2 + r1 u + r0 when Q(1) < 0 <= Q(u) for some
+    u in [0, 1), in the cancellation-free form 2 r0 / (-r1 + sqrt(r1**2 -
+    4 r2 r0)).  Those signs rule out r1 = 0 (a constant Q); the root is
+    scaled by -r1 > 0 because r1**2 and r2 underflow once a < ~1e-154.
+    Floats or arrays: sqrt is correctly rounded, so both agree bit for bit.
     """
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+    w, r = r0 / -r1, r2 / -r1
+    return 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
+
+
+def _stretches(
+    state: XState, schedule: Schedule
+) -> Iterator[tuple[float, float, XState]]:
+    """The schedule's switch-free stretches, in order, as they are reached.
+
+    Yields (start, end, state at start) for each stretch: from tau = 0 to
+    the first switch, between switches, and the open-ended tail last (end
+    = inf).  A switch at ``start`` is already applied to the state.  Lazy,
+    so a walk that stops early flows no later stretch.
+    """
+    start = 0.0
+    for event in schedule.events:
+        yield start, event.tau, state
+        state = evolve_xstate_closed(state, event.tau - start)
+        state = apply_xstate(state, event.op)
+        start = event.tau
+    yield start, math.inf, state
 
 
 def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -> XState:
     """State at time tau under the schedule (switches at tau already applied)."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    current, t_prev = state, 0.0
-    for event in schedule.events:
-        if event.tau > tau:
-            break
-        current = evolve_xstate_closed(current, event.tau - t_prev)
-        current = apply_xstate(current, event.op)
-        t_prev = event.tau
-    return evolve_xstate_closed(current, tau - t_prev)
+    for start, end, current in _stretches(state, schedule):
+        if tau < end:
+            return evolve_xstate_closed(current, tau - start)
 
 
 @dataclass(frozen=True)
@@ -188,9 +204,9 @@ def trajectory(
     Evaluated on whole arrays: each grid time falls in a switch-free
     stretch (a switch at that very time already applied, as in
     ``state_at``), and the closed-form flow runs from the state at the
-    stretch's start.  ``u = exp(-offset)`` is taken with ``math.exp`` and
-    the flow is ``evolve_xstate_closed``'s ``damped_coefficients``, so every
-    entry equals ``state_at`` bit for bit.
+    stretch's start.  ``u = exp(-offset)`` is taken with ``np.exp``, as on
+    every engine path, and the flow is ``evolve_xstate_closed``'s
+    ``damped_coefficients``, so every entry equals ``state_at`` bit for bit.
     """
     taus = np.array(grid, dtype=float)
     if taus.ndim != 1:
@@ -200,13 +216,9 @@ def trajectory(
     if not np.all(taus[1:] > taus[:-1]):
         raise ValueError("trajectory grid must be strictly increasing")
 
-    starts, initial = [0.0], [state]
-    for event in schedule.events:
-        current = evolve_xstate_closed(initial[-1], event.tau - starts[-1])
-        initial.append(apply_xstate(current, event.op))
-        starts.append(event.tau)
+    starts, _, initial = zip(*_stretches(state, schedule))
     stretch = np.searchsorted(starts[1:], taus, side="right")
-    u = _libm(math.exp, np.array(starts)[stretch] - taus)
+    u = np.exp(np.array(starts)[stretch] - taus)
     coefficients = damped_coefficients(*np.array(
         [(s.a, s.b, s.c, s.d, s.z_inner, s.z_corner) for s in initial]
     )[stretch].T, u)
@@ -220,40 +232,32 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     Each switch-free stretch, the open-ended tail last, is decided in closed
     form.  Along a stretch Q only rises, from Q(1) at its start to Q(u_end)
     at its end (u_end = 0 for the tail), so the stretch dies iff
-    Q(u_end) >= 0, at the smaller root of Q, taken in the cancellation-free
-    form u* = 2 p0 / (-p1 + sqrt(p1**2 - 4 p2 p0)).  A stretch whose Q is
-    already non-negative at its start (a switch landing where the
+    Q(u_end) >= 0, at the smaller root of Q (``_smaller_root``).  A stretch
+    whose Q is already non-negative at its start (a switch landing where the
     discriminant is zero to round-off) dies at its start.  The tail dies iff
-    p0 = Q(0) > 0; otherwise death is averted.
+    p0 = Q(0) > 0; otherwise death is averted.  The witness is the
+    discriminant of the dying stretch's state flowed to the end time.
     """
     d0 = discriminant(state)
     if d0 >= 0.0:
         return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
 
-    current, t_prev = state, 0.0
-    for event in (*schedule.events, None):
+    for start, end, current in _stretches(state, schedule):
         p2, p1, p0 = _segment_quadratic(current)
-        if event is None and p0 <= 0.0:  # the tail never reaches Q = 0
-            break
-        u_end = 0.0 if event is None else math.exp(t_prev - event.tau)
+        if end == math.inf and p0 <= 0.0:  # the tail never reaches Q = 0
+            return DeathReport(Fate.AVERTED, None, p0)
+        u_end = float(np.exp(start - end))
         if (p2 * u_end + p1) * u_end + p0 >= 0.0:
             if p2 + p1 + p0 >= 0.0:
                 u_root = 1.0
             else:
-                # Q(1) < 0 <= Q(u_end) rules out p1 = 0 (a constant Q).  The
-                # root is scaled by -p1 because p1**2 and p2 underflow once
-                # a < ~1e-154.  Clamped because round-off can put the root a
-                # hair outside the stretch when Q is near zero at an end.
-                w, r = p0 / -p1, p2 / -p1
-                u_root = 2.0 * w / (1.0 + math.sqrt(max(1.0 - 4.0 * r * w, 0.0)))
+                # Clamped because round-off can put the root a hair outside
+                # the stretch when Q is near zero at an end.
+                u_root = float(_smaller_root(p2, p1, p0))
                 u_root = min(max(u_root, u_end), 1.0)
-            tau_end = t_prev - math.log(u_root)
-            witness = discriminant(state_at(state, schedule, tau_end))
+            tau_end = start - float(np.log(u_root))
+            witness = discriminant(evolve_xstate_closed(current, tau_end - start))
             return DeathReport(Fate.FINITE_END, tau_end, witness)
-        current = evolve_xstate_closed(current, event.tau - t_prev)
-        current = apply_xstate(current, event.op)
-        t_prev = event.tau
-    return DeathReport(Fate.AVERTED, None, p0)
 
 
 def _switch_times(grid: Sequence[float]) -> np.ndarray:
@@ -296,13 +300,6 @@ def _single_switch(state: XState, kind: Switch, u):
     return (p2 * u + p1) * u + p0, tail, rates
 
 
-def _smaller_root(r2, r1, r0):
-    """Smaller root of r2 u**2 + r1 u + r0 when Q(1) < 0 <= Q(0), as in
-    ``find_end_time``: scaled by -r1 > 0, as r1**2 and r2 underflow first."""
-    w, r = r0 / -r1, r2 / -r1
-    return 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
-
-
 def end_times(
     state: XState, kind: Switch, switch_times: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,8 +310,10 @@ def end_times(
     arithmetic: the closed-form flow to each switch time, the switch as a
     coefficient permutation, the first stretch dying iff Q(u_sw) >= 0, the
     tail after the switch dying iff its p0 > 0, and each death at the
-    stable root of its stretch.  Returns ``fate`` (int8 ``Fate`` values) and
-    ``tau_end`` (NaN where the fate is not FINITE_END); no witness is kept.
+    stable root of its stretch.  exp and log are ``np.exp`` and ``np.log``
+    on both paths, which give the same bits on a float as on an array.
+    Returns ``fate`` (int8 ``Fate`` values) and ``tau_end`` (NaN where the
+    fate is not FINITE_END); no witness is kept.
     """
     if not isinstance(kind, Switch):
         raise TypeError(f"expected a named Switch, got {kind!r}")
@@ -324,7 +323,7 @@ def end_times(
     if discriminant(state) >= 0.0:
         return fate, tau_end
 
-    u_sw = _libm(math.exp, -tau_sw)
+    u_sw = np.exp(-tau_sw)
     q_first, tail, _ = _single_switch(state, kind, u_sw)
     first = q_first >= 0.0
     dies = first | (tail[2] > 0.0)
@@ -341,7 +340,7 @@ def end_times(
     inside = r2 + r1 + r0 < 0.0  # else Q(1) >= 0: death at the stretch start
     root = _smaller_root(r2[inside], r1[inside], r0[inside])
     u_root[inside] = np.minimum(np.maximum(root, u_end[inside]), 1.0)
-    tau_end[dies] = start - _libm(math.log, u_root)
+    tau_end[dies] = start - np.log(u_root)
     return fate, tau_end
 
 
@@ -398,7 +397,7 @@ def find_aversion_threshold(
     entangled = discriminant(state) < 0.0
 
     def dies(tau_sw: float) -> bool:
-        q_first, tail, _ = _single_switch(state, kind, math.exp(-tau_sw))
+        q_first, tail, _ = _single_switch(state, kind, float(np.exp(-tau_sw)))
         return entangled and bool(q_first >= 0.0 or tail[2] > 0.0)
 
     dies_lo, dies_hi = dies(lo), dies(hi)
@@ -483,7 +482,7 @@ def sweep_switch_times(
         # The end time -ln(x v), x = e^-tau_sw, with the tail root v of
         # Q(v; x) = 0, has dv/dx = -Q_x / Q_v and Q_v < 0: it falls iff
         # x Q_x < v Q_v.  Deaths at or before the switch do not fall.
-        x = math.exp(-tau_sw)
+        x = float(np.exp(-tau_sw))
         q_first, (q2, q1, q0), (d2, d1, d0) = _single_switch(state, kind, x)
         if q_first >= 0.0 or not q2 + q1 + q0 < 0.0 < q0:
             return True

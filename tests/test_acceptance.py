@@ -12,25 +12,26 @@ import pytest
 
 from esdsim import (
     Fate,
-    GeneralUnitary,
     Schedule,
     Switch,
     XState,
-    apply_unitary,
-    concurrence,
-    evolve_kraus,
     evolve_xstate_closed,
     find_ad_crossing,
     find_aversion_threshold,
     find_end_time,
-    negativity,
-    partial_transpose,
     single_switch_curve,
     sweep_switch_times,
+)
+from esdsim.channel import evolve_kraus
+from esdsim.intervention import GeneralUnitary, apply_unitary
+from esdsim.qstate import (
+    concurrence,
+    negativity,
+    partial_transpose,
     to_density_matrix,
+    validate_density_matrix,
     von_neumann_entropy,
 )
-from esdsim.qstate import validate_density_matrix
 
 from conftest import random_density_matrix, random_unitary2, random_xstate
 

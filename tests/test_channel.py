@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from esdsim import (
-    XState,
-    amplitude_damping_kraus,
-    evolve_kraus,
-    evolve_xstate_closed,
-    gamma_factor,
-    to_density_matrix,
-)
-from esdsim.qstate import validate_density_matrix
+from esdsim import XState, evolve_xstate_closed
+from esdsim.channel import amplitude_damping_kraus, evolve_kraus, gamma_factor
+from esdsim.qstate import to_density_matrix, validate_density_matrix
 
 from conftest import random_xstate
 

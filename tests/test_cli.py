@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import esdsim.cli
-from esdsim.cli import GridSpec, ScenarioConfig, config_from_dict, config_to_dict
+from esdsim.cli import GridSpec, ScenarioConfig, config_from_dict
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -32,7 +33,7 @@ def run_cli(*args, expect_code=0):
 
 def test_config_defaults_round_trip():
     cfg = ScenarioConfig()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(asdict(cfg)) == cfg
 
 
 def test_config_round_trip_with_grid_and_schedule():
@@ -42,7 +43,7 @@ def test_config_round_trip_with_grid_and_schedule():
         gamma=2.0,
         time_unit="physical",
     )
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+    assert config_from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def test_config_rejects_unknown_field():

@@ -3,35 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from esdsim import (
     BracketError,
     Fate,
-    GeneralUnitary,
     NoCrossingError,
     Schedule,
     Switch,
     SwitchEvent,
     UnsupportedShapeError,
     XState,
-    apply_unitary,
     apply_xstate,
-    concurrence,
     discriminant,
     end_times,
-    evolve_kraus,
     evolve_xstate_closed,
     find_ad_crossing,
     find_aversion_threshold,
     find_end_time,
-    negativity,
-    negativity_xstate,
-    partial_transpose,
     single_switch_curve,
     state_at,
     sweep_switch_times,
-    to_density_matrix,
     trajectory,
+)
+from esdsim.channel import evolve_kraus
+from esdsim.intervention import GeneralUnitary, apply_unitary
+from esdsim.qstate import (
+    concurrence,
+    negativity,
+    negativity_xstate,
+    partial_transpose,
+    to_density_matrix,
     von_neumann_entropy,
 )
 from esdsim import deathclock
@@ -419,6 +421,28 @@ def test_end_time_matches_kraus_route_on_random_states():
     assert Fate.AVERTED in fates and Fate.FINITE_END in fates
 
 
+def test_witness_comes_from_the_dying_stretch(monkeypatch):
+    # The witness is the discriminant of the dying stretch's state at the
+    # end time, so find_end_time walks the schedule once, never via state_at.
+    schedules = (
+        Schedule(),
+        Schedule.single(0.223, Switch.BOTH),
+        Schedule((SwitchEvent(0.2, Switch.BOTH), SwitchEvent(0.6, Switch.BOTH))),
+    )
+    expected = [find_end_time(CANONICAL, schedule) for schedule in schedules]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_end_time must not call state_at")
+
+    monkeypatch.setattr(deathclock, "state_at", refuse)
+    for schedule, before in zip(schedules, expected):
+        report = find_end_time(CANONICAL, schedule)
+        assert report.fate is before.fate is Fate.FINITE_END
+        assert report.tau_end == before.tau_end
+        assert abs(report.witness) <= 1e-12
+    assert expected[1].tau_end == pytest.approx(END_BOTH_0223, abs=1e-12)
+
+
 def test_find_end_time_rejects_general_unitaries():
     # Schedules hold named switches only, so a general unitary never
     # reaches the closed-form walk.
@@ -473,6 +497,65 @@ def test_end_times_match_find_end_time(kind):
             grid.append(math.nextafter(baseline.tau_end, 0.0))
         fates.update(assert_end_times_match(state, kind, grid).tolist())
     assert fates == set(Fate)
+
+
+# Hypothesis batteries at the edges of the physical region: a coherence on
+# its positivity edge (z_inner**2 = b*c, z_corner**2 = a*d), a or d near 0,
+# subnormal coherences, and switch times from 740 to 800, where u = exp(-tau)
+# turns subnormal and then zero.  Both pairs of paths share one arithmetic,
+# so they are compared with ==.
+
+SWITCH_TIMES = st.one_of(st.floats(0.0, 3.0), st.floats(740.0, 800.0))
+
+
+@st.composite
+def edge_xstates(draw):
+    # a or d is drawn near 0 (exactly 0, subnormal or small), or anywhere.
+    low = draw(st.one_of(
+        st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e-6), st.floats(0.0, 3.0)
+    ))
+    weights = [draw(st.floats(1e-3, 1.0)) for _ in range(3)]
+    rest = [(3.0 - low) * w / sum(weights) for w in weights]
+    if draw(st.booleans()):
+        a, b, c, d = low, *rest
+    else:
+        b, c, a = rest
+        d = low
+    slot = draw(st.sampled_from(("inner", "corner")))
+    edge = math.sqrt(b * c if slot == "inner" else a * d)
+    z = draw(st.sampled_from((-1.0, 1.0))) * draw(st.one_of(
+        st.just(edge),
+        st.floats(0.0, 2.2e-308),
+        st.floats(0.0, 1.0).map(lambda f: f * edge),
+    ))
+    return XState(a, b, c, d, **{f"z_{slot}": z})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edge_xstates(),
+    st.sampled_from(list(Switch)),
+    st.lists(SWITCH_TIMES, min_size=1, max_size=4),
+)
+def test_end_times_match_find_end_time_at_the_edges(state, kind, switch_times):
+    assert_end_times_match(state, kind, switch_times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edge_xstates(),
+    st.lists(st.tuples(SWITCH_TIMES, st.sampled_from(list(Switch))),
+             max_size=2, unique_by=lambda event: event[0]),
+    st.lists(SWITCH_TIMES, min_size=1, max_size=6),
+)
+def test_trajectory_matches_state_at_at_the_edges(state, events, times):
+    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in sorted(events)))
+    grid = sorted({*times, *(t for t, _ in events)})
+    traj = trajectory(state, schedule, grid)
+    for k, tau in enumerate(grid):
+        s = state_at(state, schedule, tau)
+        got = tuple(float(getattr(traj, name)[k]) for name in COLUMNS[:6])
+        assert got == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), (state, tau)
 
 
 def test_end_times_validate_their_inputs():

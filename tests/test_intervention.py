@@ -1,19 +1,9 @@
 import numpy as np
 import pytest
 
-from esdsim import (
-    GeneralUnitary,
-    Schedule,
-    Switch,
-    SwitchEvent,
-    XState,
-    apply_unitary,
-    apply_xstate,
-    concurrence,
-    negativity,
-    to_density_matrix,
-    unitary_matrix,
-)
+from esdsim import Schedule, Switch, SwitchEvent, XState, apply_xstate
+from esdsim.intervention import GeneralUnitary, apply_unitary, unitary_matrix
+from esdsim.qstate import concurrence, negativity, to_density_matrix
 
 from conftest import random_density_matrix, random_unitary2, random_xstate
 

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from esdsim import (
-    UnsupportedShapeError,
-    XState,
+from esdsim import UnsupportedShapeError, XState
+from esdsim.qstate import (
     concurrence,
     negativity,
     negativity_xstate,
     partial_transpose,
     to_density_matrix,
+    validate_density_matrix,
     von_neumann_entropy,
 )
-from esdsim.qstate import validate_density_matrix
 
 from conftest import random_density_matrix, random_unitary2, random_xstate
 
@@ -211,7 +210,7 @@ def test_negativity_closed_form_rejects_two_active_slots():
 
 
 def test_negativity_invariant_under_local_unitaries():
-    from esdsim import GeneralUnitary, apply_unitary
+    from esdsim.intervention import GeneralUnitary, apply_unitary
 
     rng = np.random.default_rng(23)
     for _ in range(100):
