@@ -2,8 +2,13 @@
 
 Covers ``sweep`` and ``critical`` for each switch kind, on the default grid
 and on ``0:0.53:4001``, and ``evolve`` for each switch kind at
-``--t-sw 0.223``.  Each line is ``<md5>  esdsim <arguments>``; run it on two
-checkouts and diff the listings:
+``--t-sw 0.223``.  Two more cases reach cells the canonical state never
+writes: ``evolve`` out to tau = 800, where coefficients turn subnormal and
+then 0 (and the entropy -0), and ``evolve`` and ``sweep`` from a
+corner-coherence state with a negative ``z_corner`` (``corner.json``, which
+the script writes to a temporary directory and runs from).  Each line is
+``<md5>  esdsim <arguments>``; run it on two checkouts and diff the
+listings:
 
     PYTHONPATH=src python scripts/output_digest.py
 """
@@ -11,11 +16,15 @@ checkouts and diff the listings:
 import contextlib
 import hashlib
 import io
+import json
+import os
+import tempfile
 
 from esdsim.cli import main
 
 KINDS = ("both", "alice", "bob")
 SWEEP_GRIDS = ((), ("--grid", "0:0.53:4001"))
+CORNER = {"a": 0.9, "b": 0.6, "c": 0.3, "d": 1.2, "z_inner": 0.0, "z_corner": -0.95}
 
 
 def runs():
@@ -25,6 +34,9 @@ def runs():
                 yield (command, "--switch", kind, *grid)
     for kind in KINDS:
         yield ("evolve", "--switch", kind, "--t-sw", "0.223")
+    yield ("evolve", "--switch", "both", "--t-sw", "0.223", "--grid", "0:800:4001")
+    yield ("evolve", "--config", "corner.json", "--switch", "both", "--t-sw", "0.3")
+    yield ("sweep", "--config", "corner.json", "--switch", "alice")
 
 
 def digest(argv: tuple[str, ...]) -> str:
@@ -37,5 +49,9 @@ def digest(argv: tuple[str, ...]) -> str:
 
 
 if __name__ == "__main__":
-    for argv in runs():
-        print(f"{digest(argv)}  esdsim {' '.join(argv)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "corner.json"), "w", encoding="utf-8") as fh:
+            json.dump(CORNER, fh)
+        os.chdir(tmp)
+        for argv in runs():
+            print(f"{digest(argv)}  esdsim {' '.join(argv)}")

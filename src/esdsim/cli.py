@@ -11,17 +11,26 @@ overrides its config field.  Times in the config and flags are dimensionless
 (tau = gamma * t) unless ``time_unit`` is ``"physical"``; output time columns
 named ``tau`` are always dimensionless, and ``critical`` also reports
 physical times t = tau / gamma.
+
+Every float cell reads as ``"%.11e" % x`` would write it, byte for byte.
+``evolve`` and ``sweep`` encode their rows on whole arrays
+(``_encode_csv``, with no per-row formatting loop) and stream them out in
+blocks of ``CSV_BLOCK`` rows, so their text never sits in memory whole;
+``evolve`` also computes its trajectory block by block.  ``critical`` and
+``sweep`` take the same switch-time grid, and the ``#`` summary lines of
+``sweep`` use the same format.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,17 +53,109 @@ _SWITCH_CHOICES = ("both", "alice", "bob", "none")
 # count must not reach the allocation unbounded.
 MAX_GRID_COUNT = 10_000_000
 
-# evolve computes and writes its rows this many at a time, so its memory
-# does not grow with the grid; the 2001-point figure grids are one block.
-EVOLVE_BLOCK = 1 << 16
+# evolve and sweep encode and write their rows this many at a time, so the
+# text never grows with the grid; the 2001-point figure grids are one block.
+CSV_BLOCK = 1 << 14
 
 _FLOAT = "%.11e"
 
 _CANONICAL = (1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
 
+# Exact doubles 10**0 .. 10**22 (5**22 < 2**53), and text tables: 0 .. 999
+# as "%03d" (mantissa groups), as "d.dd" (a mantissa's head) and as "%d"
+# (null bytes for the leading zeros), and "e%+03d" for exponents -99 .. 99.
+_POW10 = np.array([float(10**k) for k in range(23)])
+_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(
+    np.uint8
+)
+_GROUP = _DIGITS.view("S3").ravel()
+_HEAD = np.insert(_DIGITS, 1, ord("."), axis=1).view("S4").ravel()
+_INT = np.where(np.arange(1000)[:, None] < [100, 10, 0], 0, _DIGITS).astype(
+    np.uint8
+).view("S3").ravel()
+_EXP = np.column_stack((
+    np.full(199, ord("e")),
+    np.where(np.arange(-99, 100) < 0, ord("-"), ord("+")),
+    _DIGITS[np.abs(np.arange(-99, 100)), 1:],
+)).astype(np.uint8).view("S4").ravel()
+
+# One CSV cell: 20 bytes, the longest "%.11e" or int64 "%d" text, with null
+# bytes where the text is shorter.  A float on the fast path fills the
+# fields after ``text``: sign, "d.dd", three 3-digit groups, "e+XX".
+_CELL = np.dtype({
+    "names": ["text", "sign", "head", "g1", "g2", "g3", "exp"],
+    "formats": ["S20", "u1", "S4", "S3", "S3", "S3", "S4"],
+    "offsets": [0, 0, 1, 5, 8, 11, 14],
+    "itemsize": 20,
+})
+
 
 def _fmt(x: float) -> str:
     return _FLOAT % x
+
+
+def _encode_csv(columns: Sequence[np.ndarray], na_rep: str = "nan") -> str:
+    """Rows of equal-length columns as CSV lines, encoded on whole arrays.
+
+    A float column reads as ``"%.11e" % x`` would write each entry, byte for
+    byte, except that NaN is written as ``na_rep``; an integer column reads
+    as ``"%d" % x``.  Each cell fills a fixed ``_CELL`` slot, and the null
+    bytes are dropped from the joined slots at the end.
+
+    A finite, nonzero x = m * 10**(e - 11) is written from its exponent e
+    and its 12-digit mantissa m = rint(y), y = |x| * 10**(11 - e) in
+    [1e11, 1e12]: for e in [-11, 33], y takes one exact power of ten and so
+    one rounding, which moves it by at most 2**-14.  m is then the
+    correctly rounded mantissa unless y lies within 2**-11 of a half-way
+    point.  Such cells, cells with e outside that range, non-finite cells
+    and integers outside [0, 999] are written by ``%``, one by one.
+    """
+    lines = np.zeros((len(columns[0]), len(columns)), [("cell", _CELL), ("sep", "u1")])
+    lines["sep"][:, :-1], lines["sep"][:, -1] = ord(","), ord("\n")
+    for floats in (True, False):
+        index = [j for j, col in enumerate(columns) if (col.dtype.kind == "f") is floats]
+        if not index:
+            continue
+        x = np.stack([columns[j] for j in index], axis=1)
+        cells = np.zeros(x.shape, _CELL)
+        if floats:
+            ax = np.abs(x)
+            finite = np.isfinite(ax)
+            regular = finite & (ax > 0.0)
+            ax = np.where(regular, ax, 1.0)  # zeros: m = 0 and e = 0 below
+
+            def scaled(e):  # |x| * 10**(11 - e): one factor is 1, one rounding
+                up, down = np.clip(11 - e, 0, 22), np.clip(e - 11, 0, 22)
+                return ax * _POW10[up] / _POW10[down]
+
+            e = np.floor(np.log10(ax)).astype(np.int64)
+            y = scaled(e)
+            fix = (y >= 1e12).astype(np.int64) - (y < 1e11)
+            if fix.any():  # log10 rounds across a power of ten
+                e += fix
+                y = scaled(e)
+            slow = ~finite | regular & (
+                (np.abs(y - np.floor(y) - 0.5) < 2.0**-11)
+                | (e < -11) | (e > 33) | (y < 1e11) | (y > 1e12)
+            )
+            fast = regular & ~slow
+            m = np.where(fast, np.rint(y), 0.0)
+            carry = m == 1e12  # 9.999999999995 is 1.00000000000e+01
+            m = np.where(carry, 1e11, m).astype(np.int64)
+            cells["sign"] = np.where(np.signbit(x), ord("-"), 0)
+            cells["head"] = np.take(_HEAD, m // 10**9)
+            cells["g1"] = np.take(_GROUP, m // 10**6 % 1000)
+            cells["g2"] = np.take(_GROUP, m // 10**3 % 1000)
+            cells["g3"] = np.take(_GROUP, m % 1000)
+            cells["exp"] = np.take(_EXP, np.where(fast, e + carry, 0) + 99)
+            text = [na_rep if v != v else _FLOAT % v for v in x[slow].tolist()]
+        else:
+            slow = (x < 0) | (x > 999)
+            cells["text"] = np.take(_INT, np.where(slow, 0, x))
+            text = ["%d" % v for v in x[slow].tolist()]
+        cells["text"][slow] = text
+        lines["cell"]["text"][:, index] = cells["text"]
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass
@@ -263,19 +364,17 @@ def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
             "in tau"
         )
     state, schedule = cfg.initial_state(), cfg.resolved_schedule()
-    row_format = ",".join([_FLOAT] * 10) + "\n"
 
     def block(start: int) -> str:
-        traj = trajectory(state, schedule, taus[start:start + EVOLVE_BLOCK])
-        columns = (
+        traj = trajectory(state, schedule, taus[start:start + CSV_BLOCK])
+        return _encode_csv((
             traj.tau, traj.a, traj.b, traj.c, traj.d, traj.z_inner,
             traj.z_corner, traj.negativity, traj.concurrence, traj.entropy,
-        )
-        return "".join([row_format % row for row in zip(*(c.tolist() for c in columns))])
+        ))
 
     header = "tau,a,b,c,d,z_inner,z_corner,negativity,concurrence,entropy\n"
     first = block(0)  # a state the measures reject fails before any output
-    rest = map(block, range(EVOLVE_BLOCK, taus.size, EVOLVE_BLOCK))
+    rest = map(block, range(CSV_BLOCK, taus.size, CSV_BLOCK))
     _emit(itertools.chain([header, first], rest), out_path)
     return 0
 
@@ -299,27 +398,31 @@ def _curve_max_dev(curve: SweepCurve) -> float | None:
     return float(np.max(np.abs(curve.tau_end[dies] - exact)))
 
 
+def _switch_grid(cfg: ScenarioConfig) -> np.ndarray | None:
+    """The config's switch times in tau, or None for the sweep's default grid."""
+    if cfg.grid is None:
+        return None
+    if cfg.grid.count < 2:
+        raise ValueError(
+            f"config field 'grid.count': sweeps need >= 2 points, got {cfg.grid.count}"
+        )
+    return cfg.to_tau(cfg.grid.points())
+
+
 def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     if cfg.switch == "none":
         raise ValueError("config field 'switch': sweep needs 'both', 'alice' or 'bob'")
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
-    if cfg.grid is None:
-        taus = None
-    else:
-        if cfg.grid.count < 2:
-            raise ValueError(
-                f"config field 'grid.count': sweeps need >= 2 points, got {cfg.grid.count}"
-            )
-        taus = cfg.to_tau(cfg.grid.points())
-    curve = sweep_switch_times(state, kind, taus)
-    dying, open_ended = f"{_FLOAT},%d,{_FLOAT}", f"{_FLOAT},%d,"
-    lines = ["tau_sw,fate,tau_end"]
-    columns = (curve.tau_sw.tolist(), curve.fate.tolist(), curve.tau_end.tolist())
-    lines += [
-        dying % row if row[1] == Fate.FINITE_END else open_ended % row[:2]
-        for row in zip(*columns)
-    ]
+    curve = sweep_switch_times(state, kind, _switch_grid(cfg))
+
+    def block(start: int) -> str:
+        rows = slice(start, start + CSV_BLOCK)
+        return _encode_csv(  # tau_end is NaN, and blank, unless death is finite
+            (curve.tau_sw[rows], curve.fate[rows], curve.tau_end[rows]), na_rep=""
+        )
+
+    lines = []
     if curve.baseline_end is not None:
         lines.append(f"# baseline_end = {_fmt(curve.baseline_end)}")
     if curve.ad_crossing is not None:
@@ -335,13 +438,16 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
         dev = _curve_max_dev(curve)
         if dev is not None:
             lines.append(f"# curve_max_abs_dev = {_fmt(dev)}")
-    _emit(_text(lines), out_path)
+    rows = map(block, range(0, curve.tau_sw.size, CSV_BLOCK))
+    summary = [line + "\n" for line in lines]
+    _emit(itertools.chain(["tau_sw,fate,tau_end\n"], rows, summary), out_path)
     return 0
 
 
 def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
     state = cfg.initial_state()
     kind = Switch(cfg.switch) if cfg.switch != "none" else Switch.BOTH
+    taus = _switch_grid(cfg)
     lines = ["quantity,status,tau,time"]
 
     def row(name: str, status: str, tau: float | None) -> str:
@@ -359,7 +465,7 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
         Fate.NEVER_ENTANGLED: "never_entangled",
     }[baseline.fate]
     if baseline.fate is Fate.FINITE_END:
-        curve = sweep_switch_times(state, kind)
+        curve = sweep_switch_times(state, kind, taus)
         baseline_end, ad_crossing = curve.baseline_end, curve.ad_crossing
         threshold = curve.aversion_threshold
         min_tau_sw, min_tau_end = curve.min_tau_sw, curve.min_tau_end
@@ -382,7 +488,9 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="esdsim",
         description="Two decaying qubits: negativity trajectories, switch "

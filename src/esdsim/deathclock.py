@@ -145,6 +145,17 @@ def _smaller_root(r2, r1, r0):
     return 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
 
 
+def _stretch_dies(q_end, u_end):
+    """Whether a stretch whose Q reads ``q_end`` at its end u_end dies.
+
+    Q(u_end) >= 0, except where u_end is 0: the tail, or a stretch ending
+    past tau ~ 745, where exp(-tau) underflows.  There Q(0) = p0, and the
+    stretch dies only if p0 > 0, since p0 = 0 leaves Q(u) = u (p1 + p2 u)
+    negative at the true, positive u_end.  Floats or arrays.
+    """
+    return (q_end > 0.0) | ((q_end == 0.0) & (u_end > 0.0))
+
+
 def _stretches(
     state: XState, schedule: Schedule
 ) -> Iterator[tuple[float, float, XState]]:
@@ -232,11 +243,12 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     Each switch-free stretch, the open-ended tail last, is decided in closed
     form.  Along a stretch Q only rises, from Q(1) at its start to Q(u_end)
     at its end (u_end = 0 for the tail), so the stretch dies iff
-    Q(u_end) >= 0, at the smaller root of Q (``_smaller_root``).  A stretch
-    whose Q is already non-negative at its start (a switch landing where the
-    discriminant is zero to round-off) dies at its start.  The tail dies iff
-    p0 = Q(0) > 0; otherwise death is averted.  The witness is the
-    discriminant of the dying stretch's state flowed to the end time.
+    Q(u_end) >= 0, at the smaller root of Q (``_smaller_root``); where
+    u_end is 0, the tail's or an underflowed one, iff p0 = Q(0) > 0
+    (``_stretch_dies``).  A stretch whose Q is already non-negative at its
+    start (a switch landing where the discriminant is zero to round-off)
+    dies at its start.  A tail that does not die averts death.  The witness
+    is the discriminant of the dying stretch's state flowed to the end time.
     """
     d0 = discriminant(state)
     if d0 >= 0.0:
@@ -247,7 +259,8 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
         if end == math.inf and p0 <= 0.0:  # the tail never reaches Q = 0
             return DeathReport(Fate.AVERTED, None, p0)
         u_end = float(np.exp(start - end))
-        if (p2 * u_end + p1) * u_end + p0 >= 0.0:
+        # _stretch_dies, spelled out: this loop is the per-query hot path.
+        if (p2 * u_end + p1) * u_end + p0 >= 0.0 and (u_end > 0.0 or p0 > 0.0):
             if p2 + p1 + p0 >= 0.0:
                 u_root = 1.0
             else:
@@ -308,10 +321,11 @@ def end_times(
     Entry i is what ``find_end_time(state, Schedule.single(switch_times[i],
     kind))`` reports, bit for bit, decided on whole arrays with its
     arithmetic: the closed-form flow to each switch time, the switch as a
-    coefficient permutation, the first stretch dying iff Q(u_sw) >= 0, the
-    tail after the switch dying iff its p0 > 0, and each death at the
-    stable root of its stretch.  exp and log are ``np.exp`` and ``np.log``
-    on both paths, which give the same bits on a float as on an array.
+    coefficient permutation, the first stretch dying as ``_stretch_dies``
+    decides at u_sw, the tail after the switch dying iff its p0 > 0, and
+    each death at the stable root of its stretch.  exp and log are
+    ``np.exp`` and ``np.log`` on both paths, which give the same bits on a
+    float as on an array.
     Returns ``fate`` (int8 ``Fate`` values) and ``tau_end`` (NaN where the
     fate is not FINITE_END); no witness is kept.
     """
@@ -325,7 +339,7 @@ def end_times(
 
     u_sw = np.exp(-tau_sw)
     q_first, tail, _ = _single_switch(state, kind, u_sw)
-    first = q_first >= 0.0
+    first = _stretch_dies(q_first, u_sw)
     dies = first | (tail[2] > 0.0)
     fate[:] = np.where(dies, Fate.FINITE_END, Fate.AVERTED)
 
@@ -397,8 +411,9 @@ def find_aversion_threshold(
     entangled = discriminant(state) < 0.0
 
     def dies(tau_sw: float) -> bool:
-        q_first, tail, _ = _single_switch(state, kind, float(np.exp(-tau_sw)))
-        return entangled and bool(q_first >= 0.0 or tail[2] > 0.0)
+        u = float(np.exp(-tau_sw))
+        q_first, tail, _ = _single_switch(state, kind, u)
+        return entangled and bool(_stretch_dies(q_first, u) or tail[2] > 0.0)
 
     dies_lo, dies_hi = dies(lo), dies(hi)
     if dies_lo == dies_hi:
@@ -484,7 +499,7 @@ def sweep_switch_times(
         # x Q_x < v Q_v.  Deaths at or before the switch do not fall.
         x = float(np.exp(-tau_sw))
         q_first, (q2, q1, q0), (d2, d1, d0) = _single_switch(state, kind, x)
-        if q_first >= 0.0 or not q2 + q1 + q0 < 0.0 < q0:
+        if _stretch_dies(q_first, x) or not q2 + q1 + q0 < 0.0 < q0:
             return True
         v = min(_smaller_root(q2, q1, q0), 1.0)
         return x * ((d2 * v + d1) * v + d0) >= v * (2.0 * q2 * v + q1)

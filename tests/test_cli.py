@@ -6,10 +6,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import esdsim.cli
-from esdsim.cli import GridSpec, ScenarioConfig, config_from_dict
+from esdsim.cli import GridSpec, ScenarioConfig, _encode_csv, config_from_dict
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -121,13 +123,18 @@ def test_evolve_negativity_drops_to_zero_after_death():
 
 
 def test_evolve_streams_blocks_byte_for_byte(monkeypatch, capsys):
-    argv = ["evolve", "--switch", "alice", "--t-sw", "0.2", "--grid", "0:1.5:50"]
-    assert esdsim.cli.main(argv) == 0
-    whole = capsys.readouterr().out
-    monkeypatch.setattr(esdsim.cli, "EVOLVE_BLOCK", 7)  # 8 blocks, the last short
-    assert esdsim.cli.main(argv) == 0
-    assert capsys.readouterr().out == whole
-    assert len(whole.splitlines()) == 51
+    runs = (
+        (["evolve", "--switch", "alice", "--t-sw", "0.2", "--grid", "0:1.5:50"], 51),
+        (["sweep", "--switch", "both", "--grid", "0:0.5:50"], 55),  # 4 '#' lines
+    )
+    for argv, lines in runs:
+        monkeypatch.undo()
+        assert esdsim.cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(esdsim.cli, "CSV_BLOCK", 7)  # 8 blocks, the last short
+        assert esdsim.cli.main(argv) == 0
+        assert capsys.readouterr().out == whole
+        assert len(whole.splitlines()) == lines
 
 
 def test_evolve_checks_the_whole_grid_before_writing(tmp_path):
@@ -212,6 +219,72 @@ def test_sweep_rejects_single_point_grid():
     assert "grid.count" in result.stderr
 
 
+# -- CSV encoding ------------------------------------------------------------------
+
+def reference_csv(columns, na_rep="nan"):
+    """The rows as the per-cell % formatting writes them."""
+    def cell(v):
+        if isinstance(v, int):
+            return "%d" % v
+        return na_rep if v != v else "%.11e" % v
+
+    rows = zip(*(col.tolist() for col in columns))
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+# Doubles near the encoder's edges: half-way between two 12-digit mantissas
+# (rounding either way once converted to binary), next to the 1e12 carry
+# (9.999999999995 rounds up to 1.00000000000e+01, 9.99999999999499 does not),
+# at the ends of the exponent range it encodes itself, and subnormal.
+HALF_WAY = st.builds(
+    lambda digits, e: (digits + 0.5) * 10.0 ** (e - 11),
+    st.integers(10**11, 10**12 - 1), st.integers(-14, 36),
+)
+EDGES = st.sampled_from([
+    9.999999999995, 0.9999999999995, 9.99999999999499, 999999999999.5,
+    1e-11, 9.99999999999e-12, 1e33, 9.999999999995e33, 1e34, 1.0,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+])
+DOUBLES = st.one_of(
+    st.floats(), HALF_WAY, EDGES,
+    st.one_of(HALF_WAY, EDGES).map(lambda x: math.nextafter(x, math.inf)),
+    st.one_of(HALF_WAY, EDGES).map(lambda x: math.nextafter(x, 0.0)),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(DOUBLES, min_size=1, max_size=40))
+def test_encoder_matches_percent_format_on_every_double(values):
+    x = np.array(values)
+    assert _encode_csv([x]) == "".join("%.11e\n" % v for v in values)
+    assert _encode_csv([x, x[::-1]]) == reference_csv([x, x[::-1]])
+
+
+def test_encoder_matches_percent_format_across_all_exponents():
+    rng = np.random.default_rng(20)
+    exponents = rng.integers(-320, 301, 100_000)
+    x = rng.choice([-1.0, 1.0], exponents.size) * rng.uniform(1.0, 10.0, exponents.size)
+    x *= 10.0 ** exponents.astype(float)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324]
+    x = np.concatenate([x, special]).reshape(-1, 1)
+    assert set(np.floor(np.log10(np.abs(x[:-7, 0])))) >= set(range(-320, 301))
+    assert _encode_csv([x[:, 0]]) == reference_csv([x[:, 0]])
+
+
+def test_encoder_writes_integers_and_blank_nans():
+    # The sweep's columns: float tau_sw, int8 fate, float tau_end with NaN.
+    tau_sw = np.array([0.0, 0.125, 0.25, 1e-300])
+    fate = np.array([0, 1, 2, 0], dtype=np.int8)
+    tau_end = np.array([0.5, math.nan, math.nan, -0.0])
+    out = _encode_csv([tau_sw, fate, tau_end], na_rep="")
+    assert out.splitlines()[1:3] == ["1.25000000000e-01,1,", "2.50000000000e-01,2,"]
+    assert out == reference_csv([tau_sw, fate, tau_end], na_rep="")
+    ints = np.array([0, 7, 10, 99, 100, 999, 1000, -1, -(2**63), 2**63 - 1])
+    assert _encode_csv([ints, ints.astype(float)]) == reference_csv(
+        [ints, ints.astype(float)]
+    )
+
+
 # -- critical --------------------------------------------------------------------
 
 def test_critical_table_values():
@@ -236,6 +309,29 @@ def test_searches_have_no_tolerance_option():
     result = run_cli("critical", "--tol", "1e-10", expect_code=2)
     assert "--tol" in result.stderr
     assert "tol" not in json.loads(run_cli("critical", "--dump-config").stdout)
+
+
+@pytest.mark.parametrize("kind,grid", [("alice", "0:0.2:3"), ("both", "0:0.5:101")])
+def test_critical_sweeps_the_given_grid(capsys, kind, grid):
+    assert esdsim.cli.main(["sweep", "--switch", kind, "--grid", grid]) == 0
+    summary = [line for line in capsys.readouterr().out.splitlines() if "#" in line]
+    assert esdsim.cli.main(["critical", "--switch", kind, "--grid", grid]) == 0
+    table = {
+        line.split(",")[0]: line.split(",")[1:3]
+        for line in capsys.readouterr().out.splitlines()[1:]
+    }
+    (_, min_tau_sw), (_, min_tau_end) = (
+        table[f"min_end_switch_time_{kind}"], table[f"min_end_time_{kind}"]
+    )
+    assert f"# min_end: tau_sw = {min_tau_sw}, tau_end = {min_tau_end}" in summary
+    status, threshold = table[f"aversion_threshold_{kind}"]
+    threshold_lines = [line for line in summary if "aversion_threshold" in line]
+    if status == "found":
+        assert threshold_lines == [f"# aversion_threshold = {threshold}"]
+    else:
+        assert threshold_lines == []
+    if grid == "0:0.2:3":  # too coarse to hold the minimum: the last row
+        assert min_tau_sw == "2.00000000000e-01"
 
 
 def test_critical_physical_times_scale_with_gamma():

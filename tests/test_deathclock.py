@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -379,6 +380,26 @@ def test_end_time_survives_underflow_of_the_quadratic():
     report = find_end_time(state)
     assert report.fate is Fate.FINITE_END
     assert abs(report.tau_end - math.log(2.0)) <= 1e-12
+
+
+def test_stretch_ending_past_exp_underflow_dies_only_if_p0_is_positive():
+    # p0 = 3a - z_inner**2 = 0, so Q(u) = u (p1 + p2 u) stays negative on
+    # (0, 1] and the first stretch survives, also where its end u = e^-800
+    # underflows to 0 and Q(0) = p0 reads 0.  A both-qubit switch at 800
+    # lands on a state whose discriminant is zero in floats, which dies at
+    # its start; a one-sided switch averts death.
+    state = XState(0.1875, 0.9, 0.9, 1.0125, z_inner=0.75)
+    assert find_end_time(state).fate is Fate.AVERTED
+    expected = {Switch.BOTH: (Fate.FINITE_END, 800.0),
+                Switch.ALICE: (Fate.AVERTED, None), Switch.BOB: (Fate.AVERTED, None)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # once a log(0) made the end time inf
+        for kind, (fate, tau_end) in expected.items():
+            report = find_end_time(state, Schedule.single(800.0, kind))
+            assert (report.fate, report.tau_end) == (fate, tau_end)
+            fates, ends = end_times(state, kind, [800.0])
+            assert fates.tolist() == [fate]
+            assert ends[0] == tau_end if tau_end is not None else math.isnan(ends[0])
 
 
 def test_end_time_matches_kraus_route_on_random_states():
