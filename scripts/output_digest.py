@@ -4,7 +4,7 @@ Covers ``sweep`` and ``critical`` for each switch kind, on the default grid
 and on ``0:0.53:4001``, and ``evolve`` for each switch kind at
 ``--t-sw 0.223``.  Two more cases reach cells the canonical state never
 writes: ``evolve`` out to tau = 800, where coefficients turn subnormal and
-then 0 (and the entropy -0), and ``evolve`` and ``sweep`` from a
+then 0 (and the entropy 0), and ``evolve`` and ``sweep`` from a
 corner-coherence state with a negative ``z_corner`` (``corner.json``, which
 the script writes to a temporary directory and runs from).  Each line is
 ``<md5>  esdsim <arguments>``; run it on two checkouts and diff the
@@ -39,6 +39,20 @@ def runs():
     yield ("sweep", "--config", "corner.json", "--switch", "alice")
 
 
+@contextlib.contextmanager
+def scenario_dir():
+    """Run from a temporary directory that holds ``corner.json``."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "corner.json"), "w", encoding="utf-8") as fh:
+            json.dump(CORNER, fh)
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
 def digest(argv: tuple[str, ...]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -49,9 +63,6 @@ def digest(argv: tuple[str, ...]) -> str:
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        with open(os.path.join(tmp, "corner.json"), "w", encoding="utf-8") as fh:
-            json.dump(CORNER, fh)
-        os.chdir(tmp)
+    with scenario_dir():
         for argv in runs():
             print(f"{digest(argv)}  esdsim {' '.join(argv)}")

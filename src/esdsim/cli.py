@@ -13,12 +13,10 @@ named ``tau`` are always dimensionless, and ``critical`` also reports
 physical times t = tau / gamma.
 
 Every float cell reads as ``"%.11e" % x`` would write it, byte for byte.
-``evolve`` and ``sweep`` encode their rows on whole arrays
-(``_encode_csv``, with no per-row formatting loop) and stream them out in
-blocks of ``CSV_BLOCK`` rows, so their text never sits in memory whole;
-``evolve`` also computes its trajectory block by block.  ``critical`` and
-``sweep`` take the same switch-time grid, and the ``#`` summary lines of
-``sweep`` use the same format.
+``evolve`` and ``sweep`` write each sub-block of ``CSV_CELLS`` cells as it is
+encoded on arrays (``_csv_chunks``), and ``evolve`` computes its trajectory in
+blocks of ``CSV_BLOCK`` rows.  ``critical`` takes the grid ``sweep`` takes, and
+``sweep``'s ``#`` summary lines use the same number format.
 """
 
 from __future__ import annotations
@@ -30,11 +28,12 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .deathclock import (
+    BLOCK_ROWS as CSV_BLOCK,
     Fate,
     NoCrossingError,
     SweepCurve,
@@ -53,41 +52,42 @@ _SWITCH_CHOICES = ("both", "alice", "bob", "none")
 # count must not reach the allocation unbounded.
 MAX_GRID_COUNT = 10_000_000
 
-# evolve and sweep encode and write their rows this many at a time, so the
-# text never grows with the grid; the 2001-point figure grids are one block.
-CSV_BLOCK = 1 << 14
+# Cells per encoder sub-block (whole rows, at least one): 96 KiB of lanes and 32 KiB
+# per temporary, below the 128 KiB from which malloc maps in fresh pages.
+CSV_CELLS = 1 << 12
 
 _FLOAT = "%.11e"
 
 _CANONICAL = (1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
 
-# Exact doubles 10**0 .. 10**22 (5**22 < 2**53), and text tables: 0 .. 999
-# as "%03d" (mantissa groups), as "d.dd" (a mantissa's head) and as "%d"
-# (null bytes for the leading zeros), and "e%+03d" for exponents -99 .. 99.
-_POW10 = np.array([float(10**k) for k in range(23)])
-_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(
-    np.uint8
-)
-_GROUP = _DIGITS.view("S3").ravel()
-_HEAD = np.insert(_DIGITS, 1, ord("."), axis=1).view("S4").ravel()
-_INT = np.where(np.arange(1000)[:, None] < [100, 10, 0], 0, _DIGITS).astype(
-    np.uint8
-).view("S3").ravel()
-_EXP = np.column_stack((
-    np.full(199, ord("e")),
-    np.where(np.arange(-99, 100) < 0, ord("-"), ord("+")),
-    _DIGITS[np.abs(np.arange(-99, 100)), 1:],
-)).astype(np.uint8).view("S4").ravel()
 
-# One CSV cell: 20 bytes, the longest "%.11e" or int64 "%d" text, with null
-# bytes where the text is shorter.  A float on the fast path fills the
-# fields after ``text``: sign, "d.dd", three 3-digit groups, "e+XX".
-_CELL = np.dtype({
-    "names": ["text", "sign", "head", "g1", "g2", "g3", "exp"],
-    "formats": ["S20", "u1", "S4", "S3", "S3", "S3", "S4"],
-    "offsets": [0, 0, 1, 5, 8, 11, 14],
-    "itemsize": 20,
-})
+def _lane(*chars):
+    """Little-endian uint32 lanes of up to four bytes each; a 0 byte is no text."""
+    return sum(np.asarray(c, "<u4") << 8 * i for i, c in enumerate(chars))
+
+
+# Text lanes of "%.11e": the sign, two digits and the point ("-d.d", at 100 * sign
+# + digits), two groups of four digits, two digits, and "e" with the exponent's
+# sign and digits (at e).  An integer in [0, 999] is one lane, its digits.
+_DIGITS = ord("0") + np.indices((10,) * 4).reshape(4, -1).T  # of 0 .. 9999, as bytes
+_TENS, _ONES = _DIGITS[:100, 2], _DIGITS[:100, 3]
+_LEAD = np.concatenate([_lane(_TENS, ord("."), _ONES),
+                        _lane(ord("-"), _TENS, ord("."), _ONES)])
+_QUAD = _lane(*_DIGITS.T)
+_PAIR = _lane(_TENS, _ONES)
+_SPLIT = ((_LEAD, 1e10), (_QUAD, 1e6), (_QUAD, 1e2), (_PAIR, 1.0))  # m's lanes 0-3
+_INT = _lane(*np.where(np.arange(1000)[:, None] < [100, 10, 0], 0, _DIGITS[:1000, 1:]).T)
+_E = np.r_[:309, -308:0]  # tables by exponent are indexed by e itself, -308..308
+_EXP = _lane(ord("e"), np.where(_E < 0, ord("-"), ord("+")),
+             *_DIGITS[np.abs(_E) % 100, 2:].T)
+# At e: |x| * _UP / _DOWN = |x| * 10**(11 - e), rounded once (one factor is 1,
+# the other an exact 10**k, k <= 22); NaN for e outside [-11, 33].  At the biased
+# binary exponent b of |x|: the e with 10**e <= 2**(b - 1023) < 10**(e + 1), and
+# 10**(e + 1), from which on |x| has exponent e + 1.
+_UP = np.where(np.abs(_E - 11) <= 22, 10.0 ** np.clip(11 - _E, 0, 22), np.nan)
+_DOWN = 10.0 ** np.clip(_E - 11, 0, 22)
+_E_OF_B = np.floor((np.arange(2047) - 1023) * np.log10(2.0)).astype(np.intp)
+_TEN_UP = 10.0 ** (_E_OF_B + 1)
 
 
 def _fmt(x: float) -> str:
@@ -95,12 +95,19 @@ def _fmt(x: float) -> str:
 
 
 def _encode_csv(columns: Sequence[np.ndarray], na_rep: str = "nan") -> str:
-    """Rows of equal-length columns as CSV lines, encoded on whole arrays.
+    """Rows of equal-length columns as CSV lines; see ``_csv_chunks``."""
+    return "".join(_csv_chunks(columns, na_rep))
+
+
+def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[str]:
+    """Rows of equal-length columns as CSV lines, one sub-block at a time.
 
     A float column reads as ``"%.11e" % x`` would write each entry, byte for
-    byte, except that NaN is written as ``na_rep``; an integer column reads
-    as ``"%d" % x``.  Each cell fills a fixed ``_CELL`` slot, and the null
-    bytes are dropped from the joined slots at the end.
+    byte, except that NaN is written as ``na_rep`` (at most 20 characters);
+    an integer column reads as ``"%d" % x``.  A sub-block of at most
+    ``CSV_CELLS`` cells fills one reused buffer from the lane tables, six
+    uint32 lanes per cell (five of text, then the separator), and yields
+    the buffer's bytes without their null bytes.
 
     A finite, nonzero x = m * 10**(e - 11) is written from its exponent e
     and its 12-digit mantissa m = rint(y), y = |x| * 10**(11 - e) in
@@ -108,54 +115,47 @@ def _encode_csv(columns: Sequence[np.ndarray], na_rep: str = "nan") -> str:
     one rounding, which moves it by at most 2**-14.  m is then the
     correctly rounded mantissa unless y lies within 2**-11 of a half-way
     point.  Such cells, cells with e outside that range, non-finite cells
-    and integers outside [0, 999] are written by ``%``, one by one.
+    and integers outside [0, 999] are written by ``%``, one by one, into the
+    text lanes.  The digits are split off m in exact float steps.
     """
-    lines = np.zeros((len(columns[0]), len(columns)), [("cell", _CELL), ("sep", "u1")])
-    lines["sep"][:, :-1], lines["sep"][:, -1] = ord(","), ord("\n")
-    for floats in (True, False):
-        index = [j for j, col in enumerate(columns) if (col.dtype.kind == "f") is floats]
-        if not index:
-            continue
-        x = np.stack([columns[j] for j in index], axis=1)
-        cells = np.zeros(x.shape, _CELL)
-        if floats:
-            ax = np.abs(x)
-            finite = np.isfinite(ax)
-            regular = finite & (ax > 0.0)
-            ax = np.where(regular, ax, 1.0)  # zeros: m = 0 and e = 0 below
-
-            def scaled(e):  # |x| * 10**(11 - e): one factor is 1, one rounding
-                up, down = np.clip(11 - e, 0, 22), np.clip(e - 11, 0, 22)
-                return ax * _POW10[up] / _POW10[down]
-
-            e = np.floor(np.log10(ax)).astype(np.int64)
-            y = scaled(e)
-            fix = (y >= 1e12).astype(np.int64) - (y < 1e11)
-            if fix.any():  # log10 rounds across a power of ten
-                e += fix
-                y = scaled(e)
-            slow = ~finite | regular & (
-                (np.abs(y - np.floor(y) - 0.5) < 2.0**-11)
-                | (e < -11) | (e > 33) | (y < 1e11) | (y > 1e12)
-            )
-            fast = regular & ~slow
-            m = np.where(fast, np.rint(y), 0.0)
-            carry = m == 1e12  # 9.999999999995 is 1.00000000000e+01
-            m = np.where(carry, 1e11, m).astype(np.int64)
-            cells["sign"] = np.where(np.signbit(x), ord("-"), 0)
-            cells["head"] = np.take(_HEAD, m // 10**9)
-            cells["g1"] = np.take(_GROUP, m // 10**6 % 1000)
-            cells["g2"] = np.take(_GROUP, m // 10**3 % 1000)
-            cells["g3"] = np.take(_GROUP, m % 1000)
-            cells["exp"] = np.take(_EXP, np.where(fast, e + carry, 0) + 99)
-            text = [na_rep if v != v else _FLOAT % v for v in x[slow].tolist()]
-        else:
-            slow = (x < 0) | (x > 999)
-            cells["text"] = np.take(_INT, np.where(slow, 0, x))
-            text = ["%d" % v for v in x[slow].tolist()]
-        cells["text"][slow] = text
-        lines["cell"]["text"][:, index] = cells["text"]
-    return lines.tobytes().translate(None, b"\0").decode("ascii")
+    width, size = len(columns), len(columns[0])
+    ints = [j for j, col in enumerate(columns) if col.dtype.kind != "f"]
+    rows = max(1, CSV_CELLS // width)
+    buf = np.empty((min(rows, size), width, 6), "<u4")
+    buf[..., 5] = np.where(np.arange(width) < width - 1, ord(","), ord("\n"))
+    text = buf[..., :5].view("S20")[..., 0]  # the five text lanes of each cell
+    for start in range(0, size, rows):
+        x = np.stack([col[start:start + rows] for col in columns], axis=1, dtype=float)
+        lanes, cells = buf[:len(x)], text[:len(x)]
+        ax = np.abs(x)
+        regular = (ax > 0.0) & (ax < np.inf)
+        np.copyto(ax, 1.0, where=~regular)  # zeros: m = 0 and e = 0 below
+        b = ax.view(np.int64) >> 52
+        e = _E_OF_B[b] + (ax >= _TEN_UP[b])
+        y = ax * _UP[e] / _DOWN[e]
+        m = np.rint(y)
+        fast = regular & (y >= 1e11) & (y <= 1e12) & (np.abs(y - m) <= 0.5 - 2.0**-11)
+        np.copyto(m, 0.0, where=~fast)
+        carry = m == 1e12  # 9.999999999995 is 1.00000000000e+01
+        m[carry] = 1e11
+        e += carry
+        np.add(m, 1e12, out=m, where=np.signbit(x))  # "-d.d" is _LEAD[100:]
+        for k, (table, unit) in enumerate(_SPLIT):
+            digits = np.floor(m / unit)
+            m -= digits * unit
+            np.take(table, digits.astype(np.intp), out=lanes[..., k], mode="clip")
+        np.take(_EXP, e, out=lanes[..., 4], mode="wrap")
+        nan = x != x
+        cells[nan] = na_rep
+        slow = ~(fast | (x == 0.0) | nan)
+        cells[slow] = [_FLOAT % v for v in x[slow].tolist()]
+        for j in ints:  # overwrite the float text; an integer is never slow above
+            v = columns[j][start:start + rows]
+            big = (v < 0) | (v > 999)
+            lanes[:, j, 1:5] = 0
+            lanes[:, j, 0] = _INT[np.where(big, 0, v)]
+            cells[big, j] = ["%d" % k for k in v[big].tolist()]
+        yield lanes.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass
@@ -365,17 +365,14 @@ def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
         )
     state, schedule = cfg.initial_state(), cfg.resolved_schedule()
 
-    def block(start: int) -> str:
+    def block(start: int) -> Iterator[str]:
         traj = trajectory(state, schedule, taus[start:start + CSV_BLOCK])
-        return _encode_csv((
-            traj.tau, traj.a, traj.b, traj.c, traj.d, traj.z_inner,
-            traj.z_corner, traj.negativity, traj.concurrence, traj.entropy,
-        ))
+        return _csv_chunks([getattr(traj, f.name) for f in fields(traj)])
 
     header = "tau,a,b,c,d,z_inner,z_corner,negativity,concurrence,entropy\n"
     first = block(0)  # a state the measures reject fails before any output
-    rest = map(block, range(CSV_BLOCK, taus.size, CSV_BLOCK))
-    _emit(itertools.chain([header, first], rest), out_path)
+    rest = (text for i in range(CSV_BLOCK, taus.size, CSV_BLOCK) for text in block(i))
+    _emit(itertools.chain([header], first, rest), out_path)
     return 0
 
 
@@ -415,13 +412,6 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
     curve = sweep_switch_times(state, kind, _switch_grid(cfg))
-
-    def block(start: int) -> str:
-        rows = slice(start, start + CSV_BLOCK)
-        return _encode_csv(  # tau_end is NaN, and blank, unless death is finite
-            (curve.tau_sw[rows], curve.fate[rows], curve.tau_end[rows]), na_rep=""
-        )
-
     lines = []
     if curve.baseline_end is not None:
         lines.append(f"# baseline_end = {_fmt(curve.baseline_end)}")
@@ -438,7 +428,8 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
         dev = _curve_max_dev(curve)
         if dev is not None:
             lines.append(f"# curve_max_abs_dev = {_fmt(dev)}")
-    rows = map(block, range(0, curve.tau_sw.size, CSV_BLOCK))
+    # tau_end is NaN, and blank, unless death is finite.
+    rows = _csv_chunks((curve.tau_sw, curve.fate, curve.tau_end), na_rep="")
     summary = [line + "\n" for line in lines]
     _emit(itertools.chain(["tau_sw,fate,tau_end\n"], rows, summary), out_path)
     return 0

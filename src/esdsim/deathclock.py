@@ -19,9 +19,9 @@ times that halves until no float lies between its ends, on the exact fate
 test and on the sign of the end time's slope; neither has a tolerance.
 
 ``find_end_time`` walks one schedule; ``end_times`` decides a single switch
-at a whole array of switch times with the same arithmetic, and the sweep
-(``sweep_switch_times``) is one call to it.  exp and log come from numpy on
-every path, floats and arrays alike, so the two agree bit for bit.
+at an array of switch times with the same arithmetic, and the sweep
+(``sweep_switch_times``) calls it block by block.  exp and log come from
+numpy on every path, floats and arrays alike, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ import numpy as np
 from .channel import damped_coefficients, evolve_xstate_closed
 from .intervention import Schedule, Switch, apply_xstate, switch_coefficients
 from .qstate import UnsupportedShapeError, XState, xstate_measures
+
+
+BLOCK_ROWS = 1 << 14  # rows per block of the sweep and of evolve: bounded temporaries
 
 
 class Fate(IntEnum):
@@ -286,31 +289,35 @@ def _switch_times(grid: Sequence[float]) -> np.ndarray:
 
 
 def _single_switch(state: XState, kind: Switch, u):
-    """First-stretch Q(u) and the tail after one ``kind`` switch at u = e^-tau_sw.
+    """First-stretch fate and the tail after one ``kind`` switch at u = e^-tau_sw.
 
-    Returns Q(u), the tail quadratic (q2, q1, q0) and its u-derivatives, in
-    plain arithmetic as in ``damped_coefficients``: a float u and an array
-    agree bit for bit.  The tail's slot is read off the switched z_corner.
+    Returns whether the first stretch dies (``_stretch_dies`` at u) and the
+    tail's (q2, q1, q0), in plain arithmetic as in ``damped_coefficients``: a
+    float u and an array agree bit for bit.  The tail's slot is read off the
+    switched z_corner.
     """
     p2, p1, p0 = _segment_quadratic(state)
-    s, slope = state, state.a * (1.0 - 2.0 * u)
-    (a, b, c, _, z_inner, z_corner), (da, db, dc, _, dz_inner, dz_corner) = (
-        switch_coefficients(kind, x) for x in (
-            damped_coefficients(s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, u),
-            (2.0 * s.a * u, s.b + slope, s.c + slope,
-             -(s.b + s.c + 2.0 * s.a * (1.0 - u)), s.z_inner, s.z_corner),
-        )
-    )
+    a, b, c, _, z_inner, z_corner = switch_coefficients(kind, damped_coefficients(
+        state.a, state.b, state.c, state.d, state.z_inner, state.z_corner, u))
     corner = z_corner != 0.0  # np.where costs microseconds on a float
     where = np.where if isinstance(corner, np.ndarray) else (
         lambda k, x, y: x if k else y)
     q0 = where(corner, (b + a) * (c + a) - z_corner * z_corner,
                3.0 * a - z_inner * z_inner)
-    dq0 = where(corner, (db + da) * (c + a) + (b + a) * (dc + da)
-                - 2.0 * z_corner * dz_corner, 3.0 * da - 2.0 * z_inner * dz_inner)
-    tail = (a * a, -a * (b + c + 2.0 * a), q0)
-    rates = (2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da), dq0)
-    return (p2 * u + p1) * u + p0, tail, rates
+    return _stretch_dies((p2 * u + p1) * u + p0, u), (a * a, -a * (b + c + 2.0 * a), q0)
+
+
+def _tail_rates(state: XState, kind: Switch, u: float) -> tuple[float, float, float]:
+    """u-derivatives of the tail quadratic ``_single_switch`` gives at a float u."""
+    s, slope = state, state.a * (1.0 - 2.0 * u)
+    a, b, c, _, z_inner, z_corner = switch_coefficients(kind, damped_coefficients(
+        s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, u))
+    da, db, dc, _, dz_inner, dz_corner = switch_coefficients(kind, (
+        2.0 * s.a * u, s.b + slope, s.c + slope, -(s.b + s.c + 2.0 * s.a * (1.0 - u)),
+        s.z_inner, s.z_corner))
+    dq0 = ((db + da) * (c + a) + (b + a) * (dc + da) - 2.0 * z_corner * dz_corner
+           if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
+    return 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da), dq0
 
 
 def end_times(
@@ -338,8 +345,7 @@ def end_times(
         return fate, tau_end
 
     u_sw = np.exp(-tau_sw)
-    q_first, tail, _ = _single_switch(state, kind, u_sw)
-    first = _stretch_dies(q_first, u_sw)
+    first, tail = _single_switch(state, kind, u_sw)
     dies = first | (tail[2] > 0.0)
     fate[:] = np.where(dies, Fate.FINITE_END, Fate.AVERTED)
 
@@ -412,8 +418,8 @@ def find_aversion_threshold(
 
     def dies(tau_sw: float) -> bool:
         u = float(np.exp(-tau_sw))
-        q_first, tail, _ = _single_switch(state, kind, u)
-        return entangled and bool(_stretch_dies(q_first, u) or tail[2] > 0.0)
+        first, tail = _single_switch(state, kind, u)
+        return entangled and bool(first or tail[2] > 0.0)
 
     dies_lo, dies_hi = dies(lo), dies(hi)
     if dies_lo == dies_hi:
@@ -455,11 +461,11 @@ def sweep_switch_times(
 
     The default grid is 400 evenly spaced switch times in [0, baseline end);
     an explicit grid must be strictly increasing and stay below the baseline
-    end time when that is finite.  Every grid row comes from one
-    ``end_times`` call; only the baseline calls ``find_end_time``.  If the
-    end time falls at the lower and rises at the upper of the grid minimum's
-    dying neighbours, the minimum is bisected between them on the sign of
-    its slope; otherwise it is the grid row itself.
+    end time when that is finite.  ``end_times`` decides the rows,
+    ``BLOCK_ROWS`` per call; only the baseline calls ``find_end_time``.  If
+    the end time falls at the lower and rises at the upper of the grid
+    minimum's dying neighbours, the minimum is bisected between them on the
+    sign of its slope; otherwise it is the grid row itself.
     """
     baseline = find_end_time(state)
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
@@ -480,7 +486,9 @@ def sweep_switch_times(
                 f"switch times must precede the unswitched end time "
                 f"{baseline_end!r}, got {taus[-1].item()!r}"
             )
-    fate, tau_end = end_times(state, kind, taus)
+    fate, tau_end = np.empty(taus.size, np.int8), np.empty(taus.size)
+    for rows in (slice(i, i + BLOCK_ROWS) for i in range(0, taus.size, BLOCK_ROWS)):
+        fate[rows], tau_end[rows] = end_times(state, kind, taus[rows])
 
     try:
         ad_crossing = find_ad_crossing(state)
@@ -498,10 +506,11 @@ def sweep_switch_times(
         # Q(v; x) = 0, has dv/dx = -Q_x / Q_v and Q_v < 0: it falls iff
         # x Q_x < v Q_v.  Deaths at or before the switch do not fall.
         x = float(np.exp(-tau_sw))
-        q_first, (q2, q1, q0), (d2, d1, d0) = _single_switch(state, kind, x)
-        if _stretch_dies(q_first, x) or not q2 + q1 + q0 < 0.0 < q0:
+        first, (q2, q1, q0) = _single_switch(state, kind, x)
+        if first or not q2 + q1 + q0 < 0.0 < q0:
             return True
         v = min(_smaller_root(q2, q1, q0), 1.0)
+        d2, d1, d0 = _tail_rates(state, kind, x)
         return x * ((d2 * v + d1) * v + d0) >= v * (2.0 * q2 * v + q1)
 
     dies = fate == Fate.FINITE_END

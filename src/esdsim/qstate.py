@@ -168,7 +168,7 @@ def _block_entropy(p: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
                         where=larger > 0.0)
     lam = np.stack((larger, smaller)) / 3.0
     ln_lam = np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
-    return -(lam * ln_lam).sum(axis=0)
+    return 0.0 - (lam * ln_lam).sum(axis=0)  # +0, not -0, for a pure block
 
 
 def xstate_measures(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import esdsim.cli
-from esdsim.cli import GridSpec, ScenarioConfig, _encode_csv, config_from_dict
+from esdsim.cli import GridSpec, ScenarioConfig, _csv_chunks, _encode_csv, config_from_dict
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -283,6 +284,60 @@ def test_encoder_writes_integers_and_blank_nans():
     assert _encode_csv([ints, ints.astype(float)]) == reference_csv(
         [ints, ints.astype(float)]
     )
+
+
+def fallback_columns(width):
+    """40 rows of ``width`` columns whose first and last cells are mostly
+    written by %: NaN, e > 33, e < -11, inf, half-way mantissas (one of them
+    the 1e12 carry), and -0; the second column holds integers up to 1499."""
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-3.0, 3.0, (40, width - 1))
+    x[:, 0] = np.resize([math.nan, 2.5e40, 1.234567890125, -0.0], 40)
+    x[:, -1] = np.resize([-3e-12, 9.999999999995, math.inf, 1e34], 40)
+    return [x[:, 0], rng.integers(0, 1500, 40), *x[:, 1:].T]
+
+
+@pytest.mark.parametrize("cells", [2, 7])
+def test_encoder_sub_blocks_give_the_one_block_text(monkeypatch, capsys, cells):
+    # Sub-blocks hold whole rows, at least one: a budget of 2 or 7 cells puts
+    # a sub-block boundary after every row or every other row of 3 and of
+    # 10 columns, next to cells written by %.
+    argvs = (
+        ["evolve", "--switch", "both", "--t-sw", "0.223", "--grid", "0:800:41"],
+        ["sweep", "--switch", "both", "--grid", "0:0.5:50"],
+    )
+    whole = []
+    for argv in argvs:
+        assert esdsim.cli.main(argv) == 0
+        whole.append(capsys.readouterr().out)
+    columns = [fallback_columns(3), fallback_columns(10)]
+    texts = [_encode_csv(cols, na_rep="") for cols in columns]
+    monkeypatch.setattr(esdsim.cli, "CSV_CELLS", cells)
+    for argv, text in zip(argvs, whole):
+        assert esdsim.cli.main(argv) == 0
+        assert capsys.readouterr().out == text
+    for cols, text in zip(columns, texts):
+        assert text == reference_csv(cols, na_rep="")
+        assert _encode_csv(cols, na_rep="") == text
+        assert len(list(_csv_chunks(cols))) == (40 if cells < len(cols) else 20)
+
+
+def test_encoder_working_set_does_not_grow_with_the_rows():
+    # The text comes out one sub-block at a time, and each sub-block reuses
+    # one buffer and frees its temporaries, so ten columns of 10**4 or 10**5
+    # rows (about 1.8 or 18 MB of text) peak alike, at about 1.2 MB.
+    rng = np.random.default_rng(5)
+    for rows in (10**4, 10**5):
+        columns = list(rng.uniform(0.0, 3.0, (10, rows)))
+        columns[4][::97] = math.nan
+        tracemalloc.start()
+        try:
+            size = sum(map(len, _csv_chunks(columns)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 17 * 10 * rows
+        assert peak < 2_000_000, (rows, peak)
 
 
 # -- critical --------------------------------------------------------------------

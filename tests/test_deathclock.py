@@ -606,6 +606,22 @@ def test_sweep_rows_at_the_edges_of_the_grid():
             assert curve.fate.tolist() == fate.tolist()
 
 
+def test_sweep_decides_its_rows_block_by_block(monkeypatch):
+    # BLOCK_ROWS rows at a time: blocks of 7, the last one short, give the
+    # rows and features of one block, bit for bit.
+    grid = np.linspace(0.0, 0.53, 50)
+    for kind in Switch:
+        whole = sweep_switch_times(CANONICAL, kind, grid)
+        monkeypatch.setattr(deathclock, "BLOCK_ROWS", 7)
+        blocks = sweep_switch_times(CANONICAL, kind, grid)
+        monkeypatch.undo()
+        assert blocks.fate.dtype == whole.fate.dtype
+        assert blocks.fate.tolist() == whole.fate.tolist()
+        assert np.array_equal(blocks.tau_end, whole.tau_end, equal_nan=True)
+        assert (blocks.aversion_threshold, blocks.min_tau_sw, blocks.min_tau_end) == (
+            whole.aversion_threshold, whole.min_tau_sw, whole.min_tau_end)
+
+
 def test_sweep_calls_find_end_time_per_search_step_not_per_row(monkeypatch, capsys):
     # The threshold and the minimum search the closed-form tail, so the
     # baseline is the only find_end_time call left.

@@ -13,6 +13,7 @@ from esdsim.qstate import (
     to_density_matrix,
     validate_density_matrix,
     von_neumann_entropy,
+    xstate_measures,
 )
 
 from conftest import random_density_matrix, random_unitary2, random_xstate
@@ -268,6 +269,18 @@ def test_entropy_of_pure_state_is_zero():
     assert von_neumann_entropy(to_density_matrix(BELL_INNER)) == pytest.approx(
         0.0, abs=1e-12
     )
+
+
+def test_entropy_of_a_fully_decayed_state_is_positive_zero():
+    # The ground state (d = 3), the state evolve reaches by tau = 800 with
+    # subnormal leftovers, and a pure Bell state: each spectrum is {1, 0, 0,
+    # 0}, so the entropy is +0, which the CLI writes without a minus sign.
+    tiny = 5e-324
+    states = [(0.0, 0.0, 0.0, 3.0, 0.0, 0.0), (0.0, tiny, tiny, 3.0, tiny, 0.0),
+              (0.0, 1.5, 1.5, 0.0, 1.5, 0.0)]
+    _, _, entropy = xstate_measures(*np.array(states).T)
+    assert entropy.tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(entropy).any()
 
 
 def test_entropy_of_maximally_mixed_is_ln4():
