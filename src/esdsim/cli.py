@@ -7,7 +7,9 @@ Three subcommands, all emitting deterministic CSV (12 significant digits):
 * ``critical`` -- the critical times of a scenario in one small table
 
 A scenario lives in a JSON config (see ``ScenarioConfig``); every flag
-overrides its config field.  Times in the config and flags are dimensionless
+overrides its config field, merged into the JSON object before one check per
+field, which names the field it rejects.  A bool is not a number there, and
+``schedule`` must be a list.  Times in the config and flags are dimensionless
 (tau = gamma * t) unless ``time_unit`` is ``"physical"``; output time columns
 named ``tau`` are always dimensionless, and ``critical`` also reports
 physical times t = tau / gamma.
@@ -57,8 +59,6 @@ MAX_GRID_COUNT = 10_000_000
 CSV_CELLS = 1 << 12
 
 _FLOAT = "%.11e"
-
-_CANONICAL = (1.0, 1.0, 1.0, 0.0, 1.0, 0.0)
 
 
 def _lane(*chars):
@@ -158,6 +158,19 @@ def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[
         yield lanes.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _require(name: str, ok: bool, rule: str, value: object = None) -> None:
+    """Unless ``ok``, raise ``config field '<name>': <rule>[, got <value>]``."""
+    if not ok:
+        got = "" if value is None else f", got {value!r}"
+        raise ValueError(f"config field '{name}': {rule}{got}")
+
+
+def _is_number(x: object) -> bool:
+    """An int or float that is finite as a float; a bool is not a number here."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
 @dataclass
 class GridSpec:
     """Evenly spaced grid; ``count`` points from ``start`` to ``stop``."""
@@ -167,23 +180,14 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.start) and self.start >= 0.0):
-            raise ValueError(
-                f"config field 'grid.start': must be finite and >= 0, got {self.start!r}"
-            )
-        if not math.isfinite(self.stop) or self.stop < self.start:
-            raise ValueError(
-                f"config field 'grid.stop': must be >= grid.start, got {self.stop!r}"
-            )
-        if not (isinstance(self.count, int) and 1 <= self.count <= MAX_GRID_COUNT):
-            raise ValueError(
-                f"config field 'grid.count': must be an integer in "
-                f"[1, {MAX_GRID_COUNT}], got {self.count!r}"
-            )
-        if self.count > 1 and self.stop == self.start:
-            raise ValueError(
-                "config field 'grid.stop': must exceed grid.start for count > 1"
-            )
+        _require("grid.start", _is_number(self.start) and self.start >= 0.0,
+                 "must be finite and >= 0", self.start)
+        _require("grid.stop", _is_number(self.stop) and self.stop >= self.start,
+                 "must be >= grid.start", self.stop)
+        _require("grid.count", type(self.count) is int and 1 <= self.count <= MAX_GRID_COUNT,
+                 f"must be an integer in [1, {MAX_GRID_COUNT}]", self.count)
+        _require("grid.stop", self.count == 1 or self.stop > self.start,
+                 "must exceed grid.start for count > 1", self.stop)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -197,7 +201,7 @@ class ScenarioConfig:
     ``schedule`` (list of ``{"time": ..., "switch": ...}``) covers multi-switch
     runs and excludes the single-switch fields.  ``grid`` defaults per
     subcommand (evolve: 121 points on [0, 1.2]; sweep: 400 switch times below
-    the unswitched end time).
+    the unswitched end time).  Each field is checked once, on construction.
     """
 
     a: float = 1.0
@@ -216,44 +220,27 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d", "z_inner", "z_corner", "gamma"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"config field '{name}': must be a finite number")
-        if self.gamma <= 0.0:
-            raise ValueError(f"config field 'gamma': must be positive, got {self.gamma!r}")
-        if self.time_unit not in ("tau", "physical"):
-            raise ValueError(
-                f"config field 'time_unit': must be 'tau' or 'physical', got {self.time_unit!r}"
-            )
-        if self.switch not in _SWITCH_CHOICES:
-            raise ValueError(
-                f"config field 'switch': must be one of {_SWITCH_CHOICES}, got {self.switch!r}"
-            )
+            _require(name, _is_number(value), "must be a finite number", value)
+        _require("gamma", self.gamma > 0.0, "must be positive", self.gamma)
+        _require("time_unit", self.time_unit in ("tau", "physical"),
+                 "must be 'tau' or 'physical'", self.time_unit)
+        _require("switch", self.switch in _SWITCH_CHOICES,
+                 f"must be one of {_SWITCH_CHOICES}", self.switch)
         if self.t_sw is not None:
-            if not (isinstance(self.t_sw, (int, float)) and math.isfinite(self.t_sw)
-                    and self.t_sw >= 0.0):
-                raise ValueError(
-                    f"config field 't_sw': must be a finite number >= 0, got {self.t_sw!r}"
-                )
-        if self.schedule and self.switch != "none":
-            raise ValueError(
-                "config field 'schedule': excludes 'switch'; use one or the other"
-            )
-        if self.t_sw is not None and self.switch == "none":
-            raise ValueError("config field 't_sw': set without a 'switch' kind")
+            _require("t_sw", _is_number(self.t_sw) and self.t_sw >= 0.0,
+                     "must be a finite number >= 0", self.t_sw)
+            _require("t_sw", self.switch != "none", "set without a 'switch' kind")
+        _require("schedule", isinstance(self.schedule, list),
+                 "must be a list of {'time', 'switch'}", self.schedule)
+        _require("schedule", not self.schedule or self.switch == "none",
+                 "excludes 'switch'; use one or the other")
         for i, entry in enumerate(self.schedule):
-            if not isinstance(entry, dict) or set(entry) != {"time", "switch"}:
-                raise ValueError(
-                    f"config field 'schedule[{i}]': must be {{'time', 'switch'}}"
-                )
-            if entry["switch"] not in ("both", "alice", "bob"):
-                raise ValueError(
-                    f"config field 'schedule[{i}].switch': got {entry['switch']!r}"
-                )
-            t = entry["time"]
-            if not (isinstance(t, (int, float)) and math.isfinite(t) and t >= 0.0):
-                raise ValueError(
-                    f"config field 'schedule[{i}].time': must be finite and >= 0"
-                )
+            _require(f"schedule[{i}]", isinstance(entry, dict)
+                     and set(entry) == {"time", "switch"}, "must be {'time', 'switch'}")
+            _require(f"schedule[{i}].switch", entry["switch"] in ("both", "alice", "bob"),
+                     "must be 'both', 'alice' or 'bob'", entry["switch"])
+            _require(f"schedule[{i}].time", _is_number(entry["time"])
+                     and entry["time"] >= 0.0, "must be finite and >= 0", entry["time"])
 
     # -- conversions ------------------------------------------------------
 
@@ -264,16 +251,18 @@ class ScenarioConfig:
         return t * self.gamma if self.time_unit == "physical" else t
 
     def resolved_schedule(self) -> Schedule:
+        """The switches in tau; times that overflow or collapse there name their field."""
         if self.switch != "none":
-            if self.t_sw is None:
-                raise ValueError("config field 't_sw': required when 'switch' is set")
-            entries = [(self.t_sw, self.switch)]
+            _require("t_sw", self.t_sw is not None, "required when 'switch' is set")
+            name, entries = "t_sw", [(self.t_sw, self.switch)]
         else:
-            entries = [(e["time"], e["switch"]) for e in self.schedule]
-        events = tuple(
-            SwitchEvent(self.to_tau(t), Switch(kind)) for t, kind in entries
-        )
-        return Schedule(events)
+            name, entries = "schedule", [(e["time"], e["switch"]) for e in self.schedule]
+        try:
+            return Schedule(tuple(
+                SwitchEvent(self.to_tau(t), Switch(kind)) for t, kind in entries
+            ))
+        except ValueError as exc:
+            raise ValueError(f"config field '{name}': {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -281,58 +270,45 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         raise ValueError("config must be a JSON object")
     known = {f.name for f in fields(ScenarioConfig)}
     for key in data:
-        if key not in known:
-            raise ValueError(f"config field {key!r}: unknown field")
-    kwargs = dict(data)
-    if "grid" in kwargs and kwargs["grid"] is not None:
-        g = kwargs["grid"]
-        if not isinstance(g, dict) or set(g) != {"start", "stop", "count"}:
-            raise ValueError("config field 'grid': must be {'start', 'stop', 'count'}")
-        kwargs["grid"] = GridSpec(g["start"], g["stop"], g["count"])
-    return ScenarioConfig(**kwargs)
+        _require(key, key in known, "unknown field")
+    grid = data.get("grid")
+    if grid is not None:
+        _require("grid", isinstance(grid, dict) and set(grid) == {"start", "stop", "count"},
+                 "must be {'start', 'stop', 'count'}")
+        data = {**data, "grid": GridSpec(**grid)}
+    return ScenarioConfig(**data)
 
 
-def _load_config(path: str | None) -> ScenarioConfig:
-    if path is None:
-        return ScenarioConfig()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"config file {path!r}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path!r}: invalid JSON ({exc})") from exc
-    return config_from_dict(data)
-
-
-def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    data = asdict(cfg)
-    if args.switch is not None:
-        data["switch"] = args.switch
-        data["schedule"] = []
+def _load_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The ``--config`` file's fields with the flags merged in, then checked once."""
+    data = {}
+    if args.config is not None:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"config file {args.config!r}: {exc.strerror or exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {args.config!r}: invalid JSON ({exc})") from exc
+    flags = {name: getattr(args, name) for name in ("switch", "t_sw", "gamma", "grid")
+             if getattr(args, name) is not None}
+    if args.switch is not None:  # a switch kind replaces the schedule
+        flags["schedule"] = []
         if args.switch == "none":
-            data["t_sw"] = None
-    if args.t_sw is not None:
-        data["t_sw"] = args.t_sw
-    if args.gamma is not None:
-        data["gamma"] = args.gamma
-    if args.grid is not None:
-        data["grid"] = {
-            "start": args.grid[0],
-            "stop": args.grid[1],
-            "count": args.grid[2],
-        }
-    return config_from_dict(data)
+            flags.setdefault("t_sw", None)
+    # A file that holds no JSON object takes no flags; config_from_dict rejects it.
+    return config_from_dict({**data, **flags} if isinstance(data, dict) else data)
 
 
-def _parse_grid(text: str) -> tuple[float, float, int]:
+def _parse_grid(text: str) -> dict:
+    """``START:STOP:COUNT`` as the config's ``grid`` object."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"grid must look like START:STOP:COUNT, got {text!r}"
         )
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        return {"start": float(parts[0]), "stop": float(parts[1]), "count": int(parts[2])}
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
@@ -353,16 +329,25 @@ def _text(lines: list[str]) -> list[str]:
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
+def _grid_taus(cfg: ScenarioConfig, sweep: bool) -> np.ndarray | None:
+    """The config's grid in tau, checked whole; None for the sweep's default grid.
+
+    Rows go out block by block, so a grid that collapses or overflows in tau
+    fails here, before any row is written.  A sweep needs two points at least.
+    """
+    if cfg.grid is None and sweep:
+        return None
     grid = cfg.grid if cfg.grid is not None else GridSpec(0.0, 1.2, 121)
-    taus = cfg.to_tau(grid.points())
-    # Rows go out block by block, so the whole grid is checked first: a grid
-    # that collapses or overflows in tau fails before any row is written.
-    if not (math.isfinite(taus[-1]) and np.all(taus[1:] > taus[:-1])):
-        raise ValueError(
-            "config field 'grid': times must be finite and strictly increasing "
-            "in tau"
-        )
+    _require("grid.count", not sweep or grid.count >= 2, "sweeps need >= 2 points", grid.count)
+    with np.errstate(over="ignore"):  # a grid that overflows in tau fails below
+        taus = cfg.to_tau(grid.points())
+    _require("grid", math.isfinite(taus[-1]) and np.all(taus[1:] > taus[:-1]),
+             "times must be finite and strictly increasing in tau")
+    return taus
+
+
+def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
+    taus = _grid_taus(cfg, sweep=False)
     state, schedule = cfg.initial_state(), cfg.resolved_schedule()
 
     def block(start: int) -> Iterator[str]:
@@ -377,8 +362,9 @@ def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
 
 
 def _is_canonical(state: XState) -> bool:
-    values = (state.a, state.b, state.c, state.d, state.z_inner, state.z_corner)
-    return all(abs(v - ref) <= 1e-12 for v, ref in zip(values, _CANONICAL))
+    """Whether ``state`` is the default config's initial state, to 1e-12."""
+    default = {f.name: f.default for f in fields(ScenarioConfig)}
+    return all(abs(v - default[k]) <= 1e-12 for k, v in asdict(state).items())
 
 
 def _curve_max_dev(curve: SweepCurve) -> float | None:
@@ -386,32 +372,23 @@ def _curve_max_dev(curve: SweepCurve) -> float | None:
 
     The exact end time of a single flip from the canonical state is
     -ln y with y = single_switch_curve(e^-tau_sw); exp and log come from
-    numpy, as in the end times themselves.
+    numpy, as in the end times themselves.  The maximum is taken over blocks
+    of ``CSV_BLOCK`` rows, so the temporaries do not grow with the grid.
     """
-    dies = curve.fate == Fate.FINITE_END
-    if not dies.any():
-        return None
-    exact = -np.log(single_switch_curve(np.exp(-curve.tau_sw[dies])))
-    return float(np.max(np.abs(curve.tau_end[dies] - exact)))
-
-
-def _switch_grid(cfg: ScenarioConfig) -> np.ndarray | None:
-    """The config's switch times in tau, or None for the sweep's default grid."""
-    if cfg.grid is None:
-        return None
-    if cfg.grid.count < 2:
-        raise ValueError(
-            f"config field 'grid.count': sweeps need >= 2 points, got {cfg.grid.count}"
-        )
-    return cfg.to_tau(cfg.grid.points())
+    block_max = []
+    for rows in (slice(i, i + CSV_BLOCK) for i in range(0, curve.fate.size, CSV_BLOCK)):
+        dies = curve.fate[rows] == Fate.FINITE_END
+        if dies.any():
+            exact = -np.log(single_switch_curve(np.exp(-curve.tau_sw[rows][dies])))
+            block_max.append(np.max(np.abs(curve.tau_end[rows][dies] - exact)))
+    return float(np.max(block_max)) if block_max else None
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
-    if cfg.switch == "none":
-        raise ValueError("config field 'switch': sweep needs 'both', 'alice' or 'bob'")
+    _require("switch", cfg.switch != "none", "sweep needs 'both', 'alice' or 'bob'")
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
-    curve = sweep_switch_times(state, kind, _switch_grid(cfg))
+    curve = sweep_switch_times(state, kind, _grid_taus(cfg, sweep=True))
     lines = []
     if curve.baseline_end is not None:
         lines.append(f"# baseline_end = {_fmt(curve.baseline_end)}")
@@ -438,7 +415,7 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
 def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
     state = cfg.initial_state()
     kind = Switch(cfg.switch) if cfg.switch != "none" else Switch.BOTH
-    taus = _switch_grid(cfg)
+    taus = _grid_taus(cfg, sweep=True)
     lines = ["quantity,status,tau,time"]
 
     def row(name: str, status: str, tau: float | None) -> str:
@@ -513,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(_load_config(args.config), args)
+        cfg = _load_config(args)
         if args.dump_config:
             _emit(_text([json.dumps(asdict(cfg), indent=2)]), args.out)
             return 0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -69,11 +70,56 @@ def test_config_rejects_unknown_field():
         ({"schedule": [{"time": 0.1}]}, "schedule"),
         ({"schedule": [{"time": -1.0, "switch": "both"}]}, "schedule"),
         ({"grid": {"start": 0.0, "stop": 1.0, "count": 10_000_001}}, "grid.count"),
+        # A bool is not a number, and a schedule is a list.
+        ({"a": True}, "a"),
+        ({"gamma": 10**400}, "gamma"),  # an int that no float holds
+        ({"switch": "both", "t_sw": True}, "t_sw"),
+        ({"schedule": 5}, "schedule"),
+        ({"schedule": None}, "schedule"),
+        ({"schedule": [{"time": True, "switch": "both"}]}, "schedule[0].time"),
+        ({"grid": {"start": "0", "stop": 1, "count": 3}}, "grid.start"),
+        ({"grid": {"start": 0, "stop": 1, "count": True}}, "grid.count"),
     ],
 )
 def test_config_rejects_bad_fields(data, field):
-    with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+    with pytest.raises(ValueError, match=f"^config field '{re.escape(field)}"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data", [{"schedule": None}, {"grid": {"start": "0", "stop": 1, "count": 3}}]
+)
+def test_bad_field_types_exit_with_an_error(tmp_path, data):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    result = run_cli("sweep", "--config", str(path), expect_code=2)
+    assert result.stderr.startswith("error: config field")
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_flags_merge_into_the_config_before_the_check(tmp_path):
+    # --switch replaces a schedule, so the file's bad schedule never counts.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schedule": 5, "gamma": 2.0}))
+    data = json.loads(run_cli("sweep", "--config", str(path), "--switch", "alice",
+                              "--grid", "0:0.2:3", "--dump-config").stdout)
+    assert data["schedule"] == [] and data["switch"] == "alice" and data["gamma"] == 2.0
+    assert data["grid"] == {"start": 0.0, "stop": 0.2, "count": 3}
+
+
+def test_times_that_fail_in_tau_name_their_field(capsys):
+    repeated = ScenarioConfig(
+        schedule=[{"time": 0.1, "switch": "both"}, {"time": 0.1, "switch": "alice"}]
+    )
+    with pytest.raises(ValueError, match="^config field 'schedule': "):
+        repeated.resolved_schedule()
+    # The grid is finite in physical time and overflows once scaled to tau.
+    overflow = ScenarioConfig(gamma=1e308, time_unit="physical", switch="alice",
+                              grid=GridSpec(0.0, 1e10, 3))
+    for command in (esdsim.cli.cmd_sweep, esdsim.cli.cmd_critical):
+        with pytest.raises(ValueError, match="^config field 'grid': "):
+            command(overflow, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_dump_config_round_trips(tmp_path):
