@@ -16,9 +16,10 @@ physical times t = tau / gamma.
 
 Every float cell reads as ``"%.11e" % x`` would write it, byte for byte.
 ``evolve`` and ``sweep`` write each sub-block of ``CSV_CELLS`` cells as it is
-encoded on arrays (``_csv_chunks``), and ``evolve`` computes its trajectory in
-blocks of ``CSV_BLOCK`` rows.  ``critical`` takes the grid ``sweep`` takes, and
-``sweep``'s ``#`` summary lines use the same number format.
+encoded on arrays (``_csv_chunks``): a record of exact-width slots filled from
+digit tables, null-padded only in a column whose cells may differ in width.
+``evolve`` computes its trajectory in blocks of ``CSV_BLOCK`` rows; ``critical``
+takes the grid ``sweep`` takes, and ``sweep``'s ``#`` lines use the same format.
 """
 
 from __future__ import annotations
@@ -54,40 +55,40 @@ _SWITCH_CHOICES = ("both", "alice", "bob", "none")
 # count must not reach the allocation unbounded.
 MAX_GRID_COUNT = 10_000_000
 
-# Cells per encoder sub-block (whole rows, at least one): 96 KiB of lanes and 32 KiB
-# per temporary, below the 128 KiB from which malloc maps in fresh pages.
+# Cells per encoder sub-block (whole rows, at least one): at most 84 KiB of slots and
+# 32 KiB per temporary, below the 128 KiB from which malloc maps in fresh pages.
 CSV_CELLS = 1 << 12
 
 _FLOAT = "%.11e"
 
 
-def _lane(*chars):
-    """Little-endian uint32 lanes of up to four bytes each; a 0 byte is no text."""
-    return sum(np.asarray(c, "<u4") << 8 * i for i, c in enumerate(chars))
+def _table(*codes):
+    """Fixed-width byte strings, one per entry of the broadcast arrays of byte codes."""
+    text = np.stack(np.broadcast_arrays(*codes), axis=-1).astype(np.uint8)
+    return text.view(f"S{text.shape[-1]}")[..., 0]
 
 
-# Text lanes of "%.11e": the sign, two digits and the point ("-d.d", at 100 * sign
-# + digits), two groups of four digits, two digits, and "e" with the exponent's
-# sign and digits (at e).  An integer in [0, 999] is one lane, its digits.
-_DIGITS = ord("0") + np.indices((10,) * 4).reshape(4, -1).T  # of 0 .. 9999, as bytes
-_TENS, _ONES = _DIGITS[:100, 2], _DIGITS[:100, 3]
-_LEAD = np.concatenate([_lane(_TENS, ord("."), _ONES),
-                        _lane(ord("-"), _TENS, ord("."), _ONES)])
-_QUAD = _lane(*_DIGITS.T)
-_PAIR = _lane(_TENS, _ONES)
-_SPLIT = ((_LEAD, 1e10), (_QUAD, 1e6), (_QUAD, 1e2), (_PAIR, 1.0))  # m's lanes 0-3
-_INT = _lane(*np.where(np.arange(1000)[:, None] < [100, 10, 0], 0, _DIGITS[:1000, 1:]).T)
-_E = np.r_[:309, -308:0]  # tables by exponent are indexed by e itself, -308..308
-_EXP = _lane(ord("e"), np.where(_E < 0, ord("-"), ord("+")),
-             *_DIGITS[np.abs(_E) % 100, 2:].T)
-# At e: |x| * _UP / _DOWN = |x| * 10**(11 - e), rounded once (one factor is 1,
-# the other an exact 10**k, k <= 22); NaN for e outside [-11, 33].  At the biased
-# binary exponent b of |x|: the e with 10**e <= 2**(b - 1023) < 10**(e + 1), and
-# 10**(e + 1), from which on |x| has exponent e + 1.
-_UP = np.where(np.abs(_E - 11) <= 22, 10.0 ** np.clip(11 - _E, 0, 22), np.nan)
-_DOWN = 10.0 ** np.clip(_E - 11, 0, 22)
-_E_OF_B = np.floor((np.arange(2047) - 1023) * np.log10(2.0)).astype(np.intp)
-_TEN_UP = 10.0 ** (_E_OF_B + 1)
+# The fields of "%.11e" after the sign, from the 12-digit mantissa m and exponent e:
+# "d.dd" (at m // 10**9), "dddd" twice, "d" (at m % 10), "e±XX" and the last digit
+# of a three-digit exponent (both at e itself, -308..309: a zero gets -308, any other
+# cell there is written by %).  An integer v of w <= 4 digits is _INTS[w - 1][v].
+_E = np.r_[:310, -308:0]
+_DIGITS = ord("0") + np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0 .. 9999, by place
+_HEAD = _table(_DIGITS[1, :1000], ord("."), *_DIGITS[2:, :1000])
+_QUAD = _table(*_DIGITS)
+_INTS = [_table(*_DIGITS[4 - w:, :10**w]) for w in range(1, 4)] + [_QUAD]
+_AE = np.abs(_E)
+_EXP = _table(ord("e"), np.where(_E < 0, ord("-"), ord("+")),
+              *_DIGITS[2:, np.where(_AE < 100, _AE, _AE // 10)])
+_THIRD = _table(np.where(_AE < 100, 0, _DIGITS[3, _AE]))
+_EXP[-308], _THIRD[-308] = b"e+00", b""
+# At e: 10**(11 - e) correctly rounded, for e in [-297, 308], where it is a normal
+# double.  At the biased binary exponent b of |x|: the e with 10**e <= 2**(b - 1023)
+# < 10**(e + 1), and 10**(e + 1), from which on |x| has exponent e + 1.
+_SCALE = np.array([10**max(11 - e, 0) / 10**max(e - 11, 0) if -297 <= e <= 308 else math.nan
+                   for e in _E.tolist()])
+_E_OF_B = np.floor((np.arange(2048) - 1023) * np.log10(2.0)).astype(np.intp)
+_TEN_UP = 10.0 ** np.minimum(_E_OF_B + 1, 308)
 
 
 def _fmt(x: float) -> str:
@@ -99,63 +100,90 @@ def _encode_csv(columns: Sequence[np.ndarray], na_rep: str = "nan") -> str:
     return "".join(_csv_chunks(columns, na_rep))
 
 
+def _compact(text: np.ndarray) -> str:
+    """A padded sub-block's text: its bytes without the null bytes."""
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[str]:
     """Rows of equal-length columns as CSV lines, one sub-block at a time.
 
     A float column reads as ``"%.11e" % x`` would write each entry, byte for
-    byte, except that NaN is written as ``na_rep`` (at most 20 characters);
+    byte, except that NaN is written as ``na_rep`` (at most 19 characters);
     an integer column reads as ``"%d" % x``.  A sub-block of at most
-    ``CSV_CELLS`` cells fills one reused buffer from the lane tables, six
-    uint32 lanes per cell (five of text, then the separator), and yields
-    the buffer's bytes without their null bytes.
+    ``CSV_CELLS`` cells is one record in a reused buffer, a slot per cell,
+    each ending in the separator and exactly as wide as its column's text:
+    17 bytes for a float, 18 in a column of negative cells, w for integers
+    of w <= 4 digits.  Such a record is the text.  A column that holds NaN,
+    inf, both signs, e outside [-98, 98] or integers of other widths gets
+    20-byte slots instead, whose null bytes in shorter cells ``_compact`` drops.
 
-    A finite, nonzero x = m * 10**(e - 11) is written from its exponent e
-    and its 12-digit mantissa m = rint(y), y = |x| * 10**(11 - e) in
-    [1e11, 1e12]: for e in [-11, 33], y takes one exact power of ten and so
-    one rounding, which moves it by at most 2**-14.  m is then the
-    correctly rounded mantissa unless y lies within 2**-11 of a half-way
-    point.  Such cells, cells with e outside that range, non-finite cells
-    and integers outside [0, 999] are written by ``%``, one by one, into the
-    text lanes.  The digits are split off m in exact float steps.
+    A finite, nonzero x = m * 10**(e - 11) is written from the tables with
+    its exponent e and 12-digit mantissa m = rint(y), y = |x| * 10**(11 - e)
+    in [1e11, 1e12], split by int64 floor division.  For e in [-297, 308]
+    the power is within a relative 2**-53 of its value and the product
+    rounds once more, so y is within 1e12 * (2**-52 + 2**-106) < 2**-12 of
+    the exact value.  m is then the correctly rounded mantissa unless y lies
+    within 2**-11 of a half-way point.  Such cells, cells with e below that
+    range, inf and integers in 20-byte slots are written by ``%``.
     """
     width, size = len(columns), len(columns[0])
     ints = [j for j, col in enumerate(columns) if col.dtype.kind != "f"]
     rows = max(1, CSV_CELLS // width)
-    buf = np.empty((min(rows, size), width, 6), "<u4")
-    buf[..., 5] = np.where(np.arange(width) < width - 1, ord(","), ord("\n"))
-    text = buf[..., :5].view("S20")[..., 0]  # the five text lanes of each cell
+    buf = np.empty(min(rows, size) * width * 21, np.uint8)  # an int64 slot is 21 bytes
+    seps = np.where(np.arange(width) < width - 1, ord(","), ord("\n"))
     for start in range(0, size, rows):
-        x = np.stack([col[start:start + rows] for col in columns], axis=1, dtype=float)
-        lanes, cells = buf[:len(x)], text[:len(x)]
+        block = [col[start:start + rows] for col in columns]
+        x = np.array(block, dtype=float).T.copy()
         ax = np.abs(x)
-        regular = (ax > 0.0) & (ax < np.inf)
-        np.copyto(ax, 1.0, where=~regular)  # zeros: m = 0 and e = 0 below
         b = ax.view(np.int64) >> 52
-        e = _E_OF_B[b] + (ax >= _TEN_UP[b])
-        y = ax * _UP[e] / _DOWN[e]
-        m = np.rint(y)
-        fast = regular & (y >= 1e11) & (y <= 1e12) & (np.abs(y - m) <= 0.5 - 2.0**-11)
-        np.copyto(m, 0.0, where=~fast)
+        e = _E_OF_B.take(b) + (ax >= _TEN_UP.take(b))
+        y = ax * _SCALE.take(e)  # NaN for 0, NaN, inf and e below -297
+        m = np.fmax(np.rint(y), 0.0)  # 0 for NaN
+        fast = (y >= 1e11) & (y <= 1e12) & (np.abs(y - m) <= 0.5 - 2.0**-11)
+        neg, nan, zero = np.signbit(x), x != x, x == 0.0
+        slow = ~(fast | zero | nan)
+        wide = (np.abs(e) > 98) & ~zero  # NaN and inf too
+        padded = wide.any(0) if wide.any() else np.zeros(width, bool)
+        if neg.any():
+            padded |= neg.any(0) != neg.all(0)
         carry = m == 1e12  # 9.999999999995 is 1.00000000000e+01
-        m[carry] = 1e11
-        e += carry
-        np.add(m, 1e12, out=m, where=np.signbit(x))  # "-d.d" is _LEAD[100:]
-        for k, (table, unit) in enumerate(_SPLIT):
-            digits = np.floor(m / unit)
-            m -= digits * unit
-            np.take(table, digits.astype(np.intp), out=lanes[..., k], mode="clip")
-        np.take(_EXP, e, out=lanes[..., 4], mode="wrap")
-        nan = x != x
-        cells[nan] = na_rep
-        slow = ~(fast | (x == 0.0) | nan)
-        cells[slow] = [_FLOAT % v for v in x[slow].tolist()]
-        for j in ints:  # overwrite the float text; an integer is never slow above
-            v = columns[j][start:start + rows]
-            big = (v < 0) | (v > 999)
-            lanes[:, j, 1:5] = 0
-            lanes[:, j, 0] = _INT[np.where(big, 0, v)]
-            cells[big, j] = ["%d" % k for k in v[big].tolist()]
-        yield lanes.tobytes().translate(None, b"\0").decode("ascii")
+        np.subtract(m, 9e11, out=m, where=carry)
+        np.add(e, 1, out=e, where=carry)
+        m = m.astype(np.int64)
+        hi = m // 100_000
+        lead, lo = hi // 10_000, m - 100_000 * hi
+        quad = lo // 10
+        fields = ((_HEAD, lead), (_QUAD, hi - 10_000 * lead), (_QUAD, quad),
+                  (_INTS[0], lo - 10 * quad), (_EXP, e), (_THIRD, e))
+        # Per column: slot width, padded, and for an integer its column.
+        slots = list(zip((18 + padded + (padded | neg[0])).tolist(), padded.tolist()))
+        for j in ints:
+            low, high = str(block[j].min()), str(block[j].max())
+            pad = low[0] == "-" or len(low) != len(high) or len(high) > 4
+            slots[j] = (1 + max(len(low), len(high)), pad, j)
+        record, at = buf[:len(x) * sum(slot[0] for slot in slots)].reshape(len(x), -1), 0
+        for (w, pad, *integer), run in itertools.groupby(range(width), slots.__getitem__):
+            j, n = next(run), 1 + sum(1 for _ in run)
+            cols, cell = slice(j, j + n), record[:, at:at + n * w].reshape(len(x), n, w)
+            at += n * w
+            cells = cell[..., :-1].view(f"S{w - 1}")[..., 0]  # the text before the separator
+            cell[..., -1] = seps[cols]
+            if integer:
+                v = block[j]
+                cells[:, 0] = ["%d" % k for k in v.tolist()] if pad else _INTS[w - 2][v]
+                continue
+            sign = w - 18 - pad  # a sign byte, and if padded a third exponent digit
+            if sign:
+                cell[..., 0] = np.where(neg[:, cols], ord("-"), 0)
+            at_k = (sign, sign + 4, sign + 8, sign + 12, w - 5 - pad, w - 2)[:5 + pad]
+            for k, (table, index) in zip(at_k, fields):
+                field = cell[..., k:k + table.itemsize].view(table.dtype)[..., 0]
+                field[...] = table.take(index[:, cols], mode="wrap")
+            cells[nan[:, cols]] = na_rep
+            r, c = np.divmod(np.flatnonzero(slow[:, cols]), n)
+            cells[r, c] = [_FLOAT % v for v in x[r, c + j].tolist()]
+        yield _compact(record) if any(s[1] for s in slots) else str(memoryview(record), "ascii")
 
 
 def _require(name: str, ok: bool, rule: str, value: object = None) -> None:
@@ -241,6 +269,8 @@ class ScenarioConfig:
                      "must be 'both', 'alice' or 'bob'", entry["switch"])
             _require(f"schedule[{i}].time", _is_number(entry["time"])
                      and entry["time"] >= 0.0, "must be finite and >= 0", entry["time"])
+        _require("grid", self.grid is None or isinstance(self.grid, GridSpec),
+                 "must be a GridSpec or None", self.grid)
 
     # -- conversions ------------------------------------------------------
 
@@ -288,7 +318,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ValueError(f"config file {args.config!r}: {exc.strerror or exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int of more digits than Python converts
             raise ValueError(f"config file {args.config!r}: invalid JSON ({exc})") from exc
     flags = {name: getattr(args, name) for name in ("switch", "t_sw", "gamma", "grid")
              if getattr(args, name) is not None}

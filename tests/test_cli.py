@@ -97,6 +97,23 @@ def test_bad_field_types_exit_with_an_error(tmp_path, data):
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
+def test_config_grid_must_be_a_grid_spec():
+    # Built in Python, a config takes no dict for its grid; config_from_dict
+    # is what turns the JSON object into a GridSpec.
+    with pytest.raises(ValueError, match="^config field 'grid': must be a GridSpec"):
+        ScenarioConfig(grid={"start": 0.0, "stop": 1.0, "count": 3})
+
+
+def test_config_file_json_errors_name_the_file(tmp_path):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more digits than Python converts.
+    path = tmp_path / "big.json"
+    path.write_text('{"a": ' + "1" * 5000 + "}")
+    result = run_cli("evolve", "--config", str(path), expect_code=2)
+    assert result.stderr.startswith(f"error: config file {str(path)!r}: invalid JSON (")
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_flags_merge_into_the_config_before_the_check(tmp_path):
     # --switch replaces a schedule, so the file's bad schedule never counts.
     path = tmp_path / "scenario.json"
@@ -366,6 +383,83 @@ def test_encoder_sub_blocks_give_the_one_block_text(monkeypatch, capsys, cells):
         assert text == reference_csv(cols, na_rep="")
         assert _encode_csv(cols, na_rep="") == text
         assert len(list(_csv_chunks(cols))) == (40 if cells < len(cols) else 20)
+
+
+# Columns as the exact-width slots see them: each is regular (all positive,
+# all negative, or integers of one width), and a few rows hold a cell that
+# sends its sub-block to padded slots: NaN, inf, -0.0 or a sign that is not
+# the column's, an exponent of three digits or next to them, an integer of
+# another width; or a cell that stays exact but is written by %, a half-way
+# mantissa.  With sub-blocks of one or a few rows, exact and padded ones
+# alternate.
+WIDE_EDGES = [1e99, 9.99999999999e98, 9.999999999995e98, 9.9999999999995e99, 1e100,
+              1e-99, 1.00000000001e-99, 9.999999999995e-100, 1e-100, 1e-300, 5e-324]
+
+
+def mantissas(half, low, high):
+    """12-digit mantissas, or half-way between two, at exponents low..high."""
+    return st.builds(lambda digits, e: (digits + half) * 10.0 ** (e - 11),
+                     st.integers(10**11, 10**12 - 1), st.integers(low, high))
+
+
+REGULAR = st.one_of(mantissas(0, -98, 98), mantissas(0.5, -98, 97))
+
+
+@st.composite
+def encoder_columns(draw):
+    rows = draw(st.integers(1, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["pos", "neg", "int"]), min_size=1, max_size=5)):
+        if kind == "int":
+            w = draw(st.integers(1, 4))
+            regular = st.integers(10 ** (w - 1) if w > 1 else 0, 10**w - 1)
+            odd = st.integers(-(2**63), 2**63 - 1) | st.integers(-99, 99999)
+        else:
+            sign = 1.0 if kind == "pos" else -1.0
+            regular = (REGULAR | st.just(0.0)).map(lambda x, sign=sign: sign * x)
+            odd = st.one_of(
+                st.sampled_from([0.0, math.nan, math.inf]), st.sampled_from(WIDE_EDGES),
+                REGULAR, mantissas(0.5, -101, 100), mantissas(0, -310, 308),
+            ).flatmap(lambda x: st.sampled_from([x, -x]))
+        values = draw(st.lists(regular, min_size=rows, max_size=rows))
+        for row, value in draw(st.lists(st.tuples(st.integers(0, rows - 1), odd), max_size=3)):
+            values[row] = value
+        columns.append(np.array(values, dtype=np.int64 if kind == "int" else float))
+    return columns
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(encoder_columns(), st.sampled_from(["", "nan"]), st.integers(1, 12))
+def test_encoder_exact_and_padded_sub_blocks_match_percent_format(columns, na_rep, cells):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(esdsim.cli, "CSV_CELLS", cells)
+        assert _encode_csv(columns, na_rep) == reference_csv(columns, na_rep)
+
+
+def test_canonical_evolve_takes_the_exact_width_path(monkeypatch, capsys):
+    # Every cell of the canonical trajectories (the figure scenarios, on dense
+    # grids) is finite and non-negative, with a two-digit exponent, so no
+    # sub-block is padded and compacted.  A sweep with averted rows (a blank
+    # tau_end) is.
+    argvs = [["evolve", "--grid", grid, *switch] for grid, switch in (
+        ("0:1.2:2001", []), ("0:2:2001", ["--switch", "both", "--t-sw", "0.1"]),
+        ("0:1.2:2001", ["--switch", "both", "--t-sw", "0.223"]),
+        ("0:1.2:2001", ["--switch", "both", "--t-sw", "0.357"]))]
+    texts = []
+    for argv in argvs:
+        assert esdsim.cli.main(argv) == 0
+        texts.append(capsys.readouterr().out)
+
+    def refuse(text):
+        raise AssertionError("a padded sub-block")
+
+    monkeypatch.setattr(esdsim.cli, "_compact", refuse)
+    for argv, text in zip(argvs, texts):
+        assert esdsim.cli.main(argv) == 0
+        assert capsys.readouterr().out == text
+    with pytest.raises(AssertionError, match="a padded sub-block"):
+        esdsim.cli.main(["sweep", "--switch", "both"])
 
 
 def test_encoder_working_set_does_not_grow_with_the_rows():
