@@ -11,9 +11,10 @@ physical-units scenario (``physical.json``: ``gamma`` 2, ``time_unit``
 ``sweep`` and ``critical`` for ``alice`` on that grid, so the conversion of
 times to tau is compared too.  The script writes both configs to a temporary
 directory and runs from there.  Each line is ``<md5>  esdsim <arguments>``;
-run it on two checkouts and diff the listings:
+run it on two checkouts and diff the listings, or diff it with the committed
+listing ``output_digest.md5``, which ``tests/test_cli.py`` checks:
 
-    PYTHONPATH=src python scripts/output_digest.py
+    PYTHONPATH=src python scripts/output_digest.py | diff scripts/output_digest.md5 -
 """
 
 import contextlib

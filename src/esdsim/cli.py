@@ -127,6 +127,8 @@ def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[
     within 2**-11 of a half-way point.  Such cells, cells with e below that
     range, inf and integers in 20-byte slots are written by ``%``.
     """
+    if len(na_rep) > 19:  # the widest slot's text
+        raise ValueError(f"na_rep must be at most 19 characters, got {len(na_rep)}")
     width, size = len(columns), len(columns[0])
     ints = [j for j, col in enumerate(columns) if col.dtype.kind != "f"]
     rows = max(1, CSV_CELLS // width)
@@ -420,12 +422,9 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     kind = Switch(cfg.switch)
     curve = sweep_switch_times(state, kind, _grid_taus(cfg, sweep=True))
     lines = []
-    if curve.baseline_end is not None:
-        lines.append(f"# baseline_end = {_fmt(curve.baseline_end)}")
-    if curve.ad_crossing is not None:
-        lines.append(f"# ad_crossing = {_fmt(curve.ad_crossing)}")
-    if curve.aversion_threshold is not None:
-        lines.append(f"# aversion_threshold = {_fmt(curve.aversion_threshold)}")
+    for name in ("baseline_end", "ad_crossing", "aversion_threshold"):
+        if (tau := getattr(curve, name)) is not None:
+            lines.append(f"# {name} = {_fmt(tau)}")
     if curve.min_tau_sw is not None:
         lines.append(
             f"# min_end: tau_sw = {_fmt(curve.min_tau_sw)}, "

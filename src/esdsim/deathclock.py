@@ -14,9 +14,9 @@ never return below zero (the named swaps preserve its value at the switch
 instant).  Death times therefore come in closed form: the first stretch
 whose ``Q`` turns non-negative dies at the smaller root of ``Q``, and the
 open-ended tail dies iff its ``u -> 0`` limit ``Q(0)`` is positive.  The
-aversion threshold and the sweep minimum come from one bisection over switch
-times that halves until no float lies between its ends, on the exact fate
-test and on the sign of the end time's slope; neither has a tolerance.
+aversion threshold and the sweep minimum come from one bracketed secant
+search (``_search``) down to neighbouring floats, on the exact fate test and
+on the sign of the end time's slope; neither has a tolerance.
 
 ``find_end_time`` walks one schedule; ``end_times`` decides a single switch
 at an array of switch times with the same arithmetic, and the sweep
@@ -27,8 +27,10 @@ numpy on every path, floats and arrays alike, so the two agree bit for bit.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -39,6 +41,7 @@ from .qstate import UnsupportedShapeError, XState, xstate_measures
 
 
 BLOCK_ROWS = 1 << 14  # rows per block of the sweep and of evolve: bounded temporaries
+_COEFFICIENTS = attrgetter("a", "b", "c", "d", "z_inner", "z_corner")  # an XState's six
 
 
 class Fate(IntEnum):
@@ -222,20 +225,11 @@ def trajectory(
     every engine path, and the flow is ``evolve_xstate_closed``'s
     ``damped_coefficients``, so every entry equals ``state_at`` bit for bit.
     """
-    taus = np.array(grid, dtype=float)
-    if taus.ndim != 1:
-        raise ValueError("trajectory grid must be a flat sequence of times")
-    if not np.all(np.isfinite(taus) & (taus >= 0.0)):
-        raise ValueError("trajectory grid times must be finite and non-negative")
-    if not np.all(taus[1:] > taus[:-1]):
-        raise ValueError("trajectory grid must be strictly increasing")
-
+    taus = _times(grid, "trajectory grid", increasing=True)
     starts, _, initial = zip(*_stretches(state, schedule))
     stretch = np.searchsorted(starts[1:], taus, side="right")
     u = np.exp(np.array(starts)[stretch] - taus)
-    coefficients = damped_coefficients(*np.array(
-        [(s.a, s.b, s.c, s.d, s.z_inner, s.z_corner) for s in initial]
-    )[stretch].T, u)
+    coefficients = damped_coefficients(*np.array([_COEFFICIENTS(s) for s in initial])[stretch].T, u)
     measures = xstate_measures(*coefficients)
     return Trajectory(taus, *coefficients, *measures)
 
@@ -276,48 +270,72 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
             return DeathReport(Fate.FINITE_END, tau_end, witness)
 
 
-def _switch_times(grid: Sequence[float]) -> np.ndarray:
+def _times(grid: Sequence[float], name: str, increasing: bool = False) -> np.ndarray:
     taus = np.array(grid, dtype=float)
     if taus.ndim != 1:
-        raise ValueError("switch times must be a flat sequence of times")
+        raise ValueError(f"{name} must be a flat sequence of times")
     bad = ~(np.isfinite(taus) & (taus >= 0.0))
     if bad.any():
-        raise ValueError(
-            f"switch times must be finite and >= 0, got {taus[bad][0].item()!r}"
-        )
+        raise ValueError(f"{name} must be finite and >= 0, got {taus[bad][0].item()!r}")
+    if increasing and not np.all(taus[1:] > taus[:-1]):
+        raise ValueError(f"{name} must be strictly increasing")
     return taus
 
 
-def _single_switch(state: XState, kind: Switch, u):
+def _single_switch(state: XState, kind: Switch, u: np.ndarray):
     """First-stretch fate and the tail after one ``kind`` switch at u = e^-tau_sw.
 
-    Returns whether the first stretch dies (``_stretch_dies`` at u) and the
-    tail's (q2, q1, q0), in plain arithmetic as in ``damped_coefficients``: a
-    float u and an array agree bit for bit.  The tail's slot is read off the
-    switched z_corner.
+    Whether the first stretch dies (``_stretch_dies`` at u) and the tail's
+    (q2, q1, q0), on arrays; the tail's slot is read off the switched z_corner.
     """
     p2, p1, p0 = _segment_quadratic(state)
-    a, b, c, _, z_inner, z_corner = switch_coefficients(kind, damped_coefficients(
-        state.a, state.b, state.c, state.d, state.z_inner, state.z_corner, u))
-    corner = z_corner != 0.0  # np.where costs microseconds on a float
-    where = np.where if isinstance(corner, np.ndarray) else (
-        lambda k, x, y: x if k else y)
-    q0 = where(corner, (b + a) * (c + a) - z_corner * z_corner,
-               3.0 * a - z_inner * z_inner)
+    a, b, c, _, z_inner, z_corner = switch_coefficients(
+        kind, damped_coefficients(*_COEFFICIENTS(state), u))
+    q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
+                  3.0 * a - z_inner * z_inner)
     return _stretch_dies((p2 * u + p1) * u + p0, u), (a * a, -a * (b + c + 2.0 * a), q0)
 
 
-def _tail_rates(state: XState, kind: Switch, u: float) -> tuple[float, float, float]:
-    """u-derivatives of the tail quadratic ``_single_switch`` gives at a float u."""
-    s, slope = state, state.a * (1.0 - 2.0 * u)
-    a, b, c, _, z_inner, z_corner = switch_coefficients(kind, damped_coefficients(
-        s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, u))
-    da, db, dc, _, dz_inner, dz_corner = switch_coefficients(kind, (
-        2.0 * s.a * u, s.b + slope, s.c + slope, -(s.b + s.c + 2.0 * s.a * (1.0 - u)),
-        s.z_inner, s.z_corner))
-    dq0 = ((db + da) * (c + a) + (b + a) * (dc + da) - 2.0 * z_corner * dz_corner
-           if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
-    return 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da), dq0
+def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
+    """``_single_switch`` at a float tau_sw, with the state's constants hoisted.
+
+    Plain float arithmetic on x = e^-tau_sw from ``np.exp``, so it agrees
+    with ``end_times`` bit for bit.  Gives the threshold's (dies, max(Q(x),
+    q0)), positive where the switch ends in death; with ``slope``, the
+    minimum's (rising, g, v): the end time -ln(x v), v the tail's root,
+    falls iff g = x Q_x - v Q_v < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
+    Deaths before the tail or at its start do not fall (g NaN, v None).
+    """
+    s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
+    p2, p1, p0 = map(float, _segment_quadratic(state))
+    switched = itemgetter(*switch_coefficients(kind, range(6)))
+    entangled = discriminant(state) < 0.0
+
+    def probe(tau_sw: float) -> tuple:
+        x = float(np.exp(-tau_sw))
+        a, b, c, _, z_inner, z_corner = switched(damped_coefficients(*s, x))
+        corner = z_corner != 0.0
+        q0 = (b + a) * (c + a) - z_corner * z_corner if corner else 3.0 * a - z_inner * z_inner
+        q_end = (p2 * x + p1) * x + p0
+        first = q_end > 0.0 or (q_end == 0.0 and x > 0.0)  # _stretch_dies
+        if not slope:
+            return entangled and (first or q0 > 0.0), max(q_end, q0)
+        q2, q1 = a * a, -a * (b + c + 2.0 * a)
+        if first or not q2 + q1 + q0 < 0.0 < q0:
+            return True, math.nan, None
+        w, r = q0 / -q1, q2 / -q1  # _smaller_root; math.sqrt is correctly rounded
+        v = min(2.0 * w / (1.0 + math.sqrt(max(1.0 - 4.0 * r * w, 0.0))), 1.0)
+        ramp = s[0] * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
+        da, db, dc, _, dz_inner, dz_corner = switched((
+            2.0 * s[0] * x, s[1] + ramp, s[2] + ramp,
+            -(s[1] + s[2] + 2.0 * s[0] * (1.0 - x)), s[4], s[5]))
+        d0 = ((db + da) * (c + a) + (b + a) * (dc + da) - 2.0 * z_corner * dz_corner
+              if corner else 3.0 * da - 2.0 * z_inner * dz_inner)
+        d2, d1 = 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da)
+        falls, flat = x * ((d2 * v + d1) * v + d0), v * (2.0 * q2 * v + q1)
+        return falls >= flat, falls - flat, v
+
+    return probe
 
 
 def end_times(
@@ -338,7 +356,7 @@ def end_times(
     """
     if not isinstance(kind, Switch):
         raise TypeError(f"expected a named Switch, got {kind!r}")
-    tau_sw = _switch_times(switch_times)
+    tau_sw = _times(switch_times, "switch times")
     fate = np.full(tau_sw.size, Fate.NEVER_ENTANGLED, dtype=np.int8)
     tau_end = np.full(tau_sw.size, np.nan)
     if discriminant(state) >= 0.0:
@@ -377,16 +395,43 @@ def find_ad_crossing(state: XState) -> float:
     return math.log(slope / 3.0)
 
 
-def _bisect(rising: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """Neighbouring floats lo < hi where ``rising`` turns from false to true.
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float's bit pattern
+SLACK = 8  # probes a search may spend beyond bisection's
 
-    Takes a finite bracket 0 <= lo < hi with ``rising(lo)`` false and
-    ``rising(hi)`` true, and halves it until the midpoint rounds to an end:
-    no tolerance, and log2(width / final float spacing) halvings at most.
+
+def _search(probe: Callable, lo: float, hi: float, at_lo: tuple, at_hi: tuple):
+    """Neighbouring floats where ``probe``'s flag turns from at_lo's to at_hi's.
+
+    ``probe(t)`` gives (flag, value, ...), at_lo and at_hi at 0 <= lo < hi.
+    Each probe lands inside the bracket and replaces the end its flag
+    matches.  It goes to the secant root in u = e^-t of the two latest
+    values; where that stalls by the latest probe, 1, 2, 4, ... ulps across;
+    once the ends are a few ulps of u apart, to their bit patterns' midpoint.
+    As in ITP, the j-th probe stays within 2**(n - j) bit patterns of both
+    ends, so the ends meet within n = SLACK + log2(their bit patterns'
+    distance) probes.  Returns them as (t, probe(t)).
     """
-    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
-        lo, hi = (lo, mid) if rising(mid) else (mid, hi)
-    return lo, hi
+    ends, steer = [(lo, at_lo), (hi, at_hi)], [(lo, at_lo[1]), (hi, at_hi[1])]
+    k = [_I64.unpack(_F64.pack(t + 0.0))[0] for t in (lo, hi)]  # -0.0 as 0.0
+    cap, side, stride = 1 << ((k[1] - k[0] - 1).bit_length() + SLACK - 1), 1, 1
+    while k[1] - k[0] > 1:
+        at, ((t0, g0), (t1, g1)) = (k[0] + k[1]) // 2, steer
+        r = g1 / (g1 - g0) if g0 != g1 else 0.0  # equal values stall at t1
+        # The root u = r e^-t0 + (1 - r) e^-t1, taken relative to the larger u.
+        ta, tb, w = (t0, t1, 1.0 - r) if t0 <= t1 else (t1, t0, r)
+        if (ends[1][0] - ends[0][0] > 2.0**-51 and (x := w * math.expm1(ta - tb)) > -1.0
+                and lo < (s := ta - math.log1p(x)) < hi):
+            way = 1 - 2 * side  # from the latest probe toward the other end
+            ahead = (_I64.unpack(_F64.pack(s))[0] - k[side]) * way
+            ahead, stride = (stride, 2 * stride) if ahead <= stride else (ahead, 1)
+            at = k[side] + ahead * way
+        at = min(max(at, k[0] + 1, k[1] - cap), k[1] - 1, k[0] + cap)
+        cap //= 2
+        result = probe(t := _F64.unpack(_I64.pack(at))[0])
+        if side != (side := int(result[0] != at_lo[0])):
+            stride = 1
+        ends[side], k[side], steer = (t, result), at, [steer[1], (t, result[1])]
+    return ends
 
 
 def find_aversion_threshold(
@@ -397,8 +442,8 @@ def find_aversion_threshold(
     """Switch time separating averted death from finite-time death.
 
     The first switch time whose fate differs from that at the bracket's
-    lower end, bisected on the fate test of ``end_times`` down to
-    neighbouring floats.  By default brackets with [0, baseline end time];
+    lower end, searched (``_search``) on the fate test of ``end_times`` down
+    to neighbouring floats.  By default brackets with [0, baseline end time];
     raises BracketError when no default bracket exists or both ends
     classify alike as non-finite, and NoCrossingError when death is finite
     across the whole bracket (the switch kind never averts it there).
@@ -414,22 +459,14 @@ def find_aversion_threshold(
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise BracketError(f"bad bracket {bracket!r}")
-    entangled = discriminant(state) < 0.0
-
-    def dies(tau_sw: float) -> bool:
-        u = float(np.exp(-tau_sw))
-        first, tail = _single_switch(state, kind, u)
-        return entangled and bool(first or tail[2] > 0.0)
-
-    dies_lo, dies_hi = dies(lo), dies(hi)
-    if dies_lo == dies_hi:
-        if dies_lo:
-            raise NoCrossingError(
-                f"death is finite at both bracket ends; a {kind.value} switch "
-                "never averts it there"
-            )
+    probe = _probe(state, kind)
+    at_lo, at_hi = probe(lo), probe(hi)
+    if at_lo[0] == at_hi[0]:
+        if at_lo[0]:
+            raise NoCrossingError(f"death is finite at both bracket ends; a "
+                                  f"{kind.value} switch never averts it there")
         raise BracketError("death averted at both bracket ends; widen the bracket")
-    return _bisect(lambda t: dies(t) != dies_lo, lo, hi)[1]
+    return _search(probe, lo, hi, at_lo, at_hi)[1][0]
 
 
 def single_switch_curve(x):
@@ -464,7 +501,7 @@ def sweep_switch_times(
     end time when that is finite.  ``end_times`` decides the rows,
     ``BLOCK_ROWS`` per call; only the baseline calls ``find_end_time``.  If
     the end time falls at the lower and rises at the upper of the grid
-    minimum's dying neighbours, the minimum is bisected between them on the
+    minimum's dying neighbours, the minimum is searched between them on the
     sign of its slope; otherwise it is the grid row itself.
     """
     baseline = find_end_time(state)
@@ -476,11 +513,9 @@ def sweep_switch_times(
             )
         taus = np.linspace(0.0, baseline_end, 400, endpoint=False)
     else:
-        taus = _switch_times(grid)
+        taus = _times(grid, "switch-time grid", increasing=True)
         if not taus.size:
             raise ValueError("switch-time grid must not be empty")
-        if not np.all(taus[1:] > taus[:-1]):
-            raise ValueError("switch-time grid must be strictly increasing")
         if baseline_end is not None and taus[-1] >= baseline_end:
             raise ValueError(
                 f"switch times must precede the unswitched end time "
@@ -501,18 +536,6 @@ def sweep_switch_times(
         except (BracketError, NoCrossingError):
             pass
 
-    def rising(tau_sw: float) -> bool:
-        # The end time -ln(x v), x = e^-tau_sw, with the tail root v of
-        # Q(v; x) = 0, has dv/dx = -Q_x / Q_v and Q_v < 0: it falls iff
-        # x Q_x < v Q_v.  Deaths at or before the switch do not fall.
-        x = float(np.exp(-tau_sw))
-        first, (q2, q1, q0) = _single_switch(state, kind, x)
-        if first or not q2 + q1 + q0 < 0.0 < q0:
-            return True
-        v = min(_smaller_root(q2, q1, q0), 1.0)
-        d2, d1, d0 = _tail_rates(state, kind, x)
-        return x * ((d2 * v + d1) * v + d0) >= v * (2.0 * q2 * v + q1)
-
     dies = fate == Fate.FINITE_END
     min_tau_sw = min_tau_end = None
     if dies.any():
@@ -520,10 +543,13 @@ def sweep_switch_times(
         lo = float(taus[i - 1] if i > 0 and dies[i - 1] else taus[i])
         hi = float(taus[i + 1] if i + 1 < taus.size and dies[i + 1] else taus[i])
         min_tau_sw, min_tau_end = float(taus[i]), float(tau_end[i])
-        if lo < hi and not rising(lo) and rising(hi):
-            pair = _bisect(rising, lo, hi)
-            for tau_sw, end in zip(pair, end_times(state, kind, pair)[1].tolist()):
-                if end < min_tau_end:  # an averted end (NaN) never wins
+        probe = _probe(state, kind, slope=True)
+        if lo < hi and not (at_lo := probe(lo))[0] and (at_hi := probe(hi))[0]:
+            for tau_sw, (_, _, v) in _search(probe, lo, hi, at_lo, at_hi):
+                # A tail death's end time as end_times has it; NaN never wins.
+                end = (tau_sw - float(np.log(v)) if v is not None
+                       else end_times(state, kind, [tau_sw])[1].item())
+                if end < min_tau_end:
                     min_tau_sw, min_tau_end = tau_sw, end
 
     return SweepCurve(

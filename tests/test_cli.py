@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from esdsim.cli import GridSpec, ScenarioConfig, _csv_chunks, _encode_csv, confi
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(*args, expect_code=0):
@@ -349,6 +351,17 @@ def test_encoder_writes_integers_and_blank_nans():
     )
 
 
+def test_encoder_rejects_an_na_rep_wider_than_its_slot():
+    # A NaN cell's 20-byte slot holds 19 characters and the separator; a
+    # longer na_rep is refused, not cut.
+    x = np.array([1.0, math.nan, -2.5])
+    widest = "x" * 19
+    assert _encode_csv([x, x], widest) == reference_csv([x, x], widest)
+    for na_rep in ("x" * 20, "x" * 25):
+        with pytest.raises(ValueError, match=f"at most 19 characters, got {len(na_rep)}"):
+            _encode_csv([x], na_rep)
+
+
 def fallback_columns(width):
     """40 rows of ``width`` columns whose first and last cells are mostly
     written by %: NaN, e > 33, e < -11, inf, half-way mantissas (one of them
@@ -590,3 +603,19 @@ def test_time_unit_physical_rescales_inputs(tmp_path):
         "evolve", "--switch", "both", "--t-sw", "0.223", "--grid", "0:1.2:13"
     )
     assert physical.stdout == dimensionless.stdout
+
+
+# -- standard outputs ----------------------------------------------------------
+
+def test_standard_outputs_keep_their_committed_digests():
+    # scripts/output_digest.md5 holds the md5 of every standard CLI output
+    # that scripts/output_digest.py lists; any byte that moves shows here.
+    # A change that means to move one regenerates the listing and says why.
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", SCRIPTS / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    with digest.scenario_dir():
+        lines = [f"{digest.digest(argv)}  esdsim {' '.join(argv)}" for argv in digest.runs()]
+    assert len(lines) == 21
+    assert lines == (SCRIPTS / "output_digest.md5").read_text().splitlines()

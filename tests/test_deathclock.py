@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import warnings
@@ -579,6 +580,69 @@ def test_trajectory_matches_state_at_at_the_edges(state, events, times):
         assert got == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), (state, tau)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    edge_xstates(),
+    st.sampled_from(list(Switch)),
+    st.lists(SWITCH_TIMES, min_size=1, max_size=4),
+)
+def test_search_probe_matches_end_times_at_the_edges(state, kind, switch_times):
+    # The searches' probe is _single_switch's arithmetic at one float switch
+    # time: its fate, its threshold value and its tail's end time are those
+    # of the arrays, bit for bit.
+    fate, tau_end = end_times(state, kind, switch_times)
+    u = np.exp(-np.array(switch_times))
+    first, (q2, q1, q0) = deathclock._single_switch(state, kind, u)
+    p2, p1, p0 = _segment_quadratic(state)
+    q_end = (p2 * u + p1) * u + p0
+    threshold = deathclock._probe(state, kind)
+    minimum = deathclock._probe(state, kind, slope=True)
+    for i, tau_sw in enumerate(switch_times):
+        assert threshold(tau_sw) == (fate[i] == Fate.FINITE_END, max(q_end[i], q0[i]))
+        rising, g, v = minimum(tau_sw)
+        if not first[i] and q2[i] + q1[i] + q0[i] < 0.0 < q0[i]:
+            if discriminant(state) < 0.0:  # else end_times has no end time
+                assert tau_sw - float(np.log(v)) == tau_end[i], (state, kind, tau_sw)
+        else:
+            assert rising and math.isnan(g) and v is None
+
+
+def test_search_probe_slope_sign_matches_the_end_times():
+    # Where the end time visibly rises or falls, the minimum's probe says so.
+    rng = np.random.default_rng(29)
+    h, checked = 1e-6, 0
+    for k in range(40):
+        state = random_xstate(rng, slot=("inner", "corner")[k % 2])
+        for kind in Switch:
+            probe = deathclock._probe(state, kind, slope=True)
+            for tau_sw in rng.uniform(h, 1.0, 10).tolist():
+                fate, ends = end_times(state, kind, [tau_sw - h, tau_sw + h])
+                rising, _, v = probe(tau_sw)
+                slope = (ends[1] - ends[0]) / (2.0 * h)
+                if v is not None and np.all(fate == Fate.FINITE_END) and abs(slope) > 1e-3:
+                    assert rising == (slope > 0.0), (state, kind, tau_sw)
+                    checked += 1
+    assert checked >= 150
+
+
+def test_sweep_minimum_end_time_is_end_times_at_it():
+    rng = np.random.default_rng(31)
+    states = [CANONICAL] + [random_xstate(rng, slot=("inner", "corner")[k % 2])
+                            for k in range(120)]
+    moved = 0
+    for state in states:
+        if find_end_time(state).fate is not Fate.FINITE_END:
+            continue
+        for kind in Switch:
+            curve = sweep_switch_times(state, kind)
+            if curve.min_tau_sw is None:
+                continue
+            end = end_times(state, kind, [curve.min_tau_sw])[1][0]
+            assert end == curve.min_tau_end, (state, kind)
+            moved += curve.min_tau_sw not in curve.tau_sw
+    assert moved >= 20  # minima found between the grid rows
+
+
 def test_end_times_validate_their_inputs():
     both = XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=1e-320)
     with pytest.raises(UnsupportedShapeError):
@@ -717,51 +781,113 @@ def test_aversion_threshold_straddles_the_fate_change():
     assert found >= 40
 
 
-def test_searches_halve_a_bounded_number_of_times(monkeypatch):
-    # Each search tests its bracket ends, then evaluates its predicate once
-    # per halving until the ends are neighbouring floats; the halvings are
-    # bounded by log2 of the bracket width over the final float spacing.
-    bisect, single = deathclock._bisect, deathclock._single_switch
+@settings(max_examples=500, deadline=None)
+@given(
+    edge_xstates(),
+    st.sampled_from([Switch.BOTH, Switch.BOTH, Switch.ALICE, Switch.BOB]),  # BOTH averts most
+    st.one_of(st.none(), st.floats(0.05, 3.0), st.floats(740.0, 800.0)),
+)
+def test_aversion_threshold_at_the_edges(state, kind, hi):
+    # States on z**2 = b*c, with a or d near 0, and brackets past tau ~ 745,
+    # where u = exp(-tau) underflows: the threshold is the first float whose
+    # fate differs from the bracket's lower end.  A little way off it, where
+    # find_end_time keeps both fates, the matrix route agrees: the finite
+    # side is dead half a unit after its end time, and the averted side,
+    # where the closed form is clearly entangled then, is too on the matrix
+    # route.
+    def fate(tau_sw):
+        return find_end_time(state, Schedule.single(tau_sw, kind)).fate
+
+    try:
+        t = find_aversion_threshold(state, kind, None if hi is None else (0.0, hi))
+    except (BracketError, NoCrossingError):
+        return
+    below, above = fate(math.nextafter(t, -math.inf)), fate(t)
+    assert below is fate(0.0) is not above, (state, kind, t)
+    delta = 1e-3 * max(t, 1e-2)
+    side = {below: max(t - delta, 0.0), above: t + delta}
+    if t > 5.0 or fate(side[below]) is not below or fate(side[above]) is not above:
+        return
+    m0 = to_density_matrix(state)
+    finite, averted = (Schedule.single(side[f], kind) for f in (Fate.FINITE_END, Fate.AVERTED))
+    late = find_end_time(state, finite).tau_end + 0.5
+    assert pt_min_eig(kraus_rho_at(m0, finite, late)) > -1e-12, (state, kind, t)
+    if discriminant(state_at(state, averted, late)) < -1e-9:
+        assert pt_min_eig(kraus_rho_at(m0, averted, late)) < 0.0, (state, kind, t)
+
+
+def test_searches_take_a_bounded_number_of_probes(monkeypatch):
+    # Each search ends on adjacent floats whose flags straddle, those of its
+    # bracket ends.  Counting those ends, a canonical search takes at most 16
+    # probes, and one on any finite bracket at most 2 + SLACK + 63 <= 128.
+    search, probe = deathclock._search, deathclock._probe
     one_ulp = (0.3, math.nextafter(0.3, 1.0))
-    assert bisect(lambda t: pytest.fail("evaluated"), *one_ulp) == one_ulp
+    ends = ((False, -1.0), (True, 1.0))
+    assert search(lambda t: pytest.fail("probed"), *one_ulp, *ends) == list(zip(one_ulp, ends))
 
     calls, searches = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return single(*args)
+    def counted(*args, **kwargs):
+        inner = probe(*args, **kwargs)
+        return lambda t: calls.append(t) or inner(t)
 
-    def recorded(rising, lo, hi):
+    def recorded(probe, lo, hi, at_lo, at_hi):
         start = len(calls)
-        pair = bisect(rising, lo, hi)
-        searches.append((lo, hi, *pair, len(calls) - start))
-        return pair
+        found = search(probe, lo, hi, at_lo, at_hi)
+        (t_lo, r_lo), (t_hi, r_hi) = found
+        assert lo <= t_lo and math.nextafter(t_lo, math.inf) == t_hi <= hi
+        assert r_lo[0] == at_lo[0] != at_hi[0] == r_hi[0]
+        searches.append(2 + len(calls) - start)
+        return found
 
-    monkeypatch.setattr(deathclock, "_single_switch", counted)
-    monkeypatch.setattr(deathclock, "_bisect", recorded)
-
-    def halvings():
-        for lo, hi, end_lo, end_hi, count in searches:
-            assert math.nextafter(end_lo, math.inf) == end_hi
-            assert count <= math.log2((hi - lo) / (end_hi - end_lo)) + 1.0
-        return sum(search[-1] for search in searches)
-
-    for bracket in (None, (0.0, 0.2), (0.0, 1e308)):
-        calls.clear()
+    monkeypatch.setattr(deathclock, "_probe", counted)
+    monkeypatch.setattr(deathclock, "_search", recorded)
+    bound = 2 + deathclock.SLACK + 63
+    for bracket in (None, (0.0, 0.2), (0.0, 800.0), (0.0, 1e308)):
         searches.clear()
         assert find_aversion_threshold(CANONICAL, bracket=bracket) == pytest.approx(
             THRESHOLD_BOTH, abs=1e-12
         )
-        assert len(searches) == 1
-        assert len(calls) == 2 + halvings()
+        assert searches and searches[0] <= (16 if bracket is None else bound)
     for kind in Switch:
-        calls.clear()
         searches.clear()
         sweep_switch_times(CANONICAL, kind, np.linspace(0.0, 0.53, 4001))
-        # end_times on the grid and on the minimum's final pair, and the
-        # bracket ends of the threshold and of the minimum.
         assert len(searches) == (2 if kind is Switch.BOTH else 1)
-        assert len(calls) == 6 + halvings()
+        assert max(searches) <= 16, (kind, searches)
+    # Random states, whose fates may change where u = exp(-tau) underflows,
+    # on brackets past it.
+    rng = np.random.default_rng(12)
+    for k in range(60):
+        state = random_xstate(rng, slot=("inner", "corner")[k % 2])
+        for kind, bracket in itertools.product(Switch, ((0.0, 800.0), (0.0, 1e308))):
+            searches.clear()
+            with contextlib.suppress(BracketError, NoCrossingError):
+                find_aversion_threshold(state, kind, bracket)
+            assert all(count <= bound for count in searches)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_search_lands_on_any_step_whatever_its_values(flat):
+    # The flag alone decides the sides; a value that misleads (constant,
+    # NaN, or of the wrong sign) costs probes, never the result or the bound.
+    rng = np.random.default_rng(5 + flat)
+    bound = 2 + deathclock.SLACK + 63
+    for _ in range(200):
+        lo, hi = sorted(float(x) for x in 10.0 ** rng.uniform(-320, 308, 2))
+        lo = 0.0 if rng.random() < 0.3 or lo == hi else lo
+        step = float(rng.uniform(lo, hi)) if rng.random() < 0.5 else float(
+            10.0 ** rng.uniform(math.log10(max(lo, 5e-324)), math.log10(hi)))
+        step = min(max(step, math.nextafter(lo, math.inf)), hi)
+        value = (lambda t: math.nan) if flat else (lambda t: float(rng.normal()))
+        probes = []
+
+        def probe(t):
+            probes.append(t)
+            return t >= step, value(t)
+
+        (t_lo, _), (t_hi, _) = deathclock._search(probe, lo, hi, probe(lo), probe(hi))
+        assert (t_lo, t_hi) == (math.nextafter(step, 0.0), step)
+        assert len(probes) <= bound
 
 
 def test_aversion_threshold_single_sided_never_averts():
