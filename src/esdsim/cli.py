@@ -9,10 +9,13 @@ Three subcommands, all emitting deterministic CSV (12 significant digits):
 A scenario lives in a JSON config (see ``ScenarioConfig``); every flag
 overrides its config field, merged into the JSON object before one check per
 field, which names the field it rejects.  A bool is not a number there, and
-``schedule`` must be a list.  Times in the config and flags are dimensionless
-(tau = gamma * t) unless ``time_unit`` is ``"physical"``; output time columns
-named ``tau`` are always dimensionless, and ``critical`` also reports
-physical times t = tau / gamma.
+``schedule`` must be a list.  The six coefficients are also checked as one
+state (``config state: ...``), and a grid the sweep refuses, one that
+reaches the unswitched end time, names ``grid``: once the flags parse,
+every error on the config's values starts with ``config``.  Times in the
+config and flags are dimensionless (tau = gamma * t) unless ``time_unit`` is
+``"physical"``; output time columns named ``tau`` are always dimensionless,
+and ``critical`` also reports physical times t = tau / gamma.
 
 Every float cell reads as ``"%.11e" % x`` would write it, byte for byte.
 ``evolve`` and ``sweep`` write each sub-block of ``CSV_CELLS`` cells as it is
@@ -36,6 +39,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .deathclock import (
+    _COEFFICIENTS,
     BLOCK_ROWS as CSV_BLOCK,
     Fate,
     NoCrossingError,
@@ -70,9 +74,9 @@ def _table(*codes):
 
 # The fields of "%.11e" after the sign, from the 12-digit mantissa m and exponent e:
 # "d.dd" (at m // 10**9), "dddd" twice, "d" (at m % 10), "e±XX" and the last digit
-# of a three-digit exponent (both at e itself, -308..309: a zero gets -308, any other
-# cell there is written by %).  An integer v of w <= 4 digits is _INTS[w - 1][v].
-_E = np.r_[:310, -308:0]
+# of a three-digit exponent (both at e itself, -324..309, and at 310 for a zero).
+# An integer v of w <= 4 digits is _INTS[w - 1][v].
+_E = np.r_[:311, -324:0]
 _DIGITS = ord("0") + np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0 .. 9999, by place
 _HEAD = _table(_DIGITS[1, :1000], ord("."), *_DIGITS[2:, :1000])
 _QUAD = _table(*_DIGITS)
@@ -81,14 +85,23 @@ _AE = np.abs(_E)
 _EXP = _table(ord("e"), np.where(_E < 0, ord("-"), ord("+")),
               *_DIGITS[2:, np.where(_AE < 100, _AE, _AE // 10)])
 _THIRD = _table(np.where(_AE < 100, 0, _DIGITS[3, _AE]))
-_EXP[-308], _THIRD[-308] = b"e+00", b""
+_EXP[310], _THIRD[310] = b"e+00", b""
 # At e: 10**(11 - e) correctly rounded, for e in [-297, 308], where it is a normal
 # double.  At the biased binary exponent b of |x|: the e with 10**e <= 2**(b - 1023)
-# < 10**(e + 1), and 10**(e + 1), from which on |x| has exponent e + 1.
+# < 10**(e + 1), and 10**(e + 1), from which on |x| has exponent e + 1; b = 0 (a zero,
+# or a subnormal) gets 310.
 _SCALE = np.array([10**max(11 - e, 0) / 10**max(e - 11, 0) if -297 <= e <= 308 else math.nan
                    for e in _E.tolist()])
 _E_OF_B = np.floor((np.arange(2048) - 1023) * np.log10(2.0)).astype(np.intp)
+_E_OF_B[0] = 310
 _TEN_UP = 10.0 ** np.minimum(_E_OF_B + 1, 308)
+# Below 2**-986 (b < 37, so e <= -297; subnormals too) the same three tables for
+# |x| 2**128, which is exact and normal: indexed by its biased exponent (< 165),
+# the e of |x| and 10**(e + 1) 2**128, and at e in [-324, -297] 10**(11 - e) 2**-128.
+_TINY_B, _TINY_SHIFT = 37, 128
+_E_OF_TINY = np.floor((np.arange(165) - 1151) * np.log10(2.0)).astype(np.intp)
+_TEN_UP_TINY = np.array([2**128 / 10**-(e + 1) for e in _E_OF_TINY.tolist()])
+_SCALE_TINY = np.array([10**(11 - e) / 2**128 if e < -296 else math.nan for e in _E.tolist()])
 
 
 def _fmt(x: float) -> str:
@@ -105,6 +118,24 @@ def _compact(text: np.ndarray) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _mantissa(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m = rint(y), 0 for NaN, and where it is the correctly rounded 12-digit mantissa."""
+    m = np.fmax(np.rint(y), 0.0)
+    return m, (y >= 1e11) & (y <= 1e12) & (np.abs(y - m) <= 0.5 - 2.0**-11)
+
+
+def _runs(slots: list, offsets: list) -> Iterator[tuple[int, int, int]]:
+    """(first, count, step) of each run of equal slots at evenly spaced offsets."""
+    first = 0
+    for k in range(1, len(slots) + 1):
+        step = offsets[first + 1] - offsets[first] if k > first + 1 else None
+        if k < len(slots) and slots[k] == slots[first] and step in (
+                None, offsets[k] - offsets[k - 1]):
+            continue
+        yield first, k - first, step or 1
+        first = k
+
+
 def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[str]:
     """Rows of equal-length columns as CSV lines, one sub-block at a time.
 
@@ -117,64 +148,86 @@ def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[
     of w <= 4 digits.  Such a record is the text.  A column that holds NaN,
     inf, both signs, e outside [-98, 98] or integers of other widths gets
     20-byte slots instead, whose null bytes in shorter cells ``_compact`` drops.
+    Float columns with equal slots at evenly spaced offsets, such as a
+    sweep's two float columns around its fates, are filled as one run; the
+    NaN fill and the ``%`` fallback run only in a sub-block that needs them.
 
     A finite, nonzero x = m * 10**(e - 11) is written from the tables with
     its exponent e and 12-digit mantissa m = rint(y), y = |x| * 10**(11 - e)
     in [1e11, 1e12], split by int64 floor division.  For e in [-297, 308]
     the power is within a relative 2**-53 of its value and the product
     rounds once more, so y is within 1e12 * (2**-52 + 2**-106) < 2**-12 of
-    the exact value.  m is then the correctly rounded mantissa unless y lies
-    within 2**-11 of a half-way point.  Such cells, cells with e below that
-    range, inf and integers in 20-byte slots are written by ``%``.
+    the exact value.  Below that range, subnormals included, |x| is first
+    multiplied by 2**128, exactly, and y is that product times
+    10**(11 - e) 2**-128, a normal double within a relative 2**-53 of its
+    value: the same two roundings, so the same bound.  m is then the
+    correctly rounded mantissa unless y lies within 2**-11 of a half-way
+    point.  Such cells, inf and integers in 20-byte slots are written by ``%``.
     """
     if len(na_rep) > 19:  # the widest slot's text
         raise ValueError(f"na_rep must be at most 19 characters, got {len(na_rep)}")
     width, size = len(columns), len(columns[0])
-    ints = [j for j, col in enumerate(columns) if col.dtype.kind != "f"]
+    floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
+    ints = [j for j in range(width) if j not in floats]
     rows = max(1, CSV_CELLS // width)
     buf = np.empty(min(rows, size) * width * 21, np.uint8)  # an int64 slot is 21 bytes
     seps = np.where(np.arange(width) < width - 1, ord(","), ord("\n"))
+    float_seps = seps[floats]
     for start in range(0, size, rows):
         block = [col[start:start + rows] for col in columns]
-        x = np.array(block, dtype=float).T.copy()
+        n_rows = len(block[0])
+        x = np.array([block[j] for j in floats], float).reshape(-1, n_rows).T.copy()
         ax = np.abs(x)
         b = ax.view(np.int64) >> 52
         e = _E_OF_B.take(b) + (ax >= _TEN_UP.take(b))
-        y = ax * _SCALE.take(e)  # NaN for 0, NaN, inf and e below -297
-        m = np.fmax(np.rint(y), 0.0)  # 0 for NaN
-        fast = (y >= 1e11) & (y <= 1e12) & (np.abs(y - m) <= 0.5 - 2.0**-11)
+        m, fast = _mantissa(ax * _SCALE.take(e))  # not fast for 0, NaN, inf and e < -297
         neg, nan, zero = np.signbit(x), x != x, x == 0.0
         slow = ~(fast | zero | nan)
-        wide = (np.abs(e) > 98) & ~zero  # NaN and inf too
-        padded = wide.any(0) if wide.any() else np.zeros(width, bool)
+        wide = (np.abs(e) > 98) & ~zero  # NaN, inf, and below 1e-297, subnormals too
+        padded = np.zeros(len(floats), bool)
+        if wide.any():
+            padded = wide.any(0)
+            tiny = np.flatnonzero(wide & (b < _TINY_B))
+            if tiny.size:
+                at = ax.ravel()[tiny] * 2.0**_TINY_SHIFT
+                bt = at.view(np.int64) >> 52
+                e.flat[tiny] = et = _E_OF_TINY.take(bt) + (at >= _TEN_UP_TINY.take(bt))
+                m.flat[tiny], fast = _mantissa(at * _SCALE_TINY.take(et))
+                slow.flat[tiny] = ~fast
         if neg.any():
             padded |= neg.any(0) != neg.all(0)
         carry = m == 1e12  # 9.999999999995 is 1.00000000000e+01
-        np.subtract(m, 9e11, out=m, where=carry)
-        np.add(e, 1, out=e, where=carry)
+        if carry.any():
+            m[carry], e[carry] = 1e11, e[carry] + 1
         m = m.astype(np.int64)
         hi = m // 100_000
         lead, lo = hi // 10_000, m - 100_000 * hi
         quad = lo // 10
         fields = ((_HEAD, lead), (_QUAD, hi - 10_000 * lead), (_QUAD, quad),
                   (_INTS[0], lo - 10 * quad), (_EXP, e), (_THIRD, e))
-        # Per column: slot width, padded, and for an integer its column.
-        slots = list(zip((18 + padded + (padded | neg[0])).tolist(), padded.tolist()))
+        # Per column: slot width and padded.
+        slots = [None] * width
+        for j, pad, first_neg in zip(floats, padded.tolist(), neg[0].tolist()):
+            slots[j] = (18 + pad + (pad | first_neg), pad)
         for j in ints:
             low, high = str(block[j].min()), str(block[j].max())
             pad = low[0] == "-" or len(low) != len(high) or len(high) > 4
-            slots[j] = (1 + max(len(low), len(high)), pad, j)
-        record, at = buf[:len(x) * sum(slot[0] for slot in slots)].reshape(len(x), -1), 0
-        for (w, pad, *integer), run in itertools.groupby(range(width), slots.__getitem__):
-            j, n = next(run), 1 + sum(1 for _ in run)
-            cols, cell = slice(j, j + n), record[:, at:at + n * w].reshape(len(x), n, w)
-            at += n * w
+            slots[j] = (1 + max(len(low), len(high)), pad)
+        offsets = [0, *itertools.accumulate(slot[0] for slot in slots)]
+        record = buf[:n_rows * offsets[-1]].reshape(n_rows, -1)
+        for j in ints:
+            w, pad = slots[j]
+            record[:, offsets[j] + w - 1] = seps[j]
+            cells = record[:, offsets[j]:offsets[j] + w - 1].view(f"S{w - 1}")[:, 0]
+            v = block[j]
+            cells[:] = ["%d" % k for k in v.tolist()] if pad else _INTS[w - 2].take(v)
+        has_nan, has_slow = nan.any(), slow.any()
+        for f, n, step in _runs([slots[j] for j in floats], [offsets[j] for j in floats]):
+            (w, pad), cols = slots[floats[f]], slice(f, f + n)
+            cell = np.ndarray((n_rows, n, w), np.uint8, record, offsets[floats[f]],
+                              (offsets[-1], step, 1))
             cells = cell[..., :-1].view(f"S{w - 1}")[..., 0]  # the text before the separator
-            cell[..., -1] = seps[cols]
-            if integer:
-                v = block[j]
-                cells[:, 0] = ["%d" % k for k in v.tolist()] if pad else _INTS[w - 2][v]
-                continue
+            cell[..., -1] = float_seps[cols]
             sign = w - 18 - pad  # a sign byte, and if padded a third exponent digit
             if sign:
                 cell[..., 0] = np.where(neg[:, cols], ord("-"), 0)
@@ -182,9 +235,11 @@ def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[
             for k, (table, index) in zip(at_k, fields):
                 field = cell[..., k:k + table.itemsize].view(table.dtype)[..., 0]
                 field[...] = table.take(index[:, cols], mode="wrap")
-            cells[nan[:, cols]] = na_rep
-            r, c = np.divmod(np.flatnonzero(slow[:, cols]), n)
-            cells[r, c] = [_FLOAT % v for v in x[r, c + j].tolist()]
+            if has_nan:
+                cells[nan[:, cols]] = na_rep
+            if has_slow:
+                r, c = np.divmod(np.flatnonzero(slow[:, cols]), n)
+                cells[r, c] = [_FLOAT % v for v in x[r, c + f].tolist()]
         yield _compact(record) if any(s[1] for s in slots) else str(memoryview(record), "ascii")
 
 
@@ -252,6 +307,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             _require(name, _is_number(value), "must be a finite number", value)
         _require("gamma", self.gamma > 0.0, "must be positive", self.gamma)
+        _require("z_corner", self.z_inner == 0.0 or self.z_corner == 0.0,
+                 "must be 0 when z_inner is not: one coherence slot at most", self.z_corner)
+        try:
+            self.initial_state()
+        except ValueError as exc:
+            raise ValueError(f"config state: {exc}") from exc
         _require("time_unit", self.time_unit in ("tau", "physical"),
                  "must be 'tau' or 'physical'", self.time_unit)
         _require("switch", self.switch in _SWITCH_CHOICES,
@@ -394,9 +455,9 @@ def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
 
 
 def _is_canonical(state: XState) -> bool:
-    """Whether ``state`` is the default config's initial state, to 1e-12."""
-    default = {f.name: f.default for f in fields(ScenarioConfig)}
-    return all(abs(v - default[k]) <= 1e-12 for k, v in asdict(state).items())
+    """Whether ``state`` has the default config's six coefficients, to 1e-12."""
+    return all(abs(v - default) <= 1e-12
+               for v, default in zip(_COEFFICIENTS(state), _COEFFICIENTS(ScenarioConfig)))
 
 
 def _curve_max_dev(curve: SweepCurve) -> float | None:
@@ -404,23 +465,35 @@ def _curve_max_dev(curve: SweepCurve) -> float | None:
 
     The exact end time of a single flip from the canonical state is
     -ln y with y = single_switch_curve(e^-tau_sw); exp and log come from
-    numpy, as in the end times themselves.  The maximum is taken over blocks
-    of ``CSV_BLOCK`` rows, so the temporaries do not grow with the grid.
+    numpy, as in the end times themselves.  tau_end is NaN on the rows that
+    do not die, and ``np.fmax`` passes NaN over.  The maximum is taken over
+    blocks of ``CSV_BLOCK`` rows, so the temporaries do not grow with the grid.
     """
-    block_max = []
-    for rows in (slice(i, i + CSV_BLOCK) for i in range(0, curve.fate.size, CSV_BLOCK)):
-        dies = curve.fate[rows] == Fate.FINITE_END
-        if dies.any():
-            exact = -np.log(single_switch_curve(np.exp(-curve.tau_sw[rows][dies])))
-            block_max.append(np.max(np.abs(curve.tau_end[rows][dies] - exact)))
-    return float(np.max(block_max)) if block_max else None
+    dev = math.nan
+    for i in range(0, curve.tau_sw.size, CSV_BLOCK):
+        exact = -np.log(single_switch_curve(np.exp(-curve.tau_sw[i:i + CSV_BLOCK])))
+        dev = np.fmax(dev, np.fmax.reduce(np.abs(curve.tau_end[i:i + CSV_BLOCK] - exact)))
+    return None if math.isnan(dev) else float(dev)
+
+
+def _sweep(state: XState, kind: Switch, taus: np.ndarray | None) -> SweepCurve:
+    """``sweep_switch_times`` on the config's grid, whose errors name the field.
+
+    The config holds a valid one-slot state and a finite, increasing grid by
+    now, so what the sweep still refuses is the grid: one that reaches the
+    unswitched end time, or none for a state that never dies unswitched.
+    """
+    try:
+        return sweep_switch_times(state, kind, taus)
+    except ValueError as exc:
+        raise ValueError(f"config field 'grid': {exc}") from exc
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     _require("switch", cfg.switch != "none", "sweep needs 'both', 'alice' or 'bob'")
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
-    curve = sweep_switch_times(state, kind, _grid_taus(cfg, sweep=True))
+    curve = _sweep(state, kind, _grid_taus(cfg, sweep=True))
     lines = []
     for name in ("baseline_end", "ad_crossing", "aversion_threshold"):
         if (tau := getattr(curve, name)) is not None:
@@ -462,7 +535,7 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
         Fate.NEVER_ENTANGLED: "never_entangled",
     }[baseline.fate]
     if baseline.fate is Fate.FINITE_END:
-        curve = sweep_switch_times(state, kind, taus)
+        curve = _sweep(state, kind, taus)
         baseline_end, ad_crossing = curve.baseline_end, curve.ad_crossing
         threshold = curve.aversion_threshold
         min_tau_sw, min_tau_end = curve.min_tau_sw, curve.min_tau_end

@@ -19,8 +19,9 @@ search (``_search``) down to neighbouring floats, on the exact fate test and
 on the sign of the end time's slope; neither has a tolerance.
 
 ``find_end_time`` walks one schedule; ``end_times`` decides a single switch
-at an array of switch times with the same arithmetic, and the sweep
-(``sweep_switch_times``) calls it block by block.  exp and log come from
+at an array of switch times with the same arithmetic, every row through the
+same operations, and the sweep (``sweep_switch_times``) calls it block by
+block on times it has checked once.  exp and log come from
 numpy on every path, floats and arrays alike, so the two agree bit for bit.
 """
 
@@ -354,31 +355,38 @@ def end_times(
     Returns ``fate`` (int8 ``Fate`` values) and ``tau_end`` (NaN where the
     fate is not FINITE_END); no witness is kept.
     """
+    return _end_times(state, kind, _times(switch_times, "switch times"))
+
+
+def _end_times(
+    state: XState, kind: Switch, tau_sw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``end_times`` on switch times already checked.
+
+    Every row computes its dying stretch's root, clamp and log, so no row is
+    gathered or scattered; a row that does not die computes a value (or
+    NaN) that is never kept.
+    """
     if not isinstance(kind, Switch):
         raise TypeError(f"expected a named Switch, got {kind!r}")
-    tau_sw = _times(switch_times, "switch times")
-    fate = np.full(tau_sw.size, Fate.NEVER_ENTANGLED, dtype=np.int8)
-    tau_end = np.full(tau_sw.size, np.nan)
     if discriminant(state) >= 0.0:
-        return fate, tau_end
+        fate = np.full(tau_sw.size, Fate.NEVER_ENTANGLED, np.int8)
+        return fate, np.full(tau_sw.size, np.nan)
 
     u_sw = np.exp(-tau_sw)
-    first, tail = _single_switch(state, kind, u_sw)
-    dies = first | (tail[2] > 0.0)
-    fate[:] = np.where(dies, Fate.FINITE_END, Fate.AVERTED)
+    first, (r2, r1, r0) = _single_switch(state, kind, u_sw)
+    dies = first | (r0 > 0.0)
+    fate = (~dies).view(np.int8)  # FINITE_END is 0, AVERTED 1
 
-    # The dying stretch of each row: the first, from u = 1 at tau = 0 down
-    # to u_sw, or the tail, from u = 1 at tau_sw down to u = 0.
-    r2, r1, r0, u_end, start = (
-        np.where(first, x, y)[dies] for x, y in (
-            *zip(_segment_quadratic(state), tail), (u_sw, 0.0), (0.0, tau_sw)
-        )
-    )
-    u_root = np.ones_like(r0)
-    inside = r2 + r1 + r0 < 0.0  # else Q(1) >= 0: death at the stretch start
-    root = _smaller_root(r2[inside], r1[inside], r0[inside])
-    u_root[inside] = np.minimum(np.maximum(root, u_end[inside]), 1.0)
-    tau_end[dies] = start - np.log(u_root)
+    # The dying stretch: the first, from u = 1 at tau = 0 down to u_sw, or
+    # the tail, from u = 1 at tau_sw down to u = 0.
+    for r, p in zip((r2, r1, r0), _segment_quadratic(state)):
+        np.copyto(r, p, where=first)
+    u_end, start = np.where(first, u_sw, 0.0), np.where(first, 0.0, tau_sw)
+    with np.errstate(all="ignore"):
+        u_root = np.minimum(np.maximum(_smaller_root(r2, r1, r0), u_end), 1.0)
+        u_root = np.where(r2 + r1 + r0 < 0.0, u_root, 1.0)  # else death at the stretch start
+        tau_end = np.where(dies, start - np.log(u_root), np.nan)
     return fate, tau_end
 
 
@@ -397,6 +405,7 @@ def find_ad_crossing(state: XState) -> float:
 
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float's bit pattern
 SLACK = 8  # probes a search may spend beyond bisection's
+TAU_ZERO = 745.1332191019412  # the first tau where u = np.exp(-tau) is 0
 
 
 def _search(probe: Callable, lo: float, hi: float, at_lo: tuple, at_hi: tuple):
@@ -447,6 +456,10 @@ def find_aversion_threshold(
     raises BracketError when no default bracket exists or both ends
     classify alike as non-finite, and NoCrossingError when death is finite
     across the whole bracket (the switch kind never averts it there).
+    A bracket past TAU_ZERO ends there: from it on u = e^-tau is 0, and the
+    fate, which reads tau only through u, is the upper end's.  The fate
+    most often changes right where u turns 0, so the last tau before
+    TAU_ZERO is probed first.
     """
     if bracket is None:
         baseline = find_end_time(state)
@@ -466,6 +479,12 @@ def find_aversion_threshold(
             raise NoCrossingError(f"death is finite at both bracket ends; a "
                                   f"{kind.value} switch never averts it there")
         raise BracketError("death averted at both bracket ends; widen the bracket")
+    if lo < TAU_ZERO <= hi:
+        hi, last = TAU_ZERO, math.nextafter(TAU_ZERO, 0.0)
+        if lo < last:
+            if (at_last := probe(last))[0] == at_lo[0]:
+                return hi
+            hi, at_hi = last, at_last
     return _search(probe, lo, hi, at_lo, at_hi)[1][0]
 
 
@@ -523,7 +542,7 @@ def sweep_switch_times(
             )
     fate, tau_end = np.empty(taus.size, np.int8), np.empty(taus.size)
     for rows in (slice(i, i + BLOCK_ROWS) for i in range(0, taus.size, BLOCK_ROWS)):
-        fate[rows], tau_end[rows] = end_times(state, kind, taus[rows])
+        fate[rows], tau_end[rows] = _end_times(state, kind, taus[rows])
 
     try:
         ad_crossing = find_ad_crossing(state)

@@ -1,12 +1,16 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import esdsim.cli
+from esdsim import Switch, end_times, sweep_switch_times
 from esdsim.cli import GridSpec, ScenarioConfig, _csv_chunks, _encode_csv, config_from_dict
 
 
@@ -475,6 +480,36 @@ def test_canonical_evolve_takes_the_exact_width_path(monkeypatch, capsys):
         esdsim.cli.main(["sweep", "--switch", "both"])
 
 
+def test_deep_evolve_writes_no_tiny_cell_by_percent(monkeypatch, capsys):
+    # Out to tau = 800, 1,649 of the 40,010 cells lie below 1e-297, 976 of
+    # them subnormal.  Scaled by 2**128 first, they are written from the
+    # digit tables like the rest: % writes only the 27 cells (one of them
+    # subnormal) whose mantissa lies within 2**-11 of a half-way point.
+    argv = ["evolve", "--switch", "both", "--t-sw", "0.223", "--grid", "0:800:4001"]
+    assert esdsim.cli.main(argv) == 0
+    text = capsys.readouterr().out
+    cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+    tiny = [float(cell) for cell in cells if "e-" in cell and int(cell[-3:]) > 297]
+    assert (len(cells), len(tiny)) == (40_010, 1_649)
+    assert sum(abs(x) < sys.float_info.min for x in tiny) == 976
+
+    written = []
+
+    class Recorded(str):
+        def __mod__(self, value):
+            written.append(value)
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(esdsim.cli, "_FLOAT", Recorded(esdsim.cli._FLOAT))
+    assert esdsim.cli.main(argv) == 0
+    assert capsys.readouterr().out == text
+    assert len(written) == 27
+    for value in written:
+        exact = Decimal(abs(value))
+        mantissa = exact.scaleb(11 - exact.adjusted())
+        assert abs(mantissa % 1 - Decimal("0.5")) < Decimal(2) ** -10, value
+
+
 def test_encoder_working_set_does_not_grow_with_the_rows():
     # The text comes out one sub-block at a time, and each sub-block reuses
     # one buffer and frees its temporaries, so ten columns of 10**4 or 10**5
@@ -603,6 +638,121 @@ def test_time_unit_physical_rescales_inputs(tmp_path):
         "evolve", "--switch", "both", "--t-sw", "0.223", "--grid", "0:1.2:13"
     )
     assert physical.stdout == dimensionless.stdout
+
+
+# -- whole-CLI property ------------------------------------------------------------
+
+# Values that no field takes: bools, integers past any float, NaN as a JSON
+# literal and as strings, null, lists and objects.
+JUNK = st.one_of(
+    st.booleans(), st.sampled_from([10**400, -(10**400), math.nan, None]),
+    st.sampled_from(["NaN", "nan", "inf", "", "1.0", "both"]),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from("xy"), st.integers()),
+)
+SWITCHES = ["both", "alice", "bob"]
+
+
+@st.composite
+def cli_states(draw):
+    """A valid X state as config fields: occupations summing to 3, one coherence."""
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(4)]
+    weights[0] += 1e-3
+    a, b, c, d = (3.0 * w / sum(weights) for w in weights)
+    z = {"z_inner": 0.0, "z_corner": 0.0}
+    slot = draw(st.sampled_from(sorted(z)))
+    z[slot] = draw(st.floats(-1.0, 1.0)) * math.sqrt(b * c if slot == "z_inner" else a * d)
+    return {"a": a, "b": b, "c": c, "d": d, **z}
+
+
+@st.composite
+def cli_grids(draw, clean):
+    """A small grid; unless clean, maybe with a missing, extra or ill-typed key."""
+    start = draw(st.floats(0.0, 0.3))
+    grid = {"start": start, "stop": start + draw(st.floats(0.0, 0.5)),
+            "count": draw(st.integers(1, 40))}
+    bad = None if clean else draw(st.sampled_from(["start", "stop", "count", "drop", "extra"]))
+    if bad == "drop":
+        del grid[draw(st.sampled_from(sorted(grid)))]
+    elif bad == "extra":
+        grid["step"] = 0.1
+    elif bad is not None:
+        grid[bad] = draw(JUNK | st.sampled_from([-1.0, 0, 10**7 + 1]))
+    return grid
+
+
+@st.composite
+def cli_schedules(draw, clean):
+    """A schedule list; unless clean, entries may miss keys, repeat times or hold junk."""
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        entry = {"time": draw(st.floats(0.0, 0.6) | st.just(0.1)),
+                 "switch": draw(st.sampled_from(SWITCHES))}
+        bad = None if clean else draw(st.sampled_from([None, "time", "switch", "drop"]))
+        if bad == "drop":
+            del entry["switch"]
+        elif bad is not None:
+            entry[bad] = draw(JUNK | st.sampled_from([-0.5, "charlie"]))
+        entries.append(entry)
+    if clean:  # distinct, increasing times
+        entries = list({e["time"]: e for e in entries}.values())
+    return sorted(entries, key=lambda e: str(e.get("time")))
+
+
+@st.composite
+def cli_configs(draw):
+    """Whole config objects: a sweep's (a state, a switch kind, a grid or
+    none), or any fields, each absent or valid in a clean config, and in
+    the others some junk and maybe an unknown field."""
+    if draw(st.integers(0, 2)) == 0:
+        data = {**(draw(cli_states()) if draw(st.booleans()) else {}),
+                "switch": draw(st.sampled_from(SWITCHES))}
+        if draw(st.booleans()):
+            start = draw(st.floats(0.0, 0.2))
+            data["grid"] = {"start": start, "stop": start + draw(st.floats(1e-3, 0.1)),
+                            "count": draw(st.integers(2, 60))}
+        return data
+    clean = draw(st.booleans())
+    fields = {
+        "gamma": st.floats(0.1, 10.0),
+        "time_unit": st.sampled_from(["tau", "physical"]),
+        "switch": st.sampled_from([*SWITCHES, "none"]),
+        "t_sw": st.floats(0.0, 1.0),
+        "schedule": cli_schedules(clean),
+        "grid": cli_grids(clean),
+    }
+    data = draw(cli_states()) if draw(st.booleans()) else {}
+    for name, valid in fields.items():
+        choice = draw(st.sampled_from(["absent", "valid"] + ([] if clean else ["junk"])))
+        if choice != "absent":
+            data[name] = draw(valid if choice == "valid" else JUNK)
+    if not clean and draw(st.booleans()):
+        name = draw(st.sampled_from(["a", "d", "z_inner", "z_corner", "tol"]))
+        data[name] = draw(JUNK | st.floats(-1.0, 4.0))
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["evolve", "sweep", "critical"]), cli_configs())
+def test_any_config_exits_cleanly_and_sweeps_as_end_times(command, data):
+    # Every run either succeeds or exits 2 with an error that names the
+    # config; none ends in a traceback.  A sweep that succeeds writes each
+    # row as end_times decides it.
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "scenario.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = esdsim.cli.main([command, "--config", path])
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 2 and err.getvalue().startswith("error: config")), (code, err.getvalue())
+    if command == "sweep" and code == 0:
+        cfg = config_from_dict(data)
+        state, kind = cfg.initial_state(), Switch(cfg.switch)
+        taus = sweep_switch_times(state, kind, esdsim.cli._grid_taus(cfg, sweep=True)).tau_sw
+        rows = reference_csv((taus, *end_times(state, kind, taus)), na_rep="")
+        assert out.getvalue().startswith("tau_sw,fate,tau_end\n" + rows)
 
 
 # -- standard outputs ----------------------------------------------------------

@@ -855,15 +855,23 @@ def test_searches_take_a_bounded_number_of_probes(monkeypatch):
         assert len(searches) == (2 if kind is Switch.BOTH else 1)
         assert max(searches) <= 16, (kind, searches)
     # Random states, whose fates may change where u = exp(-tau) underflows,
-    # on brackets past it.
+    # on brackets past it.  A threshold query, ends and the probe at the last
+    # tau before u turns 0 included, takes at most 32 probes; where the fate
+    # changes as u turns 0, a search from the bracket's ends takes 73.
+    tau_zero = deathclock.TAU_ZERO
+    assert np.exp(-tau_zero) == 0.0 < np.exp(-math.nextafter(tau_zero, 0.0))
     rng = np.random.default_rng(12)
+    at_zero = 0
     for k in range(60):
         state = random_xstate(rng, slot=("inner", "corner")[k % 2])
         for kind, bracket in itertools.product(Switch, ((0.0, 800.0), (0.0, 1e308))):
             searches.clear()
+            calls.clear()
             with contextlib.suppress(BracketError, NoCrossingError):
-                find_aversion_threshold(state, kind, bracket)
+                at_zero += find_aversion_threshold(state, kind, bracket) == tau_zero
             assert all(count <= bound for count in searches)
+            assert len(calls) <= 32, (state, kind, bracket, len(calls))
+    assert at_zero >= 4
 
 
 @pytest.mark.parametrize("flat", [False, True])
