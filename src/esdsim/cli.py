@@ -28,6 +28,7 @@ takes the grid ``sweep`` takes, and ``sweep``'s ``#`` lines use the same format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -44,6 +45,7 @@ from .deathclock import (
     Fate,
     NoCrossingError,
     SweepCurve,
+    _sweep_switch_times,
     find_ad_crossing,
     find_end_time,
     single_switch_curve,
@@ -476,15 +478,16 @@ def _curve_max_dev(curve: SweepCurve) -> float | None:
     return None if math.isnan(dev) else float(dev)
 
 
-def _sweep(state: XState, kind: Switch, taus: np.ndarray | None) -> SweepCurve:
-    """``sweep_switch_times`` on the config's grid, whose errors name the field.
+@contextlib.contextmanager
+def _sweep_grid():
+    """Names the config's grid in what a sweep refuses.
 
     The config holds a valid one-slot state and a finite, increasing grid by
     now, so what the sweep still refuses is the grid: one that reaches the
     unswitched end time, or none for a state that never dies unswitched.
     """
     try:
-        return sweep_switch_times(state, kind, taus)
+        yield
     except ValueError as exc:
         raise ValueError(f"config field 'grid': {exc}") from exc
 
@@ -493,7 +496,8 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     _require("switch", cfg.switch != "none", "sweep needs 'both', 'alice' or 'bob'")
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
-    curve = _sweep(state, kind, _grid_taus(cfg, sweep=True))
+    with _sweep_grid():
+        curve = sweep_switch_times(state, kind, _grid_taus(cfg, sweep=True))
     lines = []
     for name in ("baseline_end", "ad_crossing", "aversion_threshold"):
         if (tau := getattr(curve, name)) is not None:
@@ -535,7 +539,8 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
         Fate.NEVER_ENTANGLED: "never_entangled",
     }[baseline.fate]
     if baseline.fate is Fate.FINITE_END:
-        curve = _sweep(state, kind, taus)
+        with _sweep_grid():  # the grid is checked, and the baseline found, once
+            curve = _sweep_switch_times(state, kind, taus, baseline)
         baseline_end, ad_crossing = curve.baseline_end, curve.ad_crossing
         threshold = curve.aversion_threshold
         min_tau_sw, min_tau_end = curve.min_tau_sw, curve.min_tau_end

@@ -16,7 +16,8 @@ whose ``Q`` turns non-negative dies at the smaller root of ``Q``, and the
 open-ended tail dies iff its ``u -> 0`` limit ``Q(0)`` is positive.  The
 aversion threshold and the sweep minimum come from one bracketed secant
 search (``_search``) down to neighbouring floats, on the exact fate test and
-on the sign of the end time's slope; neither has a tolerance.
+on the sign of the end time's slope; neither has a tolerance.  Where u is
+subnormal, the threshold is first searched on u's count of quanta.
 
 ``find_end_time`` walks one schedule; ``end_times`` decides a single switch
 at an array of switch times with the same arithmetic, every row through the
@@ -61,7 +62,7 @@ class BracketError(ValueError):
     """The supplied (or default) bracket does not straddle the feature."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeathReport:
     """Result of a death search.
 
@@ -150,6 +151,16 @@ def _smaller_root(r2, r1, r0):
     """
     w, r = r0 / -r1, r2 / -r1
     return 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
+
+
+def _float_root(r2: float, r1: float, r0: float) -> float:
+    """``_smaller_root`` of one quadratic in plain float arithmetic.
+
+    math.sqrt is correctly rounded, as np.sqrt is, and max passes NaN on as
+    np.maximum does, so the two agree bit for bit.
+    """
+    w, r = r0 / -r1, r2 / -r1
+    return 2.0 * w / (1.0 + math.sqrt(max(1.0 - 4.0 * r * w, 0.0)))
 
 
 def _stretch_dies(q_end, u_end):
@@ -254,9 +265,12 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
 
     for start, end, current in _stretches(state, schedule):
         p2, p1, p0 = _segment_quadratic(current)
-        if end == math.inf and p0 <= 0.0:  # the tail never reaches Q = 0
+        if end != math.inf:
+            u_end = float(np.exp(start - end))
+        elif p0 <= 0.0:  # the tail never reaches Q = 0
             return DeathReport(Fate.AVERTED, None, p0)
-        u_end = float(np.exp(start - end))
+        else:
+            u_end = 0.0  # np.exp(-inf), without the call
         # _stretch_dies, spelled out: this loop is the per-query hot path.
         if (p2 * u_end + p1) * u_end + p0 >= 0.0 and (u_end > 0.0 or p0 > 0.0):
             if p2 + p1 + p0 >= 0.0:
@@ -264,8 +278,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
             else:
                 # Clamped because round-off can put the root a hair outside
                 # the stretch when Q is near zero at an end.
-                u_root = float(_smaller_root(p2, p1, p0))
-                u_root = min(max(u_root, u_end), 1.0)
+                u_root = min(max(_float_root(p2, p1, p0), u_end), 1.0)
             tau_end = start - float(np.log(u_root))
             witness = discriminant(evolve_xstate_closed(current, tau_end - start))
             return DeathReport(Fate.FINITE_END, tau_end, witness)
@@ -324,8 +337,7 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
         q2, q1 = a * a, -a * (b + c + 2.0 * a)
         if first or not q2 + q1 + q0 < 0.0 < q0:
             return True, math.nan, None
-        w, r = q0 / -q1, q2 / -q1  # _smaller_root; math.sqrt is correctly rounded
-        v = min(2.0 * w / (1.0 + math.sqrt(max(1.0 - 4.0 * r * w, 0.0))), 1.0)
+        v = min(_float_root(q2, q1, q0), 1.0)
         ramp = s[0] * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
         da, db, dc, _, dz_inner, dz_corner = switched((
             2.0 * s[0] * x, s[1] + ramp, s[2] + ramp,
@@ -406,6 +418,9 @@ def find_ad_crossing(state: XState) -> float:
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float's bit pattern
 SLACK = 8  # probes a search may spend beyond bisection's
 TAU_ZERO = 745.1332191019412  # the first tau where u = np.exp(-tau) is 0
+QUANTUM = 5e-324  # 2**-1074: every u below 2**-1022 is a whole number of these
+TAU_QUANTUM = 744.4400719213812  # 1074 ln 2, where u = np.exp(-tau) is one quantum
+FEW = 1 << 20  # quanta of u up to which the threshold is searched on their count
 
 
 def _search(probe: Callable, lo: float, hi: float, at_lo: tuple, at_hi: tuple):
@@ -443,6 +458,20 @@ def _search(probe: Callable, lo: float, hi: float, at_lo: tuple, at_hi: tuple):
     return ends
 
 
+def _first_tau_at_most(k: int) -> float:
+    """The first float tau where u = np.exp(-tau) is at most k quanta.
+
+    Starts from where e^-tau is k + 1/2 quanta, 1074 ln 2 - ln(k + 1/2),
+    which is within an ulp or two of it, and steps to the exact float.
+    """
+    tau, u = TAU_QUANTUM - math.log(k + 0.5), k * QUANTUM
+    while np.exp(-tau) > u:
+        tau = math.nextafter(tau, math.inf)
+    while np.exp(-math.nextafter(tau, 0.0)) <= u:
+        tau = math.nextafter(tau, 0.0)
+    return tau
+
+
 def find_aversion_threshold(
     state: XState,
     kind: Switch = Switch.BOTH,
@@ -456,10 +485,15 @@ def find_aversion_threshold(
     raises BracketError when no default bracket exists or both ends
     classify alike as non-finite, and NoCrossingError when death is finite
     across the whole bracket (the switch kind never averts it there).
-    A bracket past TAU_ZERO ends there: from it on u = e^-tau is 0, and the
-    fate, which reads tau only through u, is the upper end's.  The fate
-    most often changes right where u turns 0, so the last tau before
-    TAU_ZERO is probed first.
+    A bracket past TAU_ZERO ends there, where u = e^-tau turns 0.  The
+    fate reads tau only through u, so where u is at most ``FEW`` quanta
+    (subnormal) at the upper end, as past tau ~ 730.6, the fate changes
+    between two counts k + 1 and k of quanta, most often as u turns 0 or
+    between its smallest subnormals, where the secant stalls.  There k is
+    searched first: 1 quantum, then FEW (past which the search on tau
+    takes over), then k doubled from the count with the upper end's fate
+    and the gap halved, about 2 log2(k) probes; the threshold is the first
+    float where u is at most k quanta.
     """
     if bracket is None:
         baseline = find_end_time(state)
@@ -479,12 +513,24 @@ def find_aversion_threshold(
             raise NoCrossingError(f"death is finite at both bracket ends; a "
                                   f"{kind.value} switch never averts it there")
         raise BracketError("death averted at both bracket ends; widen the bracket")
-    if lo < TAU_ZERO <= hi:
-        hi, last = TAU_ZERO, math.nextafter(TAU_ZERO, 0.0)
-        if lo < last:
-            if (at_last := probe(last))[0] == at_lo[0]:
-                return hi
-            hi, at_hi = last, at_last
+    hi, few = min(hi, TAU_ZERO), FEW * QUANTUM
+    if (u_hi := float(np.exp(-hi))) <= few:
+        # Fates: at_hi's at `below` quanta, at_lo's at `above` (if known).
+        u_lo = float(np.exp(-lo))
+        below, above = int(u_hi / QUANTUM), int(u_lo / QUANTUM) if u_lo <= few else None
+        while above is None or above - below > 1:
+            if above is not None:  # doubling from below, then halving
+                k = min(2 * below or 1, (below + above) // 2)
+            elif below < FEW:  # 1 quantum first, the likeliest, then FEW
+                k = FEW if below else 1
+            else:  # no change within FEW quanta: search the rest below
+                break
+            if (at_k := probe(tau := TAU_QUANTUM - math.log(k)))[0] == at_lo[0]:
+                above = k
+            else:
+                below, hi, at_hi = k, tau, at_k
+        else:
+            return _first_tau_at_most(below)
     return _search(probe, lo, hi, at_lo, at_hi)[1][0]
 
 
@@ -524,15 +570,24 @@ def sweep_switch_times(
     sign of its slope; otherwise it is the grid row itself.
     """
     baseline = find_end_time(state)
+    taus = None if grid is None else _times(grid, "switch-time grid", increasing=True)
+    return _sweep_switch_times(state, kind, taus, baseline)
+
+
+def _sweep_switch_times(
+    state: XState, kind: Switch, taus: np.ndarray | None, baseline: DeathReport
+) -> SweepCurve:
+    """``sweep_switch_times`` on switch times already checked to be finite,
+    >= 0 and strictly increasing (None for the default grid), given the
+    state's unswitched ``find_end_time`` report."""
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
-    if grid is None:
+    if taus is None:
         if baseline_end is None:
             raise ValueError(
                 "unswitched evolution never dies; pass an explicit switch-time grid"
             )
         taus = np.linspace(0.0, baseline_end, 400, endpoint=False)
     else:
-        taus = _times(grid, "switch-time grid", increasing=True)
         if not taus.size:
             raise ValueError("switch-time grid must not be empty")
         if baseline_end is not None and taus[-1] >= baseline_end:

@@ -105,7 +105,7 @@ def apply_xstate(state: XState, switch: Switch) -> XState:
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwitchEvent:
     """One intervention: the named switch ``op`` at dimensionless time ``tau``."""
 
@@ -113,13 +113,14 @@ class SwitchEvent:
     op: Switch
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"SwitchEvent.tau must be >= 0, got {self.tau!r}")
+        tau = self.tau
+        if not (math.isfinite(tau) and tau >= 0.0):
+            raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}")
         if not isinstance(self.op, Switch):
             raise TypeError(f"SwitchEvent.op must be a named Switch, got {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     """A time-ordered sequence of switch events (times strictly increasing)."""
 

@@ -46,7 +46,7 @@ class UnsupportedShapeError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XState:
     """X-form two-qubit state with occupations scaled to sum to 3.
 
@@ -64,26 +64,32 @@ class XState:
     z_corner: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d", "z_inner", "z_corner"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"XState.{name} must be finite, got {value!r}")
-        for name in ("a", "b", "c", "d"):
-            value = getattr(self, name)
-            if value < -_XSTATE_ATOL:
-                raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
-        total = self.a + self.b + self.c + self.d
+        # Straight-line checks: a failing one walks the fields in order to
+        # name the first offender.  Every state the engine builds runs these.
+        a, b, c, d, z_inner, z_corner = (
+            self.a, self.b, self.c, self.d, self.z_inner, self.z_corner)
+        isfinite, atol = math.isfinite, _XSTATE_ATOL
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)
+                and isfinite(z_inner) and isfinite(z_corner)):
+            for name in ("a", "b", "c", "d", "z_inner", "z_corner"):
+                if not isfinite(value := getattr(self, name)):
+                    raise ValueError(f"XState.{name} must be finite, got {value!r}")
+        if a < -atol or b < -atol or c < -atol or d < -atol:
+            for name in ("a", "b", "c", "d"):
+                if (value := getattr(self, name)) < -atol:
+                    raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
+        total = a + b + c + d
         if abs(total - 3.0) > 3e-12:
             raise ValueError(f"XState occupations must sum to 3, got {total!r}")
-        if self.z_inner**2 > self.b * self.c + _XSTATE_ATOL:
+        if z_inner**2 > b * c + atol:
             raise ValueError(
-                f"XState positivity violated: z_inner^2 = {self.z_inner**2!r} "
-                f"exceeds b*c = {self.b * self.c!r}"
+                f"XState positivity violated: z_inner^2 = {z_inner**2!r} "
+                f"exceeds b*c = {b * c!r}"
             )
-        if self.z_corner**2 > self.a * self.d + _XSTATE_ATOL:
+        if z_corner**2 > a * d + atol:
             raise ValueError(
-                f"XState positivity violated: z_corner^2 = {self.z_corner**2!r} "
-                f"exceeds a*d = {self.a * self.d!r}"
+                f"XState positivity violated: z_corner^2 = {z_corner**2!r} "
+                f"exceeds a*d = {a * d!r}"
             )
 
 

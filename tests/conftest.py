@@ -1,4 +1,4 @@
-"""Shared samplers for randomized batteries (all seeded by the caller)."""
+"""Shared samplers and helpers for randomized batteries (all seeded by the caller)."""
 
 import numpy as np
 
@@ -29,3 +29,15 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` does: "ok", or the exception's type and text.
+
+    Overflow counts as an outcome too: ``XState`` squares its coherences.
+    """
+    try:
+        build(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "ok"

@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import esdsim.cli
-from esdsim import Switch, end_times, sweep_switch_times
+from esdsim import (
+    Fate,
+    NoCrossingError,
+    Switch,
+    end_times,
+    find_ad_crossing,
+    find_end_time,
+    sweep_switch_times,
+)
 from esdsim.cli import GridSpec, ScenarioConfig, _csv_chunks, _encode_csv, config_from_dict
 
 
@@ -737,7 +745,8 @@ def cli_configs(draw):
 def test_any_config_exits_cleanly_and_sweeps_as_end_times(command, data):
     # Every run either succeeds or exits 2 with an error that names the
     # config; none ends in a traceback.  A sweep that succeeds writes each
-    # row as end_times decides it.
+    # row as end_times decides it, and a critical table holds the library's
+    # values on the same grid, as text.
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "scenario.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -753,6 +762,37 @@ def test_any_config_exits_cleanly_and_sweeps_as_end_times(command, data):
         taus = sweep_switch_times(state, kind, esdsim.cli._grid_taus(cfg, sweep=True)).tau_sw
         rows = reference_csv((taus, *end_times(state, kind, taus)), na_rep="")
         assert out.getvalue().startswith("tau_sw,fate,tau_end\n" + rows)
+    if command == "critical" and code == 0:
+        assert out.getvalue() == library_critical_table(config_from_dict(data))
+
+
+def library_critical_table(cfg):
+    """The critical table from the library: the sweep on the config's grid
+    in tau when the unswitched evolution dies, else the a = d crossing alone."""
+    state = cfg.initial_state()
+    kind = Switch(cfg.switch) if cfg.switch != "none" else Switch.BOTH
+    baseline = find_end_time(state)
+    if baseline.fate is Fate.FINITE_END:
+        grid = None if cfg.grid is None else cfg.to_tau(cfg.grid.points())
+        curve = sweep_switch_times(state, kind, grid)
+        taus = (curve.baseline_end, curve.ad_crossing, curve.aversion_threshold,
+                curve.min_tau_sw, curve.min_tau_end)
+    else:
+        try:
+            crossing = find_ad_crossing(state)
+        except NoCrossingError:
+            crossing = None
+        taus = (None, crossing, None, None, None)
+    names = ("baseline_end", "ad_crossing", f"aversion_threshold_{kind.value}",
+             f"min_end_switch_time_{kind.value}", f"min_end_time_{kind.value}")
+    fate = {Fate.FINITE_END: "finite", Fate.AVERTED: "averted",
+            Fate.NEVER_ENTANGLED: "never_entangled"}[baseline.fate]
+    lines = ["quantity,status,tau,time"]
+    for name, tau in zip(names, taus):
+        status = fate if name == "baseline_end" else "undefined" if tau is None else "found"
+        cells = ",," if tau is None else f",{tau:.11e},{tau / cfg.gamma:.11e}"
+        lines.append(f"{name},{status}{cells}")
+    return "\n".join(lines) + "\n"
 
 
 # -- standard outputs ----------------------------------------------------------

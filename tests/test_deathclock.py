@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import math
 import warnings
@@ -38,6 +39,7 @@ from esdsim.qstate import (
     to_density_matrix,
     von_neumann_entropy,
 )
+import esdsim.cli
 from esdsim import deathclock
 from esdsim.cli import main as cli_main
 from esdsim.deathclock import _segment_quadratic
@@ -475,6 +477,69 @@ def test_find_end_time_rejects_general_unitaries():
         find_end_time(CANONICAL, Schedule.single(0.1, op))
 
 
+# md5 of scalar_query_results(), computed while the dying-stretch root went
+# through np.sqrt: any bit that moves shows.
+SCALAR_QUERY_MD5 = "72afdeca93edae623e98d0120d09ed7b"
+
+
+def scalar_query_results():
+    """Every scalar query on a seeded family of entangled X states, as text.
+
+    As the phase map asks them: inner and corner states, each with one
+    switch of every kind at three fractions of its unswitched end time and
+    two switches of every pair of kinds, plus the aversion threshold of each
+    kind on the default bracket and on one ending at the last switch time,
+    and the a = d crossing.  A query that raises gives its exception's name.
+    """
+    def answer(query, *args):
+        try:
+            return query(*args)
+        except (BracketError, NoCrossingError) as exc:
+            return type(exc).__name__
+
+    rng, lines = np.random.default_rng(1511), []
+    while len(lines) < 192:
+        state = random_xstate(rng, slot=("inner", "corner")[len(lines) % 2])
+        if discriminant(state) >= 0.0:
+            continue
+        baseline = find_end_time(state)
+        end = min(baseline.tau_end or 1.0, 8.0)
+        singles, pair = [end * (k + 0.5) / 3 for k in range(3)], (end / 4, 3 * end / 4)
+        schedules = [Schedule.single(t, kind) for kind in Switch for t in singles]
+        schedules += [Schedule((SwitchEvent(pair[0], k1), SwitchEvent(pair[1], k2)))
+                      for k1 in Switch for k2 in Switch]
+        reports = [baseline] + [find_end_time(state, s) for s in schedules]
+        values = [v for r in reports for v in (int(r.fate), r.tau_end, r.witness)]
+        values += [answer(find_aversion_threshold, state, kind, bracket)
+                   for kind in Switch for bracket in (None, (0.0, singles[-1]))]
+        values.append(answer(find_ad_crossing, state))
+        lines.append(" ".join(
+            repr(v if v is None or isinstance(v, (int, str)) else float(v))
+            for v in [*deathclock._COEFFICIENTS(state), *values]))
+    return "\n".join(lines)
+
+
+def test_value_types_are_slotted_and_frozen():
+    report = find_end_time(CANONICAL, Schedule.single(0.2, Switch.ALICE))
+    for value in (CANONICAL, SwitchEvent(0.2, Switch.ALICE), Schedule(), report):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+            value.__setattr__(value.__slots__[0], None)
+        # Python 3.11's frozen __setattr__ raises TypeError for a slotted
+        # class's unknown name; later versions raise FrozenInstanceError.
+        with pytest.raises((AttributeError, TypeError)):
+            value.note = "no new attributes"
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "note", "not even past the frozen check")
+
+
+def test_scalar_queries_keep_their_committed_digest():
+    # find_end_time's fate, end time and witness, the aversion threshold and
+    # the a = d crossing, bit for bit, on 192 states and 18 schedules each.
+    text = scalar_query_results()
+    assert hashlib.md5(text.encode()).hexdigest() == SCALAR_QUERY_MD5
+
+
 # -- end_times: find_end_time on a whole switch-time array ----------------------
 
 END_TIME_EDGES = [
@@ -704,6 +769,27 @@ def test_sweep_calls_find_end_time_per_search_step_not_per_row(monkeypatch, caps
         assert len(calls) == 1, kind
 
 
+@pytest.mark.parametrize("grid", [[], ["--grid", "0:0.53:4001"]])
+def test_critical_finds_the_unswitched_end_once(monkeypatch, capsys, grid):
+    # cmd_critical hands its baseline and its checked grid to the sweep,
+    # which finds neither again.
+    calls, checks = [], []
+    find, times = deathclock.find_end_time, deathclock._times
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find(*args, **kwargs)
+
+    for module in (deathclock, esdsim.cli):
+        monkeypatch.setattr(module, "find_end_time", counted)
+    monkeypatch.setattr(deathclock, "_times", lambda *a, **k: checks.append(a) or times(*a, **k))
+    for kind in ("both", "alice", "bob"):
+        calls.clear()
+        assert cli_main(["critical", "--switch", kind, *grid]) == 0
+        assert "min_end_time" in capsys.readouterr().out
+        assert (len(calls), checks) == (1, []), kind
+
+
 # -- ad crossing and aversion threshold ---------------------------------------
 
 def test_ad_crossing_canonical():
@@ -816,6 +902,22 @@ def test_aversion_threshold_at_the_edges(state, kind, hi):
         assert pt_min_eig(kraus_rho_at(m0, averted, late)) < 0.0, (state, kind, t)
 
 
+FEW_QUANTA_FLIPS = [  # (a, b, c, d, z_inner, z_corner), kind, quanta k at the threshold
+    ((0.4049751643938514, 0.04415780170778634, 0.254502421987603, 2.296364611910759,
+      0.0, -0.7349697970737431), Switch.ALICE, 1),
+    ((0.10335407727573384, 0.18182788637094963, 0.2738845580924299, 2.4409334782608862,
+      0.0, -0.4520614968564828), Switch.BOB, 2),
+    ((0.01841166906857307, 1.9856860591690326, 0.14918989394723497, 0.8467123778151598,
+      -0.383293468643438, 0.0), Switch.ALICE, 3),
+    ((0.09068819437100693, 0.7046437486514887, 0.12449969091070424, 2.080168366066801,
+      0.0, -0.4206553229706793), Switch.ALICE, 4),
+    ((0.006058922444296273, 1.570085859637622, 0.07955360433454842, 1.3443016135835335,
+      -0.2774511211373431, 0.0), Switch.ALICE, 6),
+    ((0.029752011093918923, 0.03950583578293043, 0.5160105112839994, 2.4147316418391505,
+      0.0, 0.22959957303227108), Switch.BOB, 12),
+]
+
+
 def test_searches_take_a_bounded_number_of_probes(monkeypatch):
     # Each search ends on adjacent floats whose flags straddle, those of its
     # bracket ends.  Counting those ends, a canonical search takes at most 16
@@ -872,6 +974,19 @@ def test_searches_take_a_bounded_number_of_probes(monkeypatch):
             assert all(count <= bound for count in searches)
             assert len(calls) <= 32, (state, kind, bracket, len(calls))
     assert at_zero >= 4
+    # States whose fates change as u steps between its smallest subnormals,
+    # k + 1 and k quanta of 2**-1074 (random_xstate draws, seed 0): the
+    # search over k takes at most 2 log2(k) + 6 probes, ends included; the
+    # secant search on tau stalls there and takes 74.
+    for coefficients, kind, k in FEW_QUANTA_FLIPS:
+        for bracket in ((0.0, 800.0), (0.0, 1e308)):
+            calls.clear()
+            t = find_aversion_threshold(XState(*coefficients), kind, bracket)
+            assert len(calls) <= 2 * math.log2(k) + 6, (k, kind, bracket, len(calls))
+            below = math.nextafter(t, 0.0)
+            assert (np.exp(-below), np.exp(-t)) == ((k + 1) * 5e-324, k * 5e-324)
+            fate = deathclock._probe(XState(*coefficients), kind)
+            assert fate(below)[0] == fate(0.0)[0] != fate(t)[0]
 
 
 @pytest.mark.parametrize("flat", [False, True])

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from esdsim import Schedule, Switch, SwitchEvent, XState, apply_xstate
 from esdsim.intervention import GeneralUnitary, apply_unitary, unitary_matrix
 from esdsim.qstate import concurrence, negativity, to_density_matrix
 
-from conftest import random_density_matrix, random_unitary2, random_xstate
+from conftest import outcome, random_density_matrix, random_unitary2, random_xstate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -124,3 +127,43 @@ def test_schedule_single_helper():
 def test_schedule_accepts_list_input():
     events = [SwitchEvent(0.1, Switch.BOTH), SwitchEvent(0.4, Switch.ALICE)]
     assert Schedule(events).events == tuple(events)
+
+
+def reference_switch_event(tau, op):
+    """SwitchEvent's checks as first written: the reference."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}")
+    if not isinstance(op, Switch):
+        raise TypeError(f"SwitchEvent.op must be a named Switch, got {op!r}")
+
+
+def reference_schedule(events=()):
+    """Schedule's checks as first written: the reference."""
+    events = tuple(events)
+    for earlier, later in zip(events, events[1:]):
+        if not later.tau > earlier.tau:
+            raise ValueError(
+                f"schedule times must strictly increase, got "
+                f"{earlier.tau!r} then {later.tau!r}"
+            )
+
+
+TAUS = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, -5e-324, 5e-324, 0.2)) | (
+    st.floats(-1.0, 2.0))
+
+
+@given(TAUS, st.sampled_from(list(Switch)) | st.sampled_from(("both", None, 1)))
+def test_switch_event_checks_are_the_reference(tau, op):
+    assert outcome(SwitchEvent, tau, op) == outcome(reference_switch_event, tau, op)
+
+
+@given(st.lists(st.sampled_from((0.0, 5e-324, 0.1, 0.2, 0.3)) | st.floats(0.0, 1.0),
+                max_size=4), st.booleans())
+def test_schedule_checks_are_the_reference(taus, as_list):
+    # Times equal, falling or rising, as a tuple or a list of events.
+    events = [SwitchEvent(tau, Switch.BOTH) for tau in taus]
+    events = events if as_list else tuple(events)
+    result = outcome(Schedule, events)
+    assert result == outcome(reference_schedule, events)
+    if result == "ok":
+        assert Schedule(events).events == tuple(events)

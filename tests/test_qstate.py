@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from esdsim import UnsupportedShapeError, XState
 from esdsim.qstate import (
+    _XSTATE_ATOL,
     concurrence,
     negativity,
     negativity_xstate,
@@ -16,7 +18,7 @@ from esdsim.qstate import (
     xstate_measures,
 )
 
-from conftest import random_density_matrix, random_unitary2, random_xstate
+from conftest import outcome, random_density_matrix, random_unitary2, random_xstate
 
 CANONICAL = XState(1.0, 1.0, 1.0, 0.0, z_inner=1.0)
 BELL_INNER = XState(0.0, 1.5, 1.5, 0.0, z_inner=1.5)  # (|+-> + |-+>)/sqrt(2)
@@ -58,6 +60,69 @@ def test_xstate_rejects_oversized_corner_coherence():
 def test_xstate_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         XState(math.nan, 1.0, 1.0, 1.0)
+
+
+def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0):
+    """The field checks as loops over the field names: the reference."""
+    self = SimpleNamespace(a=a, b=b, c=c, d=d, z_inner=z_inner, z_corner=z_corner)
+    for name in ("a", "b", "c", "d", "z_inner", "z_corner"):
+        value = getattr(self, name)
+        if not math.isfinite(value):
+            raise ValueError(f"XState.{name} must be finite, got {value!r}")
+    for name in ("a", "b", "c", "d"):
+        value = getattr(self, name)
+        if value < -_XSTATE_ATOL:
+            raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
+    total = self.a + self.b + self.c + self.d
+    if abs(total - 3.0) > 3e-12:
+        raise ValueError(f"XState occupations must sum to 3, got {total!r}")
+    if self.z_inner**2 > self.b * self.c + _XSTATE_ATOL:
+        raise ValueError(
+            f"XState positivity violated: z_inner^2 = {self.z_inner**2!r} "
+            f"exceeds b*c = {self.b * self.c!r}"
+        )
+    if self.z_corner**2 > self.a * self.d + _XSTATE_ATOL:
+        raise ValueError(
+            f"XState positivity violated: z_corner^2 = {self.z_corner**2!r} "
+            f"exceeds a*d = {self.a * self.d!r}"
+        )
+
+
+def nudged(draw, x):
+    """x moved by a few ulps, either way."""
+    steps = draw(st.integers(-2, 2))
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# Where the checks turn: not finite, just past -atol, sums 3e-12 off.
+EDGES = (math.nan, math.inf, -math.inf, -_XSTATE_ATOL, 0.0, -0.0, 3.0, 1e308)
+
+
+@st.composite
+def xstate_fields(draw):
+    """Six coefficients at the edges of every check, one check at a time or
+    several: occupations whose sum is 3e-12 off, coherences with z**2 at
+    b*c or a*d, +-atol, and fields swapped for the edge values."""
+    a, b, c = (draw(st.floats(0.0, 1.0)) for _ in range(3))
+    d = nudged(draw, 3.0 - a - b - c + draw(st.sampled_from((0.0, 3e-12, -3e-12))))
+    fields = [a, b, c, d, 0.0, 0.0]
+    for slot, (p, q) in ((4, (b, c)), (5, (a, d))):
+        if draw(st.booleans()):
+            edge = p * q + draw(st.sampled_from((0.0, _XSTATE_ATOL, -_XSTATE_ATOL)))
+            fields[slot] = draw(st.sampled_from((1.0, -1.0))) * nudged(
+                draw, math.sqrt(max(edge, 0.0)))
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
+        fields[i] = nudged(draw, draw(st.sampled_from(EDGES) | st.floats(-4.0, 4.0)))
+    return fields
+
+
+@given(xstate_fields())
+def test_xstate_checks_are_the_loops(fields):
+    # The straight-line __post_init__ accepts exactly what the field-name
+    # loops accept and rejects the rest with the same message.
+    assert outcome(XState, *fields) == outcome(loop_checked_xstate, *fields)
 
 
 # -- density matrix construction -------------------------------------------
