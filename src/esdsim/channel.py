@@ -12,6 +12,7 @@ arbitrary density matrices, kept as an independent cross-check.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -38,12 +39,19 @@ def evolve_xstate_closed(state: XState, tau: float) -> XState:
     and both coherences are damped by the same factor u.  At tau = 0 every
     coefficient comes back unchanged, bit for bit.
     """
+    s = state
+    return _flow((s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), tau, XState)
+
+
+def _flow(coefficients: tuple, tau: float, checked: Callable):
+    """``evolve_xstate_closed`` on a coefficient tuple: the tau check, the
+    flow at u = np.exp(-tau), then ``checked`` on the six flowed values,
+    which runs the ``XState`` checks: ``check_coefficients`` gives them back
+    as a tuple, ``XState`` as a state.
+    """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    s = state
-    return XState(*damped_coefficients(
-        s.a, s.b, s.c, s.d, s.z_inner, s.z_corner, float(np.exp(-tau))
-    ))
+    return checked(*damped_coefficients(*coefficients, float(np.exp(-tau))))
 
 
 def damped_coefficients(a, b, c, d, z_inner, z_corner, u):

@@ -313,7 +313,7 @@ class ScenarioConfig:
                  "must be 0 when z_inner is not: one coherence slot at most", self.z_corner)
         try:
             self.initial_state()
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: z**2 of a huge z
             raise ValueError(f"config state: {exc}") from exc
         _require("time_unit", self.time_unit in ("tau", "physical"),
                  "must be 'tau' or 'physical'", self.time_unit)

@@ -37,9 +37,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import damped_coefficients, evolve_xstate_closed
-from .intervention import Schedule, Switch, apply_xstate, switch_coefficients
-from .qstate import UnsupportedShapeError, XState, xstate_measures
+from .channel import _flow, damped_coefficients
+from .intervention import Schedule, Switch, switch_coefficients
+from .qstate import UnsupportedShapeError, XState, check_coefficients, xstate_measures
 
 
 BLOCK_ROWS = 1 << 14  # rows per block of the sweep and of evolve: bounded temporaries
@@ -114,17 +114,28 @@ def discriminant(state: XState) -> float:
     corner-coherence states.  Every named swap permutes the coefficients so
     that this value is unchanged at the switch instant.
     """
-    inner, corner = state.z_inner != 0.0, state.z_corner != 0.0
+    return _discriminant(_COEFFICIENTS(state))
+
+
+def _discriminant(coefficients: tuple) -> float:
+    """``discriminant`` of the six coefficients (a, ..., z_corner)."""
+    a, b, c, d, z_inner, z_corner = coefficients
+    inner, corner = z_inner != 0.0, z_corner != 0.0
     if inner and corner:
         raise UnsupportedShapeError(
             "discriminant needs at most one active coherence slot"
         )
     if corner:
-        return state.b * state.c - state.z_corner**2
-    return state.a * state.d - state.z_inner**2
+        return b * c - z_corner**2
+    return a * d - z_inner**2
 
 
 def _segment_quadratic(state: XState) -> tuple[float, float, float]:
+    """``_quadratic`` of a state's coefficients."""
+    return _quadratic(_COEFFICIENTS(state))
+
+
+def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
     """Coefficients (p2, p1, p0) of Q with disc(tau) = u**2 Q(u), u = e^-tau.
 
     Quadratic and linear terms are common to both coherence slots; only the
@@ -132,13 +143,13 @@ def _segment_quadratic(state: XState) -> tuple[float, float, float]:
     so Q never decreases along the flow (u falling from 1 toward 0).
     Coherences are squared as ``z * z``, as ``end_times`` squares arrays.
     """
-    a, b, c = state.a, state.b, state.c
+    a, b, c, _, z_inner, z_corner = coefficients
     p2 = a * a
     p1 = -a * (b + c + 2.0 * a)
-    if state.z_corner != 0.0:  # discriminant() rejects two active slots
-        p0 = (b + a) * (c + a) - state.z_corner * state.z_corner
+    if z_corner != 0.0:  # discriminant() rejects two active slots
+        p0 = (b + a) * (c + a) - z_corner * z_corner
     else:
-        p0 = 3.0 * a - state.z_inner * state.z_inner
+        p0 = 3.0 * a - z_inner * z_inner
     return p2, p1, p0
 
 
@@ -176,21 +187,23 @@ def _stretch_dies(q_end, u_end):
 
 def _stretches(
     state: XState, schedule: Schedule
-) -> Iterator[tuple[float, float, XState]]:
+) -> Iterator[tuple[float, float, tuple]]:
     """The schedule's switch-free stretches, in order, as they are reached.
 
-    Yields (start, end, state at start) for each stretch: from tau = 0 to
-    the first switch, between switches, and the open-ended tail last (end
-    = inf).  A switch at ``start`` is already applied to the state.  Lazy,
-    so a walk that stops early flows no later stretch.
+    Yields (start, end, coefficients at start) for each stretch: from tau =
+    0 to the first switch, between switches, and the open-ended tail last
+    (end = inf).  A switch at ``start`` is already applied.  Each flow and
+    each switch is checked as ``evolve_xstate_closed`` and ``apply_xstate``
+    check theirs, with no ``XState`` built.  Lazy, so a walk that stops
+    early flows no later stretch.
     """
-    start = 0.0
+    start, coefficients = 0.0, _COEFFICIENTS(state)
     for event in schedule.events:
-        yield start, event.tau, state
-        state = evolve_xstate_closed(state, event.tau - start)
-        state = apply_xstate(state, event.op)
+        yield start, event.tau, coefficients
+        coefficients = check_coefficients(*switch_coefficients(
+            event.op, _flow(coefficients, event.tau - start, check_coefficients)))
         start = event.tau
-    yield start, math.inf, state
+    yield start, math.inf, coefficients
 
 
 def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -> XState:
@@ -199,7 +212,7 @@ def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
     for start, end, current in _stretches(state, schedule):
         if tau < end:
-            return evolve_xstate_closed(current, tau - start)
+            return _flow(current, tau - start, XState)
 
 
 @dataclass(frozen=True)
@@ -241,7 +254,7 @@ def trajectory(
     starts, _, initial = zip(*_stretches(state, schedule))
     stretch = np.searchsorted(starts[1:], taus, side="right")
     u = np.exp(np.array(starts)[stretch] - taus)
-    coefficients = damped_coefficients(*np.array([_COEFFICIENTS(s) for s in initial])[stretch].T, u)
+    coefficients = damped_coefficients(*np.array(initial)[stretch].T, u)
     measures = xstate_measures(*coefficients)
     return Trajectory(taus, *coefficients, *measures)
 
@@ -264,7 +277,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
         return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
 
     for start, end, current in _stretches(state, schedule):
-        p2, p1, p0 = _segment_quadratic(current)
+        p2, p1, p0 = _quadratic(current)
         if end != math.inf:
             u_end = float(np.exp(start - end))
         elif p0 <= 0.0:  # the tail never reaches Q = 0
@@ -280,7 +293,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
                 # the stretch when Q is near zero at an end.
                 u_root = min(max(_float_root(p2, p1, p0), u_end), 1.0)
             tau_end = start - float(np.log(u_root))
-            witness = discriminant(evolve_xstate_closed(current, tau_end - start))
+            witness = _discriminant(_flow(current, tau_end - start, check_coefficients))
             return DeathReport(Fate.FINITE_END, tau_end, witness)
 
 

@@ -78,11 +78,12 @@ def apply_unitary(m: np.ndarray, op: LocalUnitary) -> np.ndarray:
 # Where each of (a, b, c, d, z_inner, z_corner) comes from after a named
 # switch.  Flipping both qubits reverses the occupation order and keeps each
 # coherence in its slot; flipping a single qubit exchanges the inner and
-# corner slots instead.
+# corner slots instead.  Keyed by the switch's value: a str caches its
+# hash, where Enum.__hash__ runs in Python on every lookup.
 _SWITCHED = {
-    Switch.BOTH: itemgetter(3, 2, 1, 0, 4, 5),
-    Switch.ALICE: itemgetter(2, 3, 0, 1, 5, 4),
-    Switch.BOB: itemgetter(1, 0, 3, 2, 5, 4),
+    Switch.BOTH.value: itemgetter(3, 2, 1, 0, 4, 5),
+    Switch.ALICE.value: itemgetter(2, 3, 0, 1, 5, 4),
+    Switch.BOB.value: itemgetter(1, 0, 3, 2, 5, 4),
 }
 
 
@@ -94,7 +95,7 @@ def switch_coefficients(switch: Switch, coefficients: tuple) -> tuple:
     """
     if not isinstance(switch, Switch):
         raise TypeError(f"expected a named Switch, got {switch!r}")
-    return _SWITCHED[switch](coefficients)
+    return _SWITCHED[switch._value_](coefficients)
 
 
 def apply_xstate(state: XState, switch: Switch) -> XState:

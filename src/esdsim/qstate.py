@@ -64,33 +64,44 @@ class XState:
     z_corner: float = 0.0
 
     def __post_init__(self) -> None:
-        # Straight-line checks: a failing one walks the fields in order to
-        # name the first offender.  Every state the engine builds runs these.
-        a, b, c, d, z_inner, z_corner = (
+        check_coefficients(
             self.a, self.b, self.c, self.d, self.z_inner, self.z_corner)
-        isfinite, atol = math.isfinite, _XSTATE_ATOL
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)
-                and isfinite(z_inner) and isfinite(z_corner)):
-            for name in ("a", "b", "c", "d", "z_inner", "z_corner"):
-                if not isfinite(value := getattr(self, name)):
-                    raise ValueError(f"XState.{name} must be finite, got {value!r}")
-        if a < -atol or b < -atol or c < -atol or d < -atol:
-            for name in ("a", "b", "c", "d"):
-                if (value := getattr(self, name)) < -atol:
-                    raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
-        total = a + b + c + d
-        if abs(total - 3.0) > 3e-12:
-            raise ValueError(f"XState occupations must sum to 3, got {total!r}")
-        if z_inner**2 > b * c + atol:
-            raise ValueError(
-                f"XState positivity violated: z_inner^2 = {z_inner**2!r} "
-                f"exceeds b*c = {b * c!r}"
-            )
-        if z_corner**2 > a * d + atol:
-            raise ValueError(
-                f"XState positivity violated: z_corner^2 = {z_corner**2!r} "
-                f"exceeds a*d = {a * d!r}"
-            )
+
+
+_FIELDS = ("a", "b", "c", "d", "z_inner", "z_corner")
+
+
+def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:
+    """The ``XState`` checks on six coefficients; returns them as a tuple.
+
+    Straight-line checks: a failing one walks the fields in order to name
+    the first offender.  Every state and every coefficient tuple the engine
+    derives (a flow, a switch) runs these.
+    """
+    isfinite, atol = math.isfinite, _XSTATE_ATOL
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)
+            and isfinite(z_inner) and isfinite(z_corner)):
+        for name, value in zip(_FIELDS, (a, b, c, d, z_inner, z_corner)):
+            if not isfinite(value):
+                raise ValueError(f"XState.{name} must be finite, got {value!r}")
+    if a < -atol or b < -atol or c < -atol or d < -atol:
+        for name, value in zip(_FIELDS, (a, b, c, d)):
+            if value < -atol:
+                raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
+    total = a + b + c + d
+    if abs(total - 3.0) > 3e-12:
+        raise ValueError(f"XState occupations must sum to 3, got {total!r}")
+    if z_inner**2 > b * c + atol:
+        raise ValueError(
+            f"XState positivity violated: z_inner^2 = {z_inner**2!r} "
+            f"exceeds b*c = {b * c!r}"
+        )
+    if z_corner**2 > a * d + atol:
+        raise ValueError(
+            f"XState positivity violated: z_corner^2 = {z_corner**2!r} "
+            f"exceeds a*d = {a * d!r}"
+        )
+    return a, b, c, d, z_inner, z_corner
 
 
 def to_density_matrix(state: XState) -> np.ndarray:

@@ -1,0 +1,83 @@
+"""scripts/bench_pairs.py's aggregation, on canned benchmark output (no run)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "pass_ref_s", "unit": "ref_s", "better": "lower", "bound": 0.25},
+    {"name": "points_per_ref_s", "unit": "1/ref_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def canned(pass_ref_s, peak_rss_mb, passes, failed=0):
+    """What benchmarks/run.py prints for one run, cut to the lines read."""
+    metrics = {"pass_ref_s": {"value": pass_ref_s, "unit": "ref_s"},
+               "points_per_ref_s": {"value": 9216 / pass_ref_s, "unit": "1/ref_s"},
+               "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
+    return "\n".join([
+        "# workload phase_map, seed 1, 30.0 s, trace 0",
+        '# env {"machine": "x86_64 test", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6"}',
+        f"# {passes} timed passes of 9216 points and 10240 operations in 30.1 s of wall time",
+        f"{'pass_ref_s':<36} {pass_ref_s:<14.6g} ref_s",
+        json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+PARENT = [(0.22, 57.0, 80), (0.23, 56.5, 76), (0.21, 58.0, 84), (0.20, 58.5, 88)]
+CHANGE = [(0.18, 60.0, 100), (0.17, 61.0, 104), (0.21, 58.0, 84), (0.175, 60.5, 102)]
+
+
+def test_parse_run_reads_the_json_line_passes_and_env():
+    run = bench_pairs.parse_run(canned(0.2, 57.25, 81, failed=2))
+    assert run["metrics"]["pass_ref_s"] == 0.2
+    assert run["metrics"]["peak_rss_mb"] == 57.25
+    assert (run["timed_passes"], run["failed"], run["correct"]) == (81, 2, False)
+    assert run["env"]["machine"] == "x86_64 test"
+
+
+def test_aggregate_gives_medians_quartiles_wins_and_runs():
+    runs = {side: [bench_pairs.parse_run(canned(*r)) for r in rows]
+            for side, rows in (("parent", PARENT), ("change", CHANGE))}
+    entry = bench_pairs.aggregate(runs, METRICS, [1601, 1602, 1603, 1604])
+    assert (entry["seeds"], entry["pairs"], entry["all_correct"]) == ("1601-1604", 4, True)
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    assert entry["timed_passes"] == {"parent": [80, 76, 84, 88], "change": [100, 104, 84, 102]}
+    assert entry["per_run"]["change"] == {"pass_ref_s": [0.18, 0.17, 0.21, 0.175],
+                                          "peak_rss_mb": [60.0, 61.0, 58.0, 60.5]}
+    for name, column in (("pass_ref_s", 0), ("peak_rss_mb", 1)):
+        for side, rows in (("parent", PARENT), ("change", CHANGE)):
+            values = [r[column] for r in rows]
+            got = entry["metrics"][name][side]
+            assert got["median"] == pytest.approx(np.median(values), abs=1e-6)
+            assert got["q1"] == pytest.approx(np.percentile(values, 25), abs=1e-6)
+            assert got["q3"] == pytest.approx(np.percentile(values, 75), abs=1e-6)
+    # The third pair is a tie: it counts for neither side.
+    assert entry["metrics"]["pass_ref_s"]["change_wins"] == "3/4"
+    assert entry["metrics"]["points_per_ref_s"]["change_wins"] == "3/4"  # higher is better
+    assert entry["metrics"]["peak_rss_mb"]["change_wins"] == "0/4"
+    assert entry["metrics"]["pass_ref_s"]["change_over_parent"] == round(0.1775 / 0.215, 4)
+    assert entry["metrics"]["peak_rss_mb"]["bound"] == 0.1
+
+
+def test_rss_is_listed_against_timed_passes():
+    runs = {side: [bench_pairs.parse_run(canned(*r)) for r in rows]
+            for side, rows in (("parent", PARENT), ("change", CHANGE))}
+    entry = bench_pairs.aggregate(runs, METRICS, [1601, 1602, 1603, 1604])
+    text = bench_pairs.rss_against_passes("phase_map", entry)
+    passes = [r[2] for r in PARENT + CHANGE]
+    rss = [r[1] for r in PARENT + CHANGE]
+    slope = np.polyfit(passes, rss, 1)[0]
+    assert f"slope {slope:.4f} MB per timed pass" in text
+    assert "medians 82 -> 101 passes" in text
+    assert "    80    57.000 MB |    100    60.000 MB" in text

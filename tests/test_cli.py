@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import esdsim.cli
 from esdsim import (
@@ -651,9 +651,11 @@ def test_time_unit_physical_rescales_inputs(tmp_path):
 # -- whole-CLI property ------------------------------------------------------------
 
 # Values that no field takes: bools, integers past any float, NaN as a JSON
-# literal and as strings, null, lists and objects.
+# literal and as strings, null, lists and objects, and finite floats whose
+# square overflows.
 JUNK = st.one_of(
     st.booleans(), st.sampled_from([10**400, -(10**400), math.nan, None]),
+    st.sampled_from([1e155, 1e300, -1e308]),
     st.sampled_from(["NaN", "nan", "inf", "", "1.0", "both"]),
     st.lists(st.integers(-2, 2), max_size=2),
     st.dictionaries(st.sampled_from("xy"), st.integers()),
@@ -742,6 +744,7 @@ def cli_configs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["evolve", "sweep", "critical"]), cli_configs())
+@example("evolve", {"a": 1, "b": 1, "c": 1, "d": 0, "z_inner": 1e300})
 def test_any_config_exits_cleanly_and_sweeps_as_end_times(command, data):
     # Every run either succeeds or exits 2 with an error that names the
     # config; none ends in a traceback.  A sweep that succeeds writes each

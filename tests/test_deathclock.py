@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from esdsim import (
     BracketError,
+    DeathReport,
     Fate,
     NoCrossingError,
     Schedule,
@@ -40,7 +41,7 @@ from esdsim.qstate import (
     von_neumann_entropy,
 )
 import esdsim.cli
-from esdsim import deathclock
+from esdsim import deathclock, qstate
 from esdsim.cli import main as cli_main
 from esdsim.deathclock import _segment_quadratic
 
@@ -482,14 +483,34 @@ def test_find_end_time_rejects_general_unitaries():
 SCALAR_QUERY_MD5 = "72afdeca93edae623e98d0120d09ed7b"
 
 
-def scalar_query_results():
-    """Every scalar query on a seeded family of entangled X states, as text.
+def scalar_query_family():
+    """A seeded family of entangled X states with the schedules the phase
+    map asks about, as (state, unswitched report, single switch times,
+    schedules): 192 inner and corner states, each with one switch of every
+    kind at three fractions of its unswitched end time and two switches of
+    every pair of kinds, 18 schedules in all.
+    """
+    rng, count = np.random.default_rng(1511), 0
+    while count < 192:
+        state = random_xstate(rng, slot=("inner", "corner")[count % 2])
+        if discriminant(state) >= 0.0:
+            continue
+        count += 1
+        baseline = find_end_time(state)
+        end = min(baseline.tau_end or 1.0, 8.0)
+        singles, pair = [end * (k + 0.5) / 3 for k in range(3)], (end / 4, 3 * end / 4)
+        schedules = [Schedule.single(t, kind) for kind in Switch for t in singles]
+        schedules += [Schedule((SwitchEvent(pair[0], k1), SwitchEvent(pair[1], k2)))
+                      for k1 in Switch for k2 in Switch]
+        yield state, baseline, singles, schedules
 
-    As the phase map asks them: inner and corner states, each with one
-    switch of every kind at three fractions of its unswitched end time and
-    two switches of every pair of kinds, plus the aversion threshold of each
-    kind on the default bracket and on one ending at the last switch time,
-    and the a = d crossing.  A query that raises gives its exception's name.
+
+def scalar_query_results():
+    """Every scalar query on ``scalar_query_family``, as text.
+
+    Each schedule's end time, plus the aversion threshold of each kind on
+    the default bracket and on one ending at the last switch time, and the
+    a = d crossing.  A query that raises gives its exception's name.
     """
     def answer(query, *args):
         try:
@@ -497,17 +518,8 @@ def scalar_query_results():
         except (BracketError, NoCrossingError) as exc:
             return type(exc).__name__
 
-    rng, lines = np.random.default_rng(1511), []
-    while len(lines) < 192:
-        state = random_xstate(rng, slot=("inner", "corner")[len(lines) % 2])
-        if discriminant(state) >= 0.0:
-            continue
-        baseline = find_end_time(state)
-        end = min(baseline.tau_end or 1.0, 8.0)
-        singles, pair = [end * (k + 0.5) / 3 for k in range(3)], (end / 4, 3 * end / 4)
-        schedules = [Schedule.single(t, kind) for kind in Switch for t in singles]
-        schedules += [Schedule((SwitchEvent(pair[0], k1), SwitchEvent(pair[1], k2)))
-                      for k1 in Switch for k2 in Switch]
+    lines = []
+    for state, baseline, singles, schedules in scalar_query_family():
         reports = [baseline] + [find_end_time(state, s) for s in schedules]
         values = [v for r in reports for v in (int(r.fate), r.tau_end, r.witness)]
         values += [answer(find_aversion_threshold, state, kind, bracket)
@@ -538,6 +550,118 @@ def test_scalar_queries_keep_their_committed_digest():
     # the a = d crossing, bit for bit, on 192 states and 18 schedules each.
     text = scalar_query_results()
     assert hashlib.md5(text.encode()).hexdigest() == SCALAR_QUERY_MD5
+
+
+# -- the walk on coefficient tuples keeps every check ---------------------------
+#
+# find_end_time, state_at and trajectory walk a schedule on coefficient
+# tuples; each flowed and each switched tuple runs the XState checks, as the
+# XState that evolve_xstate_closed and apply_xstate build would.  The
+# reference below is that walk on objects.
+
+# XStates that find_end_time built at the parent, whose walk was on objects,
+# over scalar_query_family's 3,648 queries (unswitched ones included).
+FAMILY_CHECKS = 12365
+
+
+def reference_stretches(state, schedule):
+    start = 0.0
+    for event in schedule.events:
+        yield start, event.tau, state
+        state = apply_xstate(evolve_xstate_closed(state, event.tau - start), event.op)
+        start = event.tau
+    yield start, math.inf, state
+
+
+def reference_end_time(state, schedule):
+    d0 = discriminant(state)
+    if d0 >= 0.0:
+        return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
+    for start, end, current in reference_stretches(state, schedule):
+        p2, p1, p0 = _segment_quadratic(current)
+        if end != math.inf:
+            u_end = float(np.exp(start - end))
+        elif p0 <= 0.0:
+            return DeathReport(Fate.AVERTED, None, p0)
+        else:
+            u_end = 0.0
+        if (p2 * u_end + p1) * u_end + p0 >= 0.0 and (u_end > 0.0 or p0 > 0.0):
+            if p2 + p1 + p0 >= 0.0:
+                u_root = 1.0
+            else:
+                u_root = min(max(deathclock._float_root(p2, p1, p0), u_end), 1.0)
+            tau_end = start - float(np.log(u_root))
+            witness = discriminant(evolve_xstate_closed(current, tau_end - start))
+            return DeathReport(Fate.FINITE_END, tau_end, witness)
+
+
+def reference_state_at(state, schedule, tau):
+    for start, end, current in reference_stretches(state, schedule):
+        if tau < end:
+            return evolve_xstate_closed(current, tau - start)
+
+
+def bits(query, *args):
+    """What ``query(*args)`` gives, with every float as its repr (so -0.0
+    and NaN show), or the type and text of what it raises."""
+    try:
+        result = query(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    fields = result.__slots__
+    return type(result), tuple(repr(getattr(result, name)) for name in fields)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Each coefficient tuple that runs the XState checks, and each XState built."""
+    seen = {"checked": [], "built": 0}
+    check, post_init = qstate.check_coefficients, XState.__post_init__
+
+    def counted(*coefficients):
+        seen["checked"].append(coefficients)
+        return check(*coefficients)
+
+    def built(self):
+        seen["built"] += 1
+        post_init(self)
+
+    for module in (qstate, deathclock):
+        monkeypatch.setattr(module, "check_coefficients", counted)
+    monkeypatch.setattr(XState, "__post_init__", built)
+    return seen
+
+
+def test_walk_checks_every_derived_tuple(checks):
+    # One switch, death in the tail: the flow to the switch, the switch and
+    # the flow to the witness.  Two switches: two more.  No XState is built.
+    for schedule, expected in (
+        (Schedule.single(0.223, Switch.BOTH), 3),
+        (Schedule((SwitchEvent(0.1, Switch.ALICE), SwitchEvent(0.3, Switch.BOB))), 5),
+    ):
+        checks["checked"].clear()
+        report = find_end_time(CANONICAL, schedule)
+        assert report.tau_end > schedule.events[-1].tau
+        assert len(checks["checked"]) == expected
+        assert checks["built"] == 0
+        checks["checked"].clear()
+        state_at(CANONICAL, schedule, report.tau_end)  # its result is built
+        assert (len(checks["checked"]), checks["built"]) == (expected, 1)
+        checks["built"] = 0
+
+    family = [(state, [Schedule(), *schedules])
+              for state, _, _, schedules in scalar_query_family()]
+    checks["checked"].clear()
+    checks["built"] = 0
+    for state, schedules in family:
+        for schedule in schedules:
+            find_end_time(state, schedule)
+    assert (len(checks["checked"]), checks["built"]) == (FAMILY_CHECKS, 0)
+    checks["checked"].clear()
+    for state, schedules in family:
+        for schedule in schedules:
+            reference_end_time(state, schedule)
+    assert len(checks["checked"]) == checks["built"] == FAMILY_CHECKS
 
 
 # -- end_times: find_end_time on a whole switch-time array ----------------------
@@ -643,6 +767,22 @@ def test_trajectory_matches_state_at_at_the_edges(state, events, times):
         s = state_at(state, schedule, tau)
         got = tuple(float(getattr(traj, name)[k]) for name in COLUMNS[:6])
         assert got == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), (state, tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edge_xstates(),
+    st.lists(st.tuples(SWITCH_TIMES, st.sampled_from(list(Switch))),
+             min_size=1, max_size=2, unique_by=lambda event: event[0]),
+    SWITCH_TIMES,
+)
+def test_tuple_walk_matches_the_object_walk(state, events, tau):
+    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in sorted(events)))
+    assert bits(find_end_time, state, schedule) == bits(reference_end_time, state, schedule)
+    for at in (tau, *(t for t, _ in events)):
+        assert bits(state_at, state, schedule, at) == bits(
+            reference_state_at, state, schedule, at)
+
 
 
 @settings(max_examples=300, deadline=None)

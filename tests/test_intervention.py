@@ -1,11 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from esdsim import Schedule, Switch, SwitchEvent, XState, apply_xstate
-from esdsim.intervention import GeneralUnitary, apply_unitary, unitary_matrix
+from esdsim.intervention import (
+    GeneralUnitary, apply_unitary, switch_coefficients, unitary_matrix)
 from esdsim.qstate import concurrence, negativity, to_density_matrix
 
 from conftest import outcome, random_density_matrix, random_unitary2, random_xstate
@@ -101,6 +103,17 @@ def test_apply_xstate_rejects_general_unitary():
     op = GeneralUnitary(np.eye(2), np.eye(2))
     with pytest.raises(TypeError):
         apply_xstate(XState(3.0, 0.0, 0.0, 0.0), op)
+
+
+def test_switch_coefficients_take_named_switches_only():
+    # The permutation is looked up by the switch's value, after the type
+    # check: a value string, or anything else carrying one, is refused.
+    coefficients = (0.5, 1.0, 0.75, 0.75, 0.5, 0.0)
+    assert switch_coefficients(Switch.ALICE, coefficients) == (0.75, 0.75, 0.5, 1.0, 0.0, 0.5)
+    impostor = types.SimpleNamespace(_value_="both")
+    for op in ("both", impostor, None, GeneralUnitary(np.eye(2), np.eye(2))):
+        with pytest.raises(TypeError, match="named Switch"):
+            switch_coefficients(op, coefficients)
 
 
 def test_switch_event_rejects_negative_time():

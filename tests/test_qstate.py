@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from esdsim import UnsupportedShapeError, XState
 from esdsim.qstate import (
     _XSTATE_ATOL,
+    check_coefficients,
     concurrence,
     negativity,
     negativity_xstate,
@@ -120,9 +121,13 @@ def xstate_fields(draw):
 
 @given(xstate_fields())
 def test_xstate_checks_are_the_loops(fields):
-    # The straight-line __post_init__ accepts exactly what the field-name
-    # loops accept and rejects the rest with the same message.
-    assert outcome(XState, *fields) == outcome(loop_checked_xstate, *fields)
+    # The straight-line checks, on a state or on a tuple, accept exactly
+    # what the field-name loops accept and reject the rest with the same
+    # message; a tuple that passes comes back as it went in.
+    expected = outcome(loop_checked_xstate, *fields)
+    assert outcome(XState, *fields) == outcome(check_coefficients, *fields) == expected
+    if expected == "ok":
+        assert check_coefficients(*fields) == tuple(fields)
 
 
 # -- density matrix construction -------------------------------------------
