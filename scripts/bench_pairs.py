@@ -1,21 +1,22 @@
 """Benchmark a parent commit against the working tree in alternating pairs.
 
 Copies the parent (``git archive``) and the working tree's files (tracked
-and untracked, not ignored) into a temporary directory, then for each of N
-seeds and each workload runs ``benchmarks/run.py`` once on each side, the
-parent first on odd seeds and the change first on even ones.  Writes one
-JSON file in the layout of the committed ``BENCH_<n>.json`` files: per
-workload and end-to-end metric (``BENCHMARK.json``'s list) each side's
-median and quartiles (linear percentiles), the pairs the change wins
-(ties count for neither) and the ratio of medians, each run's
-``pass_ref_s`` and ``peak_rss_mb``, and its count of timed passes.  The
-harness keeps every timed pass's latencies, so a faster pass reads as more
-memory; the script prints each run's peak RSS beside its timed passes, and
-the slope of one over the other, so that artifact shows in the listing.
+and untracked, not ignored) into a temporary directory, then for each of 10
+seeds and each workload runs ``benchmarks/run.py`` for 30 s once on each
+side, the parent first on odd seeds and the change first on even ones.
+Writes one JSON file in the layout of the committed ``BENCH_<n>.json``
+files: per workload and end-to-end metric (``BENCHMARK.json``'s list) each
+side's median and quartiles (inclusive, as numpy's linear percentiles), the
+pairs the change wins (ties count for neither) and the ratio of medians,
+each run's ``pass_ref_s`` and ``peak_rss_mb``, and its count of timed
+passes.  The harness keeps every timed pass's latencies, so a faster pass
+reads as more memory; the script prints each run's peak RSS beside its
+timed passes, and the least-squares slope of one over the other, so that
+artifact shows in the listing.
 Run from the repository root:
 
-    python scripts/bench_pairs.py --parent HEAD --pairs 10 --seed 1601 \\
-        --seconds 30 --out BENCH_16.json --change "what the change does"
+    python scripts/bench_pairs.py --parent HEAD --seed 1601 \\
+        --out BENCH_16.json --change "what the change does"
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import json
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -31,15 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep_critical", "phase_map", "evolve_dense")
+PAIRS = 10  # per workload, one seed each
+SECONDS = 30
 PASSES = re.compile(r"^# (\d+) timed passes", re.M)
-
-
-def quantile(values: list[float], q: float) -> float:
-    """The q-quantile with linear interpolation (numpy's default)."""
-    s = sorted(values)
-    x = q * (len(s) - 1)
-    i = int(x)
-    return s[i] if i + 1 == len(s) else s[i] + (s[i + 1] - s[i]) * (x - i)
 
 
 def parse_run(stdout: str) -> dict:
@@ -54,8 +50,8 @@ def parse_run(stdout: str) -> dict:
 
 
 def summarize(values: list[float]) -> dict:
-    return {k: round(quantile(values, q), 6)
-            for k, q in (("median", 0.5), ("q1", 0.25), ("q3", 0.75))}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
 def aggregate(runs: dict, metrics: list[dict], seeds: list[int]) -> dict:
@@ -82,7 +78,7 @@ def aggregate(runs: dict, metrics: list[dict], seeds: list[int]) -> dict:
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "parent": summarize(p), "change": summarize(c),
             "change_wins": f"{wins}/{len(p)}",
-            "change_over_parent": round(quantile(c, 0.5) / quantile(p, 0.5), 4),
+            "change_over_parent": round(statistics.median(c) / statistics.median(p), 4),
         }
     return entry
 
@@ -97,11 +93,10 @@ def rss_against_passes(name: str, entry: dict) -> str:
                      f" | {passes['change'][i]:>6} {rss['change']['peak_rss_mb'][i]:9.3f} MB")
     xs = passes["parent"] + passes["change"]
     ys = rss["parent"]["peak_rss_mb"] + rss["change"]["peak_rss_mb"]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx if sxx else 0.0
-    lines.append(f"  slope {slope:.4f} MB per timed pass; medians {quantile(passes['parent'], 0.5):g}"
-                 f" -> {quantile(passes['change'], 0.5):g} passes")
+    slope = statistics.linear_regression(xs, ys).slope if len(set(xs)) > 1 else 0.0
+    lines.append(f"  slope {slope:.4f} MB per timed pass; medians"
+                 f" {statistics.median(passes['parent']):g}"
+                 f" -> {statistics.median(passes['change']):g} passes")
     return "\n".join(lines)
 
 
@@ -127,10 +122,7 @@ def copy_sides(parent: str, into: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="first seed; one seed per pair")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "TARGET"))
@@ -139,16 +131,16 @@ def main(argv: list[str] | None = None) -> int:
     parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    seeds = [args.seed + i for i in range(args.pairs)]
-    runs = {w: {"parent": [], "change": []} for w in args.workloads}
+    seeds = [args.seed + i for i in range(PAIRS)]
+    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
     with tempfile.TemporaryDirectory() as folder:
         sides = copy_sides(parent, Path(folder))
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for workload in args.workloads:
+            for workload in WORKLOADS:
                 for side in order:
                     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
                     out = subprocess.run(cmd, cwd=sides[side], check=True,
                                          capture_output=True, text=True).stdout
                     run = parse_run(out)
@@ -158,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                           f"{run['metrics']['peak_rss_mb']:.3f} passes {run['timed_passes']}",
                           flush=True)
 
-    env = runs[args.workloads[0]]["parent"][0]["env"]
+    env = runs[WORKLOADS[0]]["parent"][0]["env"]
     report = {
         "change": args.change,
         "parent_commit": parent,
@@ -167,11 +159,11 @@ def main(argv: list[str] | None = None) -> int:
         "python": env.get("python"),
         "numpy": env.get("numpy"),
         "command": f"python3 benchmarks/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS} --trace 0",
         "method": (
-            f"{args.pairs} pairs per workload, seeds {seeds[0]}-{seeds[-1]}, parent and "
+            f"{PAIRS} pairs per workload, seeds {seeds[0]}-{seeds[-1]}, parent and "
             f"change alternating which runs first (odd seeds parent first); per seed the "
-            f"workloads ran in the order {', '.join(args.workloads)}; each side run from a "
+            f"workloads ran in the order {', '.join(WORKLOADS)}; each side run from a "
             f"copy holding only its files (git archive of the parent; the working tree's "
             f"tracked and untracked files), by scripts/bench_pairs.py; medians and quartiles "
             f"(linear percentiles) over the runs; change_wins counts pairs where the change "
@@ -181,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.claim:
         report["claimed"] = dict(zip(("workload", "metric", "target"), args.claim))
-    report["workloads"] = {w: aggregate(runs[w], metrics, seeds) for w in args.workloads}
+    report["workloads"] = {w: aggregate(runs[w], metrics, seeds) for w in WORKLOADS}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         print(rss_against_passes(workload, entry))

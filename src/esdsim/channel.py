@@ -12,11 +12,10 @@ arbitrary density matrices, kept as an independent cross-check.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .qstate import XState, validate_density_matrix
+from .qstate import _COEFFICIENTS, XState, validate_density_matrix
 
 
 def gamma_factor(tau: float) -> float:
@@ -39,19 +38,17 @@ def evolve_xstate_closed(state: XState, tau: float) -> XState:
     and both coherences are damped by the same factor u.  At tau = 0 every
     coefficient comes back unchanged, bit for bit.
     """
-    s = state
-    return _flow((s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), tau, XState)
+    return XState(*_flow(_COEFFICIENTS(state), tau))
 
 
-def _flow(coefficients: tuple, tau: float, checked: Callable):
-    """``evolve_xstate_closed`` on a coefficient tuple: the tau check, the
-    flow at u = np.exp(-tau), then ``checked`` on the six flowed values,
-    which runs the ``XState`` checks: ``check_coefficients`` gives them back
-    as a tuple, ``XState`` as a state.
+def _flow(coefficients: tuple, tau: float) -> tuple:
+    """``evolve_xstate_closed`` on a coefficient tuple, unchecked: the tau
+    check, then the flow at u = np.exp(-tau).  Callers run the ``XState``
+    checks on the result, as ``XState`` or ``check_coefficients``.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    return checked(*damped_coefficients(*coefficients, float(np.exp(-tau))))
+    return damped_coefficients(*coefficients, float(np.exp(-tau)))
 
 
 def damped_coefficients(a, b, c, d, z_inner, z_corner, u):

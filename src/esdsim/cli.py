@@ -40,7 +40,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .deathclock import (
-    _COEFFICIENTS,
     BLOCK_ROWS as CSV_BLOCK,
     Fate,
     NoCrossingError,
@@ -53,7 +52,7 @@ from .deathclock import (
     trajectory,
 )
 from .intervention import Schedule, Switch, SwitchEvent
-from .qstate import XState
+from .qstate import _COEFFICIENTS, XState
 
 _SWITCH_CHOICES = ("both", "alice", "bob", "none")
 

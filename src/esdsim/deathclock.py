@@ -32,18 +32,19 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .channel import _flow, damped_coefficients
 from .intervention import Schedule, Switch, switch_coefficients
-from .qstate import UnsupportedShapeError, XState, check_coefficients, xstate_measures
+from .qstate import (
+    _COEFFICIENTS, UnsupportedShapeError, XState, check_coefficients, xstate_measures,
+)
 
 
 BLOCK_ROWS = 1 << 14  # rows per block of the sweep and of evolve: bounded temporaries
-_COEFFICIENTS = attrgetter("a", "b", "c", "d", "z_inner", "z_corner")  # an XState's six
 
 
 class Fate(IntEnum):
@@ -201,7 +202,7 @@ def _stretches(
     for event in schedule.events:
         yield start, event.tau, coefficients
         coefficients = check_coefficients(*switch_coefficients(
-            event.op, _flow(coefficients, event.tau - start, check_coefficients)))
+            event.op, check_coefficients(*_flow(coefficients, event.tau - start))))
         start = event.tau
     yield start, math.inf, coefficients
 
@@ -212,7 +213,7 @@ def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
     for start, end, current in _stretches(state, schedule):
         if tau < end:
-            return _flow(current, tau - start, XState)
+            return XState(*_flow(current, tau - start))
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
                 # the stretch when Q is near zero at an end.
                 u_root = min(max(_float_root(p2, p1, p0), u_end), 1.0)
             tau_end = start - float(np.log(u_root))
-            witness = _discriminant(_flow(current, tau_end - start, check_coefficients))
+            witness = _discriminant(check_coefficients(*_flow(current, tau_end - start)))
             return DeathReport(Fate.FINITE_END, tau_end, witness)
 
 

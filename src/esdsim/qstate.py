@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -69,6 +70,7 @@ class XState:
 
 
 _FIELDS = ("a", "b", "c", "d", "z_inner", "z_corner")
+_COEFFICIENTS = attrgetter(*_FIELDS)  # an XState's six, the engine's coefficient tuple
 
 
 def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:

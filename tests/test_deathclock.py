@@ -527,7 +527,7 @@ def scalar_query_results():
         values.append(answer(find_ad_crossing, state))
         lines.append(" ".join(
             repr(v if v is None or isinstance(v, (int, str)) else float(v))
-            for v in [*deathclock._COEFFICIENTS(state), *values]))
+            for v in [*qstate._COEFFICIENTS(state), *values]))
     return "\n".join(lines)
 
 
