@@ -7,7 +7,7 @@ altogether.  This package evolves the states in closed form, measures
 entanglement (negativity, concurrence, entropy), and locates the critical
 times, with a CSV-emitting command line on top.  The package namespace holds
 the X-state engine; the generic matrix route the tests check it against
-(Kraus channel, general unitaries, eigenvalue measures) stays importable
+(Kraus channel, switch matrices, eigenvalue measures) stays importable
 from ``esdsim.channel``, ``esdsim.intervention`` and ``esdsim.qstate``.
 """
 

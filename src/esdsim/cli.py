@@ -10,7 +10,8 @@ A scenario lives in a JSON config (see ``ScenarioConfig``); every flag
 overrides its config field, merged into the JSON object before one check per
 field, which names the field it rejects.  A bool is not a number there, and
 ``schedule`` must be a list.  The six coefficients are also checked as one
-state (``config state: ...``), and a grid the sweep refuses, one that
+state (``config state: ...``; a coherence whose square overflows names its
+field), and a grid the sweep refuses, one that
 reaches the unswitched end time, names ``grid``: once the flags parse,
 every error on the config's values starts with ``config``.  Times in the
 config and flags are dimensionless (tau = gamma * t) unless ``time_unit`` is
@@ -48,7 +49,6 @@ from .deathclock import (
     find_ad_crossing,
     find_end_time,
     single_switch_curve,
-    sweep_switch_times,
     trajectory,
 )
 from .intervention import Schedule, Switch, SwitchEvent
@@ -107,11 +107,6 @@ _SCALE_TINY = np.array([10**(11 - e) / 2**128 if e < -296 else math.nan for e in
 
 def _fmt(x: float) -> str:
     return _FLOAT % x
-
-
-def _encode_csv(columns: Sequence[np.ndarray], na_rep: str = "nan") -> str:
-    """Rows of equal-length columns as CSV lines; see ``_csv_chunks``."""
-    return "".join(_csv_chunks(columns, na_rep))
 
 
 def _compact(text: np.ndarray) -> str:
@@ -312,8 +307,12 @@ class ScenarioConfig:
                  "must be 0 when z_inner is not: one coherence slot at most", self.z_corner)
         try:
             self.initial_state()
-        except (ValueError, OverflowError) as exc:  # OverflowError: z**2 of a huge z
+        except ValueError as exc:
             raise ValueError(f"config state: {exc}") from exc
+        except OverflowError as exc:  # z**2 of a huge z, in the one active slot
+            name = "z_inner" if self.z_inner != 0.0 else "z_corner"
+            raise ValueError(f"config field '{name}': must have a finite square, "
+                             f"got {getattr(self, name)!r}") from exc
         _require("time_unit", self.time_unit in ("tau", "physical"),
                  "must be 'tau' or 'physical'", self.time_unit)
         _require("switch", self.switch in _SWITCH_CHOICES,
@@ -495,8 +494,9 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     _require("switch", cfg.switch != "none", "sweep needs 'both', 'alice' or 'bob'")
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
-    with _sweep_grid():
-        curve = sweep_switch_times(state, kind, _grid_taus(cfg, sweep=True))
+    with _sweep_grid():  # the grid is checked, and the baseline found, once
+        taus = _grid_taus(cfg, sweep=True)
+        curve = _sweep_switch_times(state, kind, taus, find_end_time(state))
     lines = []
     for name in ("baseline_end", "ad_crossing", "aversion_threshold"):
         if (tau := getattr(curve, name)) is not None:

@@ -131,11 +131,6 @@ def _discriminant(coefficients: tuple) -> float:
     return a * d - z_inner**2
 
 
-def _segment_quadratic(state: XState) -> tuple[float, float, float]:
-    """``_quadratic`` of a state's coefficients."""
-    return _quadratic(_COEFFICIENTS(state))
-
-
 def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
     """Coefficients (p2, p1, p0) of Q with disc(tau) = u**2 Q(u), u = e^-tau.
 
@@ -285,8 +280,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
             return DeathReport(Fate.AVERTED, None, p0)
         else:
             u_end = 0.0  # np.exp(-inf), without the call
-        # _stretch_dies, spelled out: this loop is the per-query hot path.
-        if (p2 * u_end + p1) * u_end + p0 >= 0.0 and (u_end > 0.0 or p0 > 0.0):
+        if _stretch_dies((p2 * u_end + p1) * u_end + p0, u_end):
             if p2 + p1 + p0 >= 0.0:
                 u_root = 1.0
             else:
@@ -316,7 +310,7 @@ def _single_switch(state: XState, kind: Switch, u: np.ndarray):
     Whether the first stretch dies (``_stretch_dies`` at u) and the tail's
     (q2, q1, q0), on arrays; the tail's slot is read off the switched z_corner.
     """
-    p2, p1, p0 = _segment_quadratic(state)
+    p2, p1, p0 = _quadratic(_COEFFICIENTS(state))
     a, b, c, _, z_inner, z_corner = switch_coefficients(
         kind, damped_coefficients(*_COEFFICIENTS(state), u))
     q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
@@ -335,29 +329,28 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     Deaths before the tail or at its start do not fall (g NaN, v None).
     """
     s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
-    p2, p1, p0 = map(float, _segment_quadratic(state))
+    p2, p1, p0 = map(float, _quadratic(_COEFFICIENTS(state)))
     switched = itemgetter(*switch_coefficients(kind, range(6)))
     entangled = discriminant(state) < 0.0
 
     def probe(tau_sw: float) -> tuple:
         x = float(np.exp(-tau_sw))
-        a, b, c, _, z_inner, z_corner = switched(damped_coefficients(*s, x))
-        corner = z_corner != 0.0
-        q0 = (b + a) * (c + a) - z_corner * z_corner if corner else 3.0 * a - z_inner * z_inner
+        tail = switched(damped_coefficients(*s, x))
+        q2, q1, q0 = _quadratic(tail)
         q_end = (p2 * x + p1) * x + p0
-        first = q_end > 0.0 or (q_end == 0.0 and x > 0.0)  # _stretch_dies
+        first = _stretch_dies(q_end, x)
         if not slope:
             return entangled and (first or q0 > 0.0), max(q_end, q0)
-        q2, q1 = a * a, -a * (b + c + 2.0 * a)
         if first or not q2 + q1 + q0 < 0.0 < q0:
             return True, math.nan, None
         v = min(_float_root(q2, q1, q0), 1.0)
+        a, b, c, _, z_inner, z_corner = tail
         ramp = s[0] * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
         da, db, dc, _, dz_inner, dz_corner = switched((
             2.0 * s[0] * x, s[1] + ramp, s[2] + ramp,
             -(s[1] + s[2] + 2.0 * s[0] * (1.0 - x)), s[4], s[5]))
         d0 = ((db + da) * (c + a) + (b + a) * (dc + da) - 2.0 * z_corner * dz_corner
-              if corner else 3.0 * da - 2.0 * z_inner * dz_inner)
+              if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
         d2, d1 = 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da)
         falls, flat = x * ((d2 * v + d1) * v + d0), v * (2.0 * q2 * v + q1)
         return falls >= flat, falls - flat, v
@@ -406,7 +399,7 @@ def _end_times(
 
     # The dying stretch: the first, from u = 1 at tau = 0 down to u_sw, or
     # the tail, from u = 1 at tau_sw down to u = 0.
-    for r, p in zip((r2, r1, r0), _segment_quadratic(state)):
+    for r, p in zip((r2, r1, r0), _quadratic(_COEFFICIENTS(state))):
         np.copyto(r, p, where=first)
     u_end, start = np.where(first, u_sw, 0.0), np.where(first, 0.0, tau_sw)
     with np.errstate(all="ignore"):

@@ -4,7 +4,8 @@ A switch flips one or both qubits with the Pauli-x gate at a chosen instant,
 exchanging the excited and ground levels so that subsequent decay acts on the
 swapped populations.  On X states every named switch is a pure permutation of
 the coefficients, which the ``apply_xstate`` fast path implements exactly;
-arbitrary product unitaries are supported on the matrix route only.
+``apply_unitary`` conjugates a density matrix by the same switch, the matrix
+route the tests check it against.
 """
 
 from __future__ import annotations
@@ -13,16 +14,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Union
 
 import numpy as np
 
-from .qstate import XState, validate_density_matrix
+from .qstate import _COEFFICIENTS, XState, validate_density_matrix
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
-
-_UNITARY_ATOL = 1e-12
 
 
 class Switch(Enum):
@@ -33,43 +30,17 @@ class Switch(Enum):
     BOB = "bob"
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralUnitary:
-    """An arbitrary product intervention u_a (x) u_b, one 2x2 factor per qubit."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("u_a", "u_b"):
-            u = np.asarray(getattr(self, name), dtype=complex)
-            if u.shape != (2, 2):
-                raise ValueError(f"GeneralUnitary.{name} must be 2x2, got {u.shape}")
-            if not np.all(np.abs(u @ u.conj().T - np.eye(2)) <= _UNITARY_ATOL):
-                raise ValueError(f"GeneralUnitary.{name} is not unitary")
-            u = u.copy()
-            u.flags.writeable = False
-            object.__setattr__(self, name, u)
+def unitary_matrix(op: Switch) -> np.ndarray:
+    """The 4x4 matrix a named switch applies (u_a tensor u_b)."""
+    if not isinstance(op, Switch):
+        raise TypeError(f"expected a named Switch, got {op!r}")
+    identity = np.eye(2, dtype=complex)  # on the qubit a single switch leaves alone
+    return np.kron(identity if op is Switch.BOB else PAULI_X,
+                   identity if op is Switch.ALICE else PAULI_X)
 
 
-LocalUnitary = Union[Switch, GeneralUnitary]
-
-
-def unitary_matrix(op: LocalUnitary) -> np.ndarray:
-    """The 4x4 matrix a switch applies (u_a tensor u_b)."""
-    if isinstance(op, GeneralUnitary):
-        return np.kron(op.u_a, op.u_b)
-    factors = {
-        Switch.BOTH: (PAULI_X, PAULI_X),
-        Switch.ALICE: (PAULI_X, IDENTITY2),
-        Switch.BOB: (IDENTITY2, PAULI_X),
-    }
-    u_a, u_b = factors[op]
-    return np.kron(u_a, u_b)
-
-
-def apply_unitary(m: np.ndarray, op: LocalUnitary) -> np.ndarray:
-    """Conjugate a density matrix by a local unitary: U m U^dagger."""
+def apply_unitary(m: np.ndarray, op: Switch) -> np.ndarray:
+    """Conjugate a density matrix by a named switch: U m U^dagger."""
     m = validate_density_matrix(m)
     u = unitary_matrix(op)
     return u @ m @ u.conj().T
@@ -100,10 +71,7 @@ def switch_coefficients(switch: Switch, coefficients: tuple) -> tuple:
 
 def apply_xstate(state: XState, switch: Switch) -> XState:
     """Exact coefficient permutation a named switch performs on an X state."""
-    s = state
-    return XState(*switch_coefficients(
-        switch, (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner)
-    ))
+    return XState(*switch_coefficients(switch, _COEFFICIENTS(state)))
 
 
 @dataclass(frozen=True, slots=True)

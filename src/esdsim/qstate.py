@@ -118,12 +118,12 @@ def to_density_matrix(state: XState) -> np.ndarray:
     return m / 3.0
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return ``m`` as a complex 4x4 array, or raise if it is not Hermitian."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.abs(m - m.conj().T) <= atol):
+    if not np.all(np.abs(m - m.conj().T) <= HERMITIAN_ATOL):
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
@@ -140,28 +140,21 @@ def validate_density_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def partial_transpose(m: np.ndarray, subsystem: str = "B") -> np.ndarray:
-    """Transpose one qubit of a two-qubit operator.
+def partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose Bob's qubit of a two-qubit operator.
 
     Accepts any Hermitian unit-trace matrix, not only density matrices: the
     partial transpose of an entangled state is itself not positive (that is
     exactly what negativity measures), and the map must stay applicable to
     its own output.  For X-form inputs it swaps the inner coherence pair
-    with the corner pair; the spectrum of the result is the same for either
-    choice of subsystem, so ``subsystem="B"`` (Bob) is the default.
+    with the corner pair.  Transposing Alice's qubit instead gives the
+    transpose of this result, so the same spectrum.
     """
     m = require_hermitian(m)
     trace = m.trace().real
     if abs(trace - 1.0) > TRACE_ATOL:
         raise ValueError(f"matrix trace must be 1, got {trace!r}")
-    blocks = m.reshape(2, 2, 2, 2)
-    if subsystem == "B":
-        pt = blocks.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        pt = blocks.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return pt.reshape(4, 4)
+    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def negativity(m: np.ndarray) -> float:
@@ -205,9 +198,12 @@ def xstate_measures(
       occupations in a 2x2 block whose lower eigenvalue, rationalized to
       avoid cancellation at late times, is
       2 (z**2 - p q) / (sqrt((p-q)**2 + 4 z**2) + p + q); its sign
-      therefore matches the sign of z**2 - p*q exactly.
+      therefore matches the sign of z**2 - p*q exactly.  Where that is 0/0
+      (z**2 underflows beside p = q = 0), the negativity is 0.
     * Concurrence: (2/3) max(0, |z_inner| - sqrt(a d), |z_corner| - sqrt(b c))
       (Wootters, PRL 80, 2245 (1998); Yu and Eberly, QIC 7, 459 (2007)).
+      An occupation may sit a round-off below 0, and a d or b c with it, so
+      the roots are taken of the products clipped at 0.
     * Entropy: from the spectra of the outer and inner blocks, in natural-log
       units, with 0 ln 0 = 0.
     """
@@ -221,13 +217,14 @@ def xstate_measures(
         )
     p, q = np.where(corner, b, a), np.where(corner, c, d)
     z = np.where(corner, z_corner, z_inner)
-    root = np.sqrt((p - q) ** 2 + 4.0 * z * z)
+    span = np.sqrt((p - q) ** 2 + 4.0 * z * z) + p + q
     negativity_ = np.maximum(0.0, np.divide(
-        2.0 * (z * z - p * q), 3.0 * (root + p + q),
-        out=np.zeros_like(z), where=z != 0.0,
+        2.0 * (z * z - p * q), 3.0 * span,
+        out=np.zeros_like(z), where=(z != 0.0) & (span != 0.0),
     ))
     concurrence_ = (2.0 / 3.0) * np.maximum(0.0, np.maximum(
-        np.abs(z_inner) - np.sqrt(a * d), np.abs(z_corner) - np.sqrt(b * c)
+        np.abs(z_inner) - np.sqrt(np.maximum(a * d, 0.0)),
+        np.abs(z_corner) - np.sqrt(np.maximum(b * c, 0.0)),
     ))
     entropy = _block_entropy(a, d, z_corner) + _block_entropy(b, c, z_inner)
     return negativity_, concurrence_, entropy

@@ -27,7 +27,7 @@ from esdsim import (
     find_end_time,
     sweep_switch_times,
 )
-from esdsim.cli import GridSpec, ScenarioConfig, _csv_chunks, _encode_csv, config_from_dict
+from esdsim.cli import GridSpec, ScenarioConfig, _csv_chunks, config_from_dict
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -110,6 +110,37 @@ def test_bad_field_types_exit_with_an_error(tmp_path, data):
     result = run_cli("sweep", "--config", str(path), expect_code=2)
     assert result.stderr.startswith("error: config field")
     assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+@pytest.mark.parametrize("slot", ["z_inner", "z_corner"])
+def test_a_coherence_whose_square_overflows_names_its_field(tmp_path, capsys, slot):
+    # The state check squares the coherence; the overflow names the field,
+    # in the library and on the command line.
+    data = {"a": 1, "b": 1, "c": 1, "d": 0, "z_inner": 0, slot: 1e300}
+    message = f"config field '{slot}': must have a finite square, got 1e+300"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert esdsim.cli.main(["evolve", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evolve_measures_a_state_with_an_occupation_below_zero(tmp_path, capsys):
+    # The state check takes occupations down to -1e-12, so a*d may sit a
+    # round-off below 0; the concurrence reads its root as 0, not NaN, and
+    # at tau = 0 is (2/3) z_inner = 1/3.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(
+        {"a": -1e-13, "b": 1, "c": 1, "d": 1.0000000000001, "z_inner": 0.5}))
+    assert esdsim.cli.main(["evolve", "--config", str(path), "--grid", "0:1:3"]) == 0
+    out, err = capsys.readouterr()
+    header, *rows = out.splitlines()
+    assert (len(rows), err) == (3, "")
+    assert "nan" not in out
+    first = dict(zip(header.split(","), rows[0].split(",")))
+    assert first["concurrence"] == "%.11e" % (1.0 / 3.0)
 
 
 def test_config_grid_must_be_a_grid_spec():
@@ -335,8 +366,8 @@ DOUBLES = st.one_of(
 @given(st.lists(DOUBLES, min_size=1, max_size=40))
 def test_encoder_matches_percent_format_on_every_double(values):
     x = np.array(values)
-    assert _encode_csv([x]) == "".join("%.11e\n" % v for v in values)
-    assert _encode_csv([x, x[::-1]]) == reference_csv([x, x[::-1]])
+    assert "".join(_csv_chunks([x])) == "".join("%.11e\n" % v for v in values)
+    assert "".join(_csv_chunks([x, x[::-1]])) == reference_csv([x, x[::-1]])
 
 
 def test_encoder_matches_percent_format_across_all_exponents():
@@ -347,7 +378,7 @@ def test_encoder_matches_percent_format_across_all_exponents():
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324]
     x = np.concatenate([x, special]).reshape(-1, 1)
     assert set(np.floor(np.log10(np.abs(x[:-7, 0])))) >= set(range(-320, 301))
-    assert _encode_csv([x[:, 0]]) == reference_csv([x[:, 0]])
+    assert "".join(_csv_chunks([x[:, 0]])) == reference_csv([x[:, 0]])
 
 
 def test_encoder_writes_integers_and_blank_nans():
@@ -355,11 +386,11 @@ def test_encoder_writes_integers_and_blank_nans():
     tau_sw = np.array([0.0, 0.125, 0.25, 1e-300])
     fate = np.array([0, 1, 2, 0], dtype=np.int8)
     tau_end = np.array([0.5, math.nan, math.nan, -0.0])
-    out = _encode_csv([tau_sw, fate, tau_end], na_rep="")
+    out = "".join(_csv_chunks([tau_sw, fate, tau_end], na_rep=""))
     assert out.splitlines()[1:3] == ["1.25000000000e-01,1,", "2.50000000000e-01,2,"]
     assert out == reference_csv([tau_sw, fate, tau_end], na_rep="")
     ints = np.array([0, 7, 10, 99, 100, 999, 1000, -1, -(2**63), 2**63 - 1])
-    assert _encode_csv([ints, ints.astype(float)]) == reference_csv(
+    assert "".join(_csv_chunks([ints, ints.astype(float)])) == reference_csv(
         [ints, ints.astype(float)]
     )
 
@@ -369,10 +400,10 @@ def test_encoder_rejects_an_na_rep_wider_than_its_slot():
     # longer na_rep is refused, not cut.
     x = np.array([1.0, math.nan, -2.5])
     widest = "x" * 19
-    assert _encode_csv([x, x], widest) == reference_csv([x, x], widest)
+    assert "".join(_csv_chunks([x, x], widest)) == reference_csv([x, x], widest)
     for na_rep in ("x" * 20, "x" * 25):
         with pytest.raises(ValueError, match=f"at most 19 characters, got {len(na_rep)}"):
-            _encode_csv([x], na_rep)
+            "".join(_csv_chunks([x], na_rep))
 
 
 def fallback_columns(width):
@@ -400,14 +431,14 @@ def test_encoder_sub_blocks_give_the_one_block_text(monkeypatch, capsys, cells):
         assert esdsim.cli.main(argv) == 0
         whole.append(capsys.readouterr().out)
     columns = [fallback_columns(3), fallback_columns(10)]
-    texts = [_encode_csv(cols, na_rep="") for cols in columns]
+    texts = ["".join(_csv_chunks(cols, na_rep="")) for cols in columns]
     monkeypatch.setattr(esdsim.cli, "CSV_CELLS", cells)
     for argv, text in zip(argvs, whole):
         assert esdsim.cli.main(argv) == 0
         assert capsys.readouterr().out == text
     for cols, text in zip(columns, texts):
         assert text == reference_csv(cols, na_rep="")
-        assert _encode_csv(cols, na_rep="") == text
+        assert "".join(_csv_chunks(cols, na_rep="")) == text
         assert len(list(_csv_chunks(cols))) == (40 if cells < len(cols) else 20)
 
 
@@ -460,7 +491,7 @@ def encoder_columns(draw):
 def test_encoder_exact_and_padded_sub_blocks_match_percent_format(columns, na_rep, cells):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(esdsim.cli, "CSV_CELLS", cells)
-        assert _encode_csv(columns, na_rep) == reference_csv(columns, na_rep)
+        assert "".join(_csv_chunks(columns, na_rep)) == reference_csv(columns, na_rep)
 
 
 def test_canonical_evolve_takes_the_exact_width_path(monkeypatch, capsys):

@@ -31,7 +31,7 @@ from esdsim import (
     trajectory,
 )
 from esdsim.channel import evolve_kraus
-from esdsim.intervention import GeneralUnitary, apply_unitary
+from esdsim.intervention import apply_unitary
 from esdsim.qstate import (
     concurrence,
     negativity,
@@ -43,7 +43,7 @@ from esdsim.qstate import (
 import esdsim.cli
 from esdsim import deathclock, qstate
 from esdsim.cli import main as cli_main
-from esdsim.deathclock import _segment_quadratic
+from esdsim.deathclock import _quadratic
 
 from conftest import random_xstate
 
@@ -140,7 +140,7 @@ def test_segment_quadratic_reproduces_discriminant():
     for _ in range(200):
         slot = "inner" if rng.uniform() < 0.5 else "corner"
         s = random_xstate(rng, slot=slot)
-        p2, p1, p0 = _segment_quadratic(s)
+        p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(s))
         tau = rng.uniform(0.0, 4.0)
         u = math.exp(-tau)
         direct = discriminant(evolve_xstate_closed(s, tau))
@@ -471,7 +471,7 @@ def test_witness_comes_from_the_dying_stretch(monkeypatch):
 def test_find_end_time_rejects_general_unitaries():
     # Schedules hold named switches only, so a general unitary never
     # reaches the closed-form walk.
-    op = GeneralUnitary(np.eye(2), np.eye(2))
+    op = np.eye(4)  # the identity product unitary, as a matrix
     with pytest.raises(TypeError, match="named Switch"):
         SwitchEvent(0.1, op)
     with pytest.raises(TypeError, match="named Switch"):
@@ -578,7 +578,7 @@ def reference_end_time(state, schedule):
     if d0 >= 0.0:
         return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
     for start, end, current in reference_stretches(state, schedule):
-        p2, p1, p0 = _segment_quadratic(current)
+        p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(current))
         if end != math.inf:
             u_end = float(np.exp(start - end))
         elif p0 <= 0.0:
@@ -798,7 +798,7 @@ def test_search_probe_matches_end_times_at_the_edges(state, kind, switch_times):
     fate, tau_end = end_times(state, kind, switch_times)
     u = np.exp(-np.array(switch_times))
     first, (q2, q1, q0) = deathclock._single_switch(state, kind, u)
-    p2, p1, p0 = _segment_quadratic(state)
+    p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(state))
     q_end = (p2 * u + p1) * u + p0
     threshold = deathclock._probe(state, kind)
     minimum = deathclock._probe(state, kind, slope=True)
@@ -901,7 +901,8 @@ def test_sweep_calls_find_end_time_per_search_step_not_per_row(monkeypatch, caps
         calls.append(args)
         return find(*args, **kwargs)
 
-    monkeypatch.setattr(deathclock, "find_end_time", counted)
+    for module in (deathclock, esdsim.cli):  # cmd_sweep finds the baseline itself
+        monkeypatch.setattr(module, "find_end_time", counted)
     for kind in ("both", "alice"):
         calls.clear()
         assert cli_main(["sweep", "--switch", kind, "--grid", "0:0.53:4001"]) == 0
@@ -911,8 +912,8 @@ def test_sweep_calls_find_end_time_per_search_step_not_per_row(monkeypatch, caps
 
 @pytest.mark.parametrize("grid", [[], ["--grid", "0:0.53:4001"]])
 def test_critical_finds_the_unswitched_end_once(monkeypatch, capsys, grid):
-    # cmd_critical hands its baseline and its checked grid to the sweep,
-    # which finds neither again.
+    # cmd_critical and cmd_sweep hand their baseline and their checked grid
+    # to the sweep, which finds neither again.
     calls, checks = [], []
     find, times = deathclock.find_end_time, deathclock._times
 
@@ -923,11 +924,12 @@ def test_critical_finds_the_unswitched_end_once(monkeypatch, capsys, grid):
     for module in (deathclock, esdsim.cli):
         monkeypatch.setattr(module, "find_end_time", counted)
     monkeypatch.setattr(deathclock, "_times", lambda *a, **k: checks.append(a) or times(*a, **k))
-    for kind in ("both", "alice", "bob"):
-        calls.clear()
-        assert cli_main(["critical", "--switch", kind, *grid]) == 0
-        assert "min_end_time" in capsys.readouterr().out
-        assert (len(calls), checks) == (1, []), kind
+    for command, feature in (("critical", "min_end_time"), ("sweep", "# min_end")):
+        for kind in ("both", "alice", "bob"):
+            calls.clear()
+            assert cli_main([command, "--switch", kind, *grid]) == 0
+            assert feature in capsys.readouterr().out
+            assert (len(calls), checks) == (1, []), (command, kind)
 
 
 # -- ad crossing and aversion threshold ---------------------------------------

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esdsim import Schedule, Switch, SwitchEvent, XState, apply_xstate
-from esdsim.intervention import (
-    GeneralUnitary, apply_unitary, switch_coefficients, unitary_matrix)
+from esdsim.intervention import apply_unitary, switch_coefficients, unitary_matrix
 from esdsim.qstate import concurrence, negativity, to_density_matrix
 
 from conftest import outcome, random_density_matrix, random_unitary2, random_xstate
@@ -19,25 +18,6 @@ def test_switch_matrices():
     assert np.array_equal(unitary_matrix(Switch.BOTH), np.kron(PAULI_X, PAULI_X))
     assert np.array_equal(unitary_matrix(Switch.ALICE), np.kron(PAULI_X, np.eye(2)))
     assert np.array_equal(unitary_matrix(Switch.BOB), np.kron(np.eye(2), PAULI_X))
-
-
-def test_general_unitary_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        GeneralUnitary(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
-
-
-def test_general_unitary_rejects_bad_shape():
-    with pytest.raises(ValueError, match="2x2"):
-        GeneralUnitary(np.eye(3), np.eye(2))
-
-
-def test_general_unitary_copies_are_read_only():
-    u = np.eye(2, dtype=complex)
-    op = GeneralUnitary(u, u)
-    with pytest.raises(ValueError):
-        op.u_a[0, 0] = 5.0
-    u[0, 0] = 5.0  # mutating the source must not reach the stored copy
-    assert op.u_a[0, 0] == 1.0
 
 
 def test_swap_both_reverses_occupations():
@@ -88,8 +68,8 @@ def test_apply_unitary_preserves_entanglement_measures():
     rng = np.random.default_rng(59)
     for _ in range(50):
         m = random_density_matrix(rng)
-        op = GeneralUnitary(random_unitary2(rng), random_unitary2(rng))
-        rotated = apply_unitary(m, op)
+        u = np.kron(random_unitary2(rng), random_unitary2(rng))
+        rotated = u @ m @ u.conj().T
         assert negativity(rotated) == pytest.approx(negativity(m), abs=1e-12)
         assert concurrence(rotated) == pytest.approx(concurrence(m), abs=1e-10)
 
@@ -100,7 +80,7 @@ def test_apply_unitary_validates_input():
 
 
 def test_apply_xstate_rejects_general_unitary():
-    op = GeneralUnitary(np.eye(2), np.eye(2))
+    op = np.kron(PAULI_X, np.eye(2))  # Alice's flip, as a matrix
     with pytest.raises(TypeError):
         apply_xstate(XState(3.0, 0.0, 0.0, 0.0), op)
 
@@ -111,9 +91,19 @@ def test_switch_coefficients_take_named_switches_only():
     coefficients = (0.5, 1.0, 0.75, 0.75, 0.5, 0.0)
     assert switch_coefficients(Switch.ALICE, coefficients) == (0.75, 0.75, 0.5, 1.0, 0.0, 0.5)
     impostor = types.SimpleNamespace(_value_="both")
-    for op in ("both", impostor, None, GeneralUnitary(np.eye(2), np.eye(2))):
+    for op in ("both", impostor, None, np.eye(4)):
         with pytest.raises(TypeError, match="named Switch"):
             switch_coefficients(op, coefficients)
+
+
+def test_switch_matrices_take_named_switches_only():
+    # The matrix route knows the three named switches and nothing else.
+    m = to_density_matrix(XState(1.0, 1.0, 1.0, 0.0, z_inner=1.0))
+    for op in ("alice", types.SimpleNamespace(_value_="alice"), None, np.eye(4)):
+        with pytest.raises(TypeError, match="named Switch"):
+            unitary_matrix(op)
+        with pytest.raises(TypeError, match="named Switch"):
+            apply_unitary(m, op)
 
 
 def test_switch_event_rejects_negative_time():
