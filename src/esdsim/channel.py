@@ -18,11 +18,16 @@ import numpy as np
 from .qstate import _COEFFICIENTS, XState, validate_density_matrix
 
 
-def gamma_factor(tau: float) -> float:
-    """Amplitude survival factor exp(-tau/2); lies in (0, 1] for tau >= 0."""
+def _check_tau(tau: float) -> float:
+    """tau, checked to be finite and non-negative: the one time check."""
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    return math.exp(-tau / 2.0)
+    return tau
+
+
+def gamma_factor(tau: float) -> float:
+    """Amplitude survival factor exp(-tau/2); lies in (0, 1] for tau >= 0."""
+    return math.exp(-_check_tau(tau) / 2.0)
 
 
 def evolve_xstate_closed(state: XState, tau: float) -> XState:
@@ -46,9 +51,7 @@ def _flow(coefficients: tuple, tau: float) -> tuple:
     check, then the flow at u = np.exp(-tau).  Callers run the ``XState``
     checks on the result, as ``XState`` or ``check_coefficients``.
     """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    return damped_coefficients(*coefficients, float(np.exp(-tau)))
+    return damped_coefficients(*coefficients, float(np.exp(-_check_tau(tau))))
 
 
 def damped_coefficients(a, b, c, d, z_inner, z_corner, u):

@@ -494,8 +494,8 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     _require("switch", cfg.switch != "none", "sweep needs 'both', 'alice' or 'bob'")
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
+    taus = _grid_taus(cfg, sweep=True)
     with _sweep_grid():  # the grid is checked, and the baseline found, once
-        taus = _grid_taus(cfg, sweep=True)
         curve = _sweep_switch_times(state, kind, taus, find_end_time(state))
     lines = []
     for name in ("baseline_end", "ad_crossing", "aversion_threshold"):

@@ -19,11 +19,17 @@ search (``_search``) down to neighbouring floats, on the exact fate test and
 on the sign of the end time's slope; neither has a tolerance.  Where u is
 subnormal, the threshold is first searched on u's count of quanta.
 
-``find_end_time`` walks one schedule; ``end_times`` decides a single switch
-at an array of switch times with the same arithmetic, every row through the
-same operations, and the sweep (``sweep_switch_times``) calls it block by
-block on times it has checked once.  exp and log come from
-numpy on every path, floats and arrays alike, so the two agree bit for bit.
+``find_end_time`` walks one schedule's events in one loop, with one
+``np.exp`` per finite stretch: u_end = e^-(end - start) decides whether the
+stretch dies and, if it lives, flows it to the switch.  ``state_at`` and
+``trajectory`` walk the same stretches through ``_stretches``; the time
+check and the checked flow-then-switch step are shared with it, and every
+u agrees bit for bit, as IEEE subtraction gives fl(s - e) = -fl(e - s).
+``end_times`` decides a single switch at an array of switch times with the
+same arithmetic, every row through the same operations, and the sweep
+(``sweep_switch_times``) calls it block by block on times it has checked
+once.  exp and log come from numpy on every path, floats and arrays alike,
+so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import _flow, damped_coefficients
+from .channel import _check_tau, _flow, damped_coefficients
 from .intervention import Schedule, Switch, switch_coefficients
 from .qstate import (
     _COEFFICIENTS, UnsupportedShapeError, XState, check_coefficients, xstate_measures,
@@ -79,6 +85,16 @@ class DeathReport:
     fate: Fate
     tau_end: float | None
     witness: float
+
+    def __init__(self, fate: Fate, tau_end: float | None, witness: float) -> None:
+        _SET_FATE(self, fate)
+        _SET_TAU_END(self, tau_end)
+        _SET_WITNESS(self, witness)
+
+
+# Stored through the slots' descriptors, as intervention's value types are.
+_SET_FATE, _SET_TAU_END = DeathReport.fate.__set__, DeathReport.tau_end.__set__
+_SET_WITNESS = DeathReport.witness.__set__
 
 
 @dataclass(frozen=True)
@@ -181,6 +197,14 @@ def _stretch_dies(q_end, u_end):
     return (q_end > 0.0) | ((q_end == 0.0) & (u_end > 0.0))
 
 
+def _flow_switch(coefficients: tuple, u: float, op: Switch) -> tuple:
+    """The step from one stretch's start to the next: the flow to u = e^-tau
+    and then the switch ``op``, each checked as ``evolve_xstate_closed`` and
+    ``apply_xstate`` check theirs, with no ``XState`` built."""
+    return check_coefficients(*switch_coefficients(
+        op, check_coefficients(*damped_coefficients(*coefficients, u))))
+
+
 def _stretches(
     state: XState, schedule: Schedule
 ) -> Iterator[tuple[float, float, tuple]]:
@@ -188,24 +212,21 @@ def _stretches(
 
     Yields (start, end, coefficients at start) for each stretch: from tau =
     0 to the first switch, between switches, and the open-ended tail last
-    (end = inf).  A switch at ``start`` is already applied.  Each flow and
-    each switch is checked as ``evolve_xstate_closed`` and ``apply_xstate``
-    check theirs, with no ``XState`` built.  Lazy, so a walk that stops
-    early flows no later stretch.
+    (end = inf).  A switch at ``start`` is already applied.  Lazy, so a walk
+    that stops early flows no later stretch.
     """
     start, coefficients = 0.0, _COEFFICIENTS(state)
     for event in schedule.events:
         yield start, event.tau, coefficients
-        coefficients = check_coefficients(*switch_coefficients(
-            event.op, check_coefficients(*_flow(coefficients, event.tau - start))))
+        u = float(np.exp(-_check_tau(event.tau - start)))
+        coefficients = _flow_switch(coefficients, u, event.op)
         start = event.tau
     yield start, math.inf, coefficients
 
 
 def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -> XState:
     """State at time tau under the schedule (switches at tau already applied)."""
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
+    _check_tau(tau)
     for start, end, current in _stretches(state, schedule):
         if tau < end:
             return XState(*_flow(current, tau - start))
@@ -267,29 +288,40 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     start (a switch landing where the discriminant is zero to round-off)
     dies at its start.  A tail that does not die averts death.  The witness
     is the discriminant of the dying stretch's state flowed to the end time.
+
+    One loop over the events, with one ``np.exp`` per finite stretch: its
+    u_end = e^-(end - start) serves the death test and, if the stretch
+    lives, the flow to the switch (``_flow_switch``, as ``_stretches``
+    steps).  It has the bits of ``_flow``'s np.exp(-(end - start)) and of
+    ``trajectory``'s np.exp(start - end) alike, since IEEE subtraction gives
+    fl(s - e) = -fl(e - s).
     """
-    d0 = discriminant(state)
+    current = _COEFFICIENTS(state)
+    d0 = _discriminant(current)
     if d0 >= 0.0:
         return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
 
-    for start, end, current in _stretches(state, schedule):
+    start = 0.0
+    for event in schedule.events:
+        u_end = float(np.exp(-_check_tau(event.tau - start)))
         p2, p1, p0 = _quadratic(current)
-        if end != math.inf:
-            u_end = float(np.exp(start - end))
-        elif p0 <= 0.0:  # the tail never reaches Q = 0
-            return DeathReport(Fate.AVERTED, None, p0)
-        else:
-            u_end = 0.0  # np.exp(-inf), without the call
         if _stretch_dies((p2 * u_end + p1) * u_end + p0, u_end):
-            if p2 + p1 + p0 >= 0.0:
-                u_root = 1.0
-            else:
-                # Clamped because round-off can put the root a hair outside
-                # the stretch when Q is near zero at an end.
-                u_root = min(max(_float_root(p2, p1, p0), u_end), 1.0)
-            tau_end = start - float(np.log(u_root))
-            witness = _discriminant(check_coefficients(*_flow(current, tau_end - start)))
-            return DeathReport(Fate.FINITE_END, tau_end, witness)
+            break
+        current, start = _flow_switch(current, u_end, event.op), event.tau
+    else:  # the tail, from u = 1 at start down to u_end = 0
+        p2, p1, p0 = _quadratic(current)
+        if p0 <= 0.0:  # the tail never reaches Q = 0
+            return DeathReport(Fate.AVERTED, None, p0)
+        u_end = 0.0
+    if p2 + p1 + p0 >= 0.0:
+        u_root = 1.0
+    else:
+        # Clamped because round-off can put the root a hair outside the
+        # stretch when Q is near zero at an end.
+        u_root = min(max(_float_root(p2, p1, p0), u_end), 1.0)
+    tau_end = start - float(np.log(u_root))
+    witness = _discriminant(check_coefficients(*_flow(current, tau_end - start)))
+    return DeathReport(Fate.FINITE_END, tau_end, witness)
 
 
 def _times(grid: Sequence[float], name: str, increasing: bool = False) -> np.ndarray:
@@ -323,15 +355,22 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
 
     Plain float arithmetic on x = e^-tau_sw from ``np.exp``, so it agrees
     with ``end_times`` bit for bit.  Gives the threshold's (dies, max(Q(x),
-    q0)), positive where the switch ends in death; with ``slope``, the
-    minimum's (rising, g, v): the end time -ln(x v), v the tail's root,
-    falls iff g = x Q_x - v Q_v < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
+    q0 / w)), positive where the switch ends in death.  After a single flip
+    q0 = x L(x) with L linear: it sinks to 0 with x, and a secant on it
+    stalls at a wide bracket's upper end.  There w = x (1 + (1 - x) / 2),
+    about 3x/2 near x = 0 and 1 at x = 1.  (With w = x the value is linear,
+    the first secant lands on the threshold to round-off, and near tau_sw
+    = 0, where one x spans some 2**8 floats of tau_sw, the search walks
+    that run from the bracket's far end.)  After a both-qubit flip q0 tends
+    to 9, and w = 1.  With ``slope``, the minimum's (rising, g, v): the end
+    time -ln(x v), v the tail's root, falls iff g = x Q_x - v Q_v < 0, as
+    dv/dx = -Q_x / Q_v and Q_v < 0.
     Deaths before the tail or at its start do not fall (g NaN, v None).
     """
     s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
     p2, p1, p0 = map(float, _quadratic(_COEFFICIENTS(state)))
     switched = itemgetter(*switch_coefficients(kind, range(6)))
-    entangled = discriminant(state) < 0.0
+    entangled, single = discriminant(state) < 0.0, kind is not Switch.BOTH
 
     def probe(tau_sw: float) -> tuple:
         x = float(np.exp(-tau_sw))
@@ -340,7 +379,8 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
         q_end = (p2 * x + p1) * x + p0
         first = _stretch_dies(q_end, x)
         if not slope:
-            return entangled and (first or q0 > 0.0), max(q_end, q0)
+            w = x * (1.0 + 0.5 * (1.0 - x)) if single and x else 1.0
+            return entangled and (first or q0 > 0.0), max(q_end, q0 / w)
         if first or not q2 + q1 + q0 < 0.0 < q0:
             return True, math.nan, None
         v = min(_float_root(q2, q1, q0), 1.0)

@@ -81,12 +81,13 @@ class SwitchEvent:
     tau: float
     op: Switch
 
-    def __post_init__(self) -> None:
-        tau = self.tau
+    def __init__(self, tau: float, op: Switch) -> None:
         if not (math.isfinite(tau) and tau >= 0.0):
             raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}")
-        if not isinstance(self.op, Switch):
-            raise TypeError(f"SwitchEvent.op must be a named Switch, got {self.op!r}")
+        if not isinstance(op, Switch):
+            raise TypeError(f"SwitchEvent.op must be a named Switch, got {op!r}")
+        _SET_TAU(self, tau)
+        _SET_OP(self, op)
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,9 +96,16 @@ class Schedule:
 
     events: tuple[SwitchEvent, ...] = ()
 
+    def __init__(self, events: tuple[SwitchEvent, ...] = ()) -> None:
+        _SET_EVENTS(self, tuple(events))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
+        events = self.events
+        for index, event in enumerate(events):
+            if not isinstance(event, SwitchEvent):
+                raise TypeError(
+                    f"Schedule.events[{index}] must be a SwitchEvent, got {event!r}")
         for earlier, later in zip(events, events[1:]):
             if not later.tau > earlier.tau:
                 raise ValueError(
@@ -108,3 +116,9 @@ class Schedule:
     @classmethod
     def single(cls, tau: float, op: Switch) -> "Schedule":
         return cls((SwitchEvent(tau, op),))
+
+
+# The value types' __init__ store through their slots' descriptors, as the
+# generated frozen __init__ would through object.__setattr__, but faster.
+_SET_TAU, _SET_OP = SwitchEvent.tau.__set__, SwitchEvent.op.__set__
+_SET_EVENTS = Schedule.events.__set__

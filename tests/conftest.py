@@ -1,8 +1,16 @@
-"""Shared samplers and helpers for randomized batteries (all seeded by the caller)."""
+"""Shared samplers and helpers for randomized batteries (all seeded by the
+caller), and the benchmark's modules as a fixture."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from esdsim import XState
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def random_xstate(rng: np.random.Generator, slot: str = "inner") -> XState:
@@ -41,3 +49,19 @@ def outcome(build, *args):
     except (ArithmeticError, TypeError, ValueError) as exc:
         return type(exc), str(exc)
     return "ok"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """benchmarks/oracle.py, workloads.py and tracer.py, loaded by path.
+
+    ``workloads`` imports ``oracle`` by name, so each module is registered
+    under its own name for the test's duration.
+    """
+    modules = {}
+    for name in ("oracle", "workloads", "tracer"):
+        spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    return modules

@@ -1,33 +1,9 @@
 """The benchmark's bindings to the package: its modules import, its workloads
 build, and its tracer wraps every traced name (no benchmark pass is run)."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
-import pytest
-
 import esdsim
 import esdsim.cli
 from esdsim import deathclock
-
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
-
-
-@pytest.fixture
-def bench(monkeypatch):
-    """benchmarks/oracle.py, workloads.py and tracer.py, loaded by path.
-
-    ``workloads`` imports ``oracle`` by name, so each module is registered
-    under its own name for the test's duration.
-    """
-    modules = {}
-    for name in ("oracle", "workloads", "tracer"):
-        spec = importlib.util.spec_from_file_location(name, BENCHMARKS / f"{name}.py")
-        modules[name] = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, name, modules[name])
-        spec.loader.exec_module(modules[name])
-    return modules
 
 
 def test_every_workload_builds(bench):

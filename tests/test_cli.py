@@ -185,6 +185,21 @@ def test_times_that_fail_in_tau_name_their_field(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("config, grid, message", [
+    ({"switch": "both"}, "0:1:1", "config field 'grid.count': sweeps need >= 2 points, got 1"),
+    ({"switch": "alice", "gamma": 1e308, "time_unit": "physical"}, "0:1e10:3",
+     "config field 'grid': times must be finite and strictly increasing in tau"),
+], ids=["one_point", "overflow_in_tau"])
+def test_sweep_and_critical_name_a_bad_grid_once(tmp_path, capsys, config, grid, message):
+    # A grid too short for a sweep, or one that overflows in tau: both
+    # commands print the same line, with one prefix.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    for command in ("sweep", "critical"):
+        assert esdsim.cli.main([command, "--config", str(path), "--grid", grid]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n"), command
+
+
 def test_dump_config_round_trips(tmp_path):
     out = run_cli("evolve", "--switch", "both", "--t-sw", "0.223", "--dump-config")
     data = json.loads(out.stdout)

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -531,11 +533,16 @@ def scalar_query_results():
     return "\n".join(lines)
 
 
-def test_value_types_are_slotted_and_frozen():
+def test_value_types_are_slotted_and_frozen(monkeypatch):
+    # SwitchEvent, Schedule and DeathReport store through their slots'
+    # descriptors in a hand-written __init__; what dataclass gives them
+    # otherwise holds, as it does for XState.
+    event = SwitchEvent(0.2, Switch.ALICE)
+    schedule = Schedule([event, SwitchEvent(tau=0.5, op=Switch.BOB)])
     report = find_end_time(CANONICAL, Schedule.single(0.2, Switch.ALICE))
-    for value in (CANONICAL, SwitchEvent(0.2, Switch.ALICE), Schedule(), report):
+    for value in (CANONICAL, event, schedule, Schedule(), report):
         assert not hasattr(value, "__dict__")
-        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+        with pytest.raises(dataclasses.FrozenInstanceError):
             value.__setattr__(value.__slots__[0], None)
         # Python 3.11's frozen __setattr__ raises TypeError for a slotted
         # class's unknown name; later versions raise FrozenInstanceError.
@@ -543,6 +550,28 @@ def test_value_types_are_slotted_and_frozen():
             value.note = "no new attributes"
         with pytest.raises(AttributeError):
             object.__setattr__(value, "note", "not even past the frozen check")
+        twin = dataclasses.replace(value)
+        assert twin == value and twin is not value and hash(twin) == hash(value)
+    assert type(schedule.events) is tuple and schedule.events[0] is event
+    assert repr(event) == "SwitchEvent(tau=0.2, op=<Switch.ALICE: 'alice'>)"
+    assert repr(Schedule((event,))) == f"Schedule(events=({event!r},))"
+    assert repr(DeathReport(Fate.FINITE_END, 0.75, -0.0)) == (
+        "DeathReport(fate=<Fate.FINITE_END: 0>, tau_end=0.75, witness=-0.0)")
+    assert dataclasses.replace(event, tau=0.3) == SwitchEvent(0.3, Switch.ALICE) != event
+    assert dataclasses.replace(report, tau_end=None).tau_end is None
+    with pytest.raises(ValueError, match="SwitchEvent.tau"):
+        dataclasses.replace(event, tau=-1.0)
+    with pytest.raises(ValueError, match="strictly increase"):
+        dataclasses.replace(schedule, events=schedule.events[::-1])
+    # Each Schedule built runs __post_init__, which the benchmark's tracer
+    # patches to count them.
+    built = []
+    post_init = Schedule.__post_init__
+    monkeypatch.setattr(Schedule, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    made = [Schedule(), Schedule([event]), Schedule.single(0.1, Switch.BOTH),
+            dataclasses.replace(schedule)]
+    assert [id(s) for s in built] == [id(s) for s in made]
 
 
 def test_scalar_queries_keep_their_committed_digest():
@@ -769,20 +798,37 @@ def test_trajectory_matches_state_at_at_the_edges(state, events, times):
         assert got == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), (state, tau)
 
 
+# Switch times where u = exp(-tau) underflows: around TAU_ZERO, and past it.
+PAST_ZERO = st.sampled_from((
+    deathclock.TAU_ZERO, math.nextafter(deathclock.TAU_ZERO, 0.0), deathclock.TAU_QUANTUM,
+    745.5, 1e4, 1e300))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     edge_xstates(),
-    st.lists(st.tuples(SWITCH_TIMES, st.sampled_from(list(Switch))),
-             min_size=1, max_size=2, unique_by=lambda event: event[0]),
-    SWITCH_TIMES,
+    st.lists(st.tuples(SWITCH_TIMES | PAST_ZERO, st.sampled_from(list(Switch))),
+             max_size=3, unique_by=lambda event: event[0]),
+    SWITCH_TIMES | PAST_ZERO,
+    st.sampled_from(list(Switch)),
 )
-def test_tuple_walk_matches_the_object_walk(state, events, tau):
-    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in sorted(events)))
-    assert bits(find_end_time, state, schedule) == bits(reference_end_time, state, schedule)
-    for at in (tau, *(t for t, _ in events)):
-        assert bits(state_at, state, schedule, at) == bits(
-            reference_state_at, state, schedule, at)
-
+def test_tuple_walk_matches_the_object_walk(state, events, tau, kind):
+    # On inner and corner states, 0 to 3 switches, then one more switch
+    # exactly at the end time found, where the discriminant is zero to
+    # round-off: find_end_time's one loop, with one np.exp per finite
+    # stretch, and state_at are the walk on XStates, bit for bit.
+    schedule = Schedule(tuple(SwitchEvent(t, k) for t, k in sorted(events)))
+    schedules = [schedule]
+    report = find_end_time(state, schedule)
+    if report.fate is Fate.FINITE_END and math.isfinite(report.tau_end) and all(
+            report.tau_end > t for t, _ in events):
+        schedules.append(Schedule((*schedule.events, SwitchEvent(report.tau_end, kind))))
+    for schedule in schedules:
+        assert bits(find_end_time, state, schedule) == bits(
+            reference_end_time, state, schedule)
+        for at in (tau, *(event.tau for event in schedule.events)):
+            assert bits(state_at, state, schedule, at) == bits(
+                reference_state_at, state, schedule, at)
 
 
 @settings(max_examples=300, deadline=None)
@@ -794,16 +840,18 @@ def test_tuple_walk_matches_the_object_walk(state, events, tau):
 def test_search_probe_matches_end_times_at_the_edges(state, kind, switch_times):
     # The searches' probe is _single_switch's arithmetic at one float switch
     # time: its fate, its threshold value and its tail's end time are those
-    # of the arrays, bit for bit.
+    # of the arrays, bit for bit.  The threshold value divides a single
+    # flip's q0 by w = u (1 + (1 - u) / 2) where u > 0.
     fate, tau_end = end_times(state, kind, switch_times)
     u = np.exp(-np.array(switch_times))
     first, (q2, q1, q0) = deathclock._single_switch(state, kind, u)
     p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(state))
     q_end = (p2 * u + p1) * u + p0
+    w = np.where((u > 0.0) & (kind is not Switch.BOTH), u * (1.0 + 0.5 * (1.0 - u)), 1.0)
     threshold = deathclock._probe(state, kind)
     minimum = deathclock._probe(state, kind, slope=True)
     for i, tau_sw in enumerate(switch_times):
-        assert threshold(tau_sw) == (fate[i] == Fate.FINITE_END, max(q_end[i], q0[i]))
+        assert threshold(tau_sw) == (fate[i] == Fate.FINITE_END, max(q_end[i], q0[i] / w[i]))
         rising, g, v = minimum(tau_sw)
         if not first[i] and q2[i] + q1[i] + q0[i] < 0.0 < q0[i]:
             if discriminant(state) < 0.0:  # else end_times has no end time
@@ -1129,6 +1177,55 @@ def test_searches_take_a_bounded_number_of_probes(monkeypatch):
             assert (np.exp(-below), np.exp(-t)) == ((k + 1) * 5e-324, k * 5e-324)
             fate = deathclock._probe(XState(*coefficients), kind)
             assert fate(below)[0] == fate(0.0)[0] != fate(t)[0]
+
+
+# md5 of wide_bracket_thresholds' text, as the threshold search found it
+# while it steered on max(Q(x), q0): steering on q0 / w moves no bit.
+WIDE_THRESHOLD_MD5 = "4c6e1cbca4f236a82afc18caad5e1197"
+
+
+def wide_bracket_thresholds(draw_entangled):
+    """Each aversion threshold on a wide bracket, (0, 30) and (0, 744.5),
+    for every kind and 300 ``draw_entangled`` states each of seeds 3 and 5,
+    as text ("BracketError" or "NoCrossingError" where there is none)."""
+    lines = []
+    for seed in (3, 5):
+        rng, states = random.Random(seed), []
+        while len(states) < 300:
+            if (state := draw_entangled(rng)) is not None:
+                states.append(state)
+        for state, kind, bracket in itertools.product(
+                states, Switch, ((0.0, 30.0), (0.0, 744.5))):
+            try:
+                lines.append(find_aversion_threshold(state, kind, bracket).hex())
+            except (BracketError, NoCrossingError) as exc:
+                lines.append(type(exc).__name__)
+    return "\n".join(lines)
+
+
+def test_thresholds_take_few_probes_on_wide_brackets(bench, monkeypatch):
+    # Steering on max(Q(x), q0), 29 of these thresholds took 73 or 74
+    # probes: after a single flip q0 sinks to 0 with x = e^-tau_sw, and the
+    # secant stalled at the bracket's upper end.  Each now takes at most 32,
+    # ends included, and every threshold keeps its bits.
+    probe, counts = deathclock._probe, []
+
+    def counted(*args, **kwargs):
+        inner, calls = probe(*args, **kwargs), []
+        counts.append(calls)
+        return lambda t: calls.append(t) or inner(t)
+
+    monkeypatch.setattr(deathclock, "_probe", counted)
+    text = wide_bracket_thresholds(bench["workloads"].draw_entangled)
+    assert hashlib.md5(text.encode()).hexdigest() == WIDE_THRESHOLD_MD5
+    assert max(map(len, counts)) <= 32
+    # The phase_map workload's 512 thresholds (seed 1) took 1,990 probes
+    # in all; they take no more.
+    counts.clear()
+    for op in bench["workloads"].PhaseMap(1).ops:
+        if not op.latency:  # its a = d crossings and its thresholds
+            op.call()
+    assert sum(map(len, counts)) <= 1990
 
 
 @pytest.mark.parametrize("flat", [False, True])

@@ -121,6 +121,19 @@ def test_schedule_requires_strictly_increasing_times():
         Schedule((SwitchEvent(0.2, Switch.BOTH), SwitchEvent(0.2, Switch.ALICE)))
 
 
+@pytest.mark.parametrize("events, index", [
+    (((0.1, Switch.BOTH),), 0),
+    ((0.1,), 0),
+    ((SwitchEvent(0.1, Switch.BOTH), Switch.ALICE), 1),
+    ([SwitchEvent(0.1, Switch.BOTH), None], 1),
+], ids=["a_pair", "a_time", "a_switch", "none_in_a_list"])
+def test_schedule_rejects_entries_that_are_not_switch_events(events, index):
+    # At construction, not later as an AttributeError inside find_end_time.
+    message = rf"^Schedule\.events\[{index}\] must be a SwitchEvent, got "
+    with pytest.raises(TypeError, match=message):
+        Schedule(events)
+
+
 def test_schedule_single_helper():
     schedule = Schedule.single(0.25, Switch.BOB)
     assert len(schedule.events) == 1
@@ -141,8 +154,12 @@ def reference_switch_event(tau, op):
 
 
 def reference_schedule(events=()):
-    """Schedule's checks as first written: the reference."""
+    """Schedule's checks as first written, after the check that each entry
+    is a SwitchEvent: the reference."""
     events = tuple(events)
+    for index, event in enumerate(events):
+        if not isinstance(event, SwitchEvent):
+            raise TypeError(f"Schedule.events[{index}] must be a SwitchEvent, got {event!r}")
     for earlier, later in zip(events, events[1:]):
         if not later.tau > earlier.tau:
             raise ValueError(
@@ -160,11 +177,14 @@ def test_switch_event_checks_are_the_reference(tau, op):
     assert outcome(SwitchEvent, tau, op) == outcome(reference_switch_event, tau, op)
 
 
-@given(st.lists(st.sampled_from((0.0, 5e-324, 0.1, 0.2, 0.3)) | st.floats(0.0, 1.0),
-                max_size=4), st.booleans())
+@given(st.lists(st.sampled_from((0.0, 5e-324, 0.1, 0.2, 0.3)) | st.floats(0.0, 1.0)
+                | st.sampled_from(((0.1, Switch.BOTH), None, "both")), max_size=4),
+       st.booleans())
 def test_schedule_checks_are_the_reference(taus, as_list):
-    # Times equal, falling or rising, as a tuple or a list of events.
-    events = [SwitchEvent(tau, Switch.BOTH) for tau in taus]
+    # Times equal, falling or rising, and entries that are not events, as a
+    # tuple or a list.
+    events = [SwitchEvent(tau, Switch.BOTH) if isinstance(tau, float) else tau
+              for tau in taus]
     events = events if as_list else tuple(events)
     result = outcome(Schedule, events)
     assert result == outcome(reference_schedule, events)
