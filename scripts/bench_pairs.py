@@ -11,8 +11,17 @@ pairs the change wins (ties count for neither) and the ratio of medians,
 each run's ``pass_ref_s`` and ``peak_rss_mb``, and its count of timed
 passes.  The harness keeps every timed pass's latencies, so a faster pass
 reads as more memory; the script prints each run's peak RSS beside its
-timed passes, and the least-squares slope of one over the other, so that
+timed passes, and the least-squares line of one over the other, so that
 artifact shows in the listing.
+
+It also writes and prints the verdict the comparison applies:
+- per workload and metric, whether the change's median is worse than the
+  parent's, relative to the parent's, by more than the metric's bound;
+- with ``--claim``, whether the claim holds: the change wins at least nine
+  tenths of the pairs, and its median beats the parent's by more than the
+  parent's interquartile range (q3 - q1);
+- per workload, the timed-pass count at which the fitted RSS line reaches
+  (1 + bound) times the parent's median ``peak_rss_mb``.
 Run from the repository root:
 
     python scripts/bench_pairs.py --parent HEAD --seed 1601 \\
@@ -74,13 +83,74 @@ def aggregate(runs: dict, metrics: list[dict], seeds: list[int]) -> dict:
         p = [r["metrics"][name] for r in parent]
         c = [r["metrics"][name] for r in change]
         wins = sum(sign * (b - a) < 0.0 for a, b in zip(p, c))
+        p_median, c_median = statistics.median(p), statistics.median(c)
+        worse_by = sign * (c_median - p_median) / p_median
         entry["metrics"][name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "parent": summarize(p), "change": summarize(c),
             "change_wins": f"{wins}/{len(p)}",
-            "change_over_parent": round(statistics.median(c) / statistics.median(p), 4),
+            "change_over_parent": round(c_median / p_median, 4),
+            "worse_by": round(worse_by, 4),
+            "beyond_bound": worse_by > spec["bound"],
         }
+        if name == "peak_rss_mb":
+            entry["rss_fit"] = rss_fit(entry, (1.0 + spec["bound"]) * p_median)
     return entry
+
+
+def rss_fit(entry: dict, limit: float) -> dict:
+    """The least-squares line of peak RSS over timed passes, both sides
+    together, and the timed-pass count where it reaches ``limit`` MB (None
+    where the line does not rise)."""
+    rss, passes = entry["per_run"], entry["timed_passes"]
+    xs = passes["parent"] + passes["change"]
+    ys = rss["parent"]["peak_rss_mb"] + rss["change"]["peak_rss_mb"]
+    if len(set(xs)) > 1:
+        slope, intercept = statistics.linear_regression(xs, ys)
+    else:
+        slope, intercept = 0.0, statistics.mean(ys)
+    at = (limit - intercept) / slope if slope > 0.0 else None
+    return {"slope_mb_per_pass": round(slope, 6), "intercept_mb": round(intercept, 4),
+            "limit_mb": round(limit, 4),
+            "passes_at_limit": None if at is None else round(at, 1)}
+
+
+def claim_verdict(entry: dict, metric: str) -> dict:
+    """Whether a claimed gain on ``metric`` holds in ``entry``: the change
+    wins at least nine tenths of the pairs (ties count for neither), and
+    its median beats the parent's by more than the parent's q3 - q1."""
+    m = entry["metrics"][metric]
+    wins, pairs = map(int, m["change_wins"].split("/"))
+    sign = 1.0 if m["better"] == "lower" else -1.0
+    gap = sign * (m["parent"]["median"] - m["change"]["median"])
+    spread = m["parent"]["q3"] - m["parent"]["q1"]
+    return {"change_wins": m["change_wins"], "wins_needed": -(-9 * pairs // 10),
+            "median_gap": round(gap, 6), "parent_iqr": round(spread, 6),
+            "holds": 10 * wins >= 9 * pairs and gap > spread}
+
+
+def verdict_lines(report: dict) -> list[str]:
+    """The verdict, as printed: each workload's metrics against their
+    bounds, its RSS line's pass count at the limit, and the claim."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        for name, m in entry["metrics"].items():
+            lines.append(f"{workload} {name}: {m['change']['median']:g} vs "
+                         f"{m['parent']['median']:g} {m['unit']}, worse by "
+                         f"{m['worse_by']:+.2%} (bound {m['bound']:.0%}): "
+                         f"{'BEYOND BOUND' if m['beyond_bound'] else 'ok'}")
+        if (fit := entry.get("rss_fit")) is not None:
+            at = fit["passes_at_limit"]
+            lines.append(f"{workload} RSS line reaches {fit['limit_mb']:g} MB at "
+                         + ("no pass count (it does not rise)" if at is None
+                            else f"{at:g} timed passes"))
+    if (claim := report.get("claimed")) is not None:
+        v = claim["verdict"]
+        lines.append(f"claim {claim['workload']} {claim['metric']}: wins {v['change_wins']}"
+                     f" (needs {v['wins_needed']}), median gap {v['median_gap']:g} against"
+                     f" parent q3 - q1 {v['parent_iqr']:g}: "
+                     f"{'holds' if v['holds'] else 'NOT MET'}")
+    return lines
 
 
 def rss_against_passes(name: str, entry: dict) -> str:
@@ -91,9 +161,7 @@ def rss_against_passes(name: str, entry: dict) -> str:
     for i in range(entry["pairs"]):
         lines.append(f"  {passes['parent'][i]:>6} {rss['parent']['peak_rss_mb'][i]:9.3f} MB"
                      f" | {passes['change'][i]:>6} {rss['change']['peak_rss_mb'][i]:9.3f} MB")
-    xs = passes["parent"] + passes["change"]
-    ys = rss["parent"]["peak_rss_mb"] + rss["change"]["peak_rss_mb"]
-    slope = statistics.linear_regression(xs, ys).slope if len(set(xs)) > 1 else 0.0
+    slope = entry["rss_fit"]["slope_mb_per_pass"]
     lines.append(f"  slope {slope:.4f} MB per timed pass; medians"
                  f" {statistics.median(passes['parent']):g}"
                  f" -> {statistics.median(passes['change']):g} passes")
@@ -174,9 +242,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim:
         report["claimed"] = dict(zip(("workload", "metric", "target"), args.claim))
     report["workloads"] = {w: aggregate(runs[w], metrics, seeds) for w in WORKLOADS}
+    if args.claim:
+        report["claimed"]["verdict"] = claim_verdict(
+            report["workloads"][args.claim[0]], args.claim[1])
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         print(rss_against_passes(workload, entry))
+    print("\n".join(verdict_lines(report)))
     return 0
 
 

@@ -11,9 +11,10 @@ overrides its config field, merged into the JSON object before one check per
 field, which names the field it rejects.  A bool is not a number there, and
 ``schedule`` must be a list.  The six coefficients are also checked as one
 state (``config state: ...``; a coherence whose square overflows names its
-field), and a grid the sweep refuses, one that
-reaches the unswitched end time, names ``grid``: once the flags parse,
-every error on the config's values starts with ``config``.  Times in the
+field), a grid the sweep refuses, one that reaches the unswitched end time,
+names ``grid``, and a ``gamma`` so small that a ``critical`` time overflows
+as tau / gamma names ``gamma``: once the flags parse, every error on the
+config's values starts with ``config``.  Times in the
 config and flags are dimensionless (tau = gamma * t) unless ``time_unit`` is
 ``"physical"``; output time columns named ``tau`` are always dimensionless,
 and ``critical`` also reports physical times t = tau / gamma.
@@ -526,7 +527,10 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
     def row(name: str, status: str, tau: float | None) -> str:
         if tau is None:
             return f"{name},{status},,"
-        return f"{name},{status},{_fmt(tau)},{_fmt(tau / cfg.gamma)}"
+        time = tau / cfg.gamma
+        _require("gamma", math.isfinite(time),
+                 f"too small: {name} in physical time, tau / gamma, overflows", cfg.gamma)
+        return f"{name},{status},{_fmt(tau)},{_fmt(time)}"
 
     def found(name: str, tau: float | None) -> str:
         return row(name, "undefined" if tau is None else "found", tau)

@@ -19,12 +19,17 @@ search (``_search``) down to neighbouring floats, on the exact fate test and
 on the sign of the end time's slope; neither has a tolerance.  Where u is
 subnormal, the threshold is first searched on u's count of quanta.
 
-``find_end_time`` walks one schedule's events in one loop, with one
+``find_end_time`` walks one schedule's events in one flat loop, with one
 ``np.exp`` per finite stretch: u_end = e^-(end - start) decides whether the
-stretch dies and, if it lives, flows it to the switch.  ``state_at`` and
-``trajectory`` walk the same stretches through ``_stretches``; the time
-check and the checked flow-then-switch step are shared with it, and every
-u agrees bit for bit, as IEEE subtraction gives fl(s - e) = -fl(e - s).
+stretch dies and, if it lives, flows it to the switch.  Each finite stretch
+is unpacked once, and Q(u_end), the death test and the flow are spelled out
+on its coefficients with the operations of ``_quadratic``, ``_stretch_dies``
+and ``damped_coefficients``, in the same order; the flowed and the switched
+tuples still run ``check_coefficients`` and the switch is still
+``switch_coefficients``.  ``state_at`` and ``trajectory`` walk the same
+stretches through ``_stretches``, which steps with ``_flow_switch``; the
+time check is shared, and every u agrees bit for bit, as IEEE subtraction
+gives fl(s - e) = -fl(e - s).
 ``end_times`` decides a single switch at an array of switch times with the
 same arithmetic, every row through the same operations, and the sweep
 (``sweep_switch_times``) calls it block by block on times it has checked
@@ -59,6 +64,11 @@ class Fate(IntEnum):
     FINITE_END = 0
     AVERTED = 1
     NEVER_ENTANGLED = 2
+
+
+# The members as plain module globals: an Enum class attribute lookup costs
+# more than a whole stretch test on the scalar path.
+_FINITE_END, _AVERTED, _NEVER_ENTANGLED = Fate
 
 
 class NoCrossingError(RuntimeError):
@@ -291,27 +301,40 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
 
     One loop over the events, with one ``np.exp`` per finite stretch: its
     u_end = e^-(end - start) serves the death test and, if the stretch
-    lives, the flow to the switch (``_flow_switch``, as ``_stretches``
-    steps).  It has the bits of ``_flow``'s np.exp(-(end - start)) and of
-    ``trajectory``'s np.exp(start - end) alike, since IEEE subtraction gives
+    lives, the checked flow to the switch and the switch, the step
+    ``_flow_switch`` takes for ``_stretches``, here spelled out.  It has the
+    bits of ``_flow``'s np.exp(-(end - start)) and of ``trajectory``'s
+    np.exp(start - end) alike, since IEEE subtraction gives
     fl(s - e) = -fl(e - s).
     """
     current = _COEFFICIENTS(state)
     d0 = _discriminant(current)
     if d0 >= 0.0:
-        return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
+        return DeathReport(_NEVER_ENTANGLED, None, d0)
 
     start = 0.0
     for event in schedule.events:
         u_end = float(np.exp(-_check_tau(event.tau - start)))
-        p2, p1, p0 = _quadratic(current)
-        if _stretch_dies((p2 * u_end + p1) * u_end + p0, u_end):
+        # _quadratic, _stretch_dies and damped_coefficients on one unpacking
+        # of the stretch's coefficients: the same operations in the same order.
+        a, b, c, d, z_inner, z_corner = current
+        p2, p1 = a * a, -a * (b + c + 2.0 * a)
+        if z_corner != 0.0:
+            p0 = (b + a) * (c + a) - z_corner * z_corner
+        else:
+            p0 = 3.0 * a - z_inner * z_inner
+        q_end = (p2 * u_end + p1) * u_end + p0
+        if q_end > 0.0 or q_end == 0.0 and u_end > 0.0:
             break
-        current, start = _flow_switch(current, u_end, event.op), event.tau
+        feed, loss = a * (u_end - u_end * u_end), 1.0 - u_end
+        current = check_coefficients(*switch_coefficients(event.op, check_coefficients(
+            a * u_end * u_end, b * u_end + feed, c * u_end + feed,
+            d + loss * (b + c + a * loss), z_inner * u_end, z_corner * u_end)))
+        start = event.tau
     else:  # the tail, from u = 1 at start down to u_end = 0
         p2, p1, p0 = _quadratic(current)
         if p0 <= 0.0:  # the tail never reaches Q = 0
-            return DeathReport(Fate.AVERTED, None, p0)
+            return DeathReport(_AVERTED, None, p0)
         u_end = 0.0
     if p2 + p1 + p0 >= 0.0:
         u_root = 1.0
@@ -321,7 +344,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
         u_root = min(max(_float_root(p2, p1, p0), u_end), 1.0)
     tau_end = start - float(np.log(u_root))
     witness = _discriminant(check_coefficients(*_flow(current, tau_end - start)))
-    return DeathReport(Fate.FINITE_END, tau_end, witness)
+    return DeathReport(_FINITE_END, tau_end, witness)
 
 
 def _times(grid: Sequence[float], name: str, increasing: bool = False) -> np.ndarray:

@@ -106,7 +106,8 @@ class Schedule:
             if not isinstance(event, SwitchEvent):
                 raise TypeError(
                     f"Schedule.events[{index}] must be a SwitchEvent, got {event!r}")
-        for earlier, later in zip(events, events[1:]):
+        for index in range(1, len(events)):
+            earlier, later = events[index - 1], events[index]
             if not later.tau > earlier.tau:
                 raise ValueError(
                     f"schedule times must strictly increase, got "

@@ -76,11 +76,23 @@ _COEFFICIENTS = attrgetter(*_FIELDS)  # an XState's six, the engine's coefficien
 def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:
     """The ``XState`` checks on six coefficients; returns them as a tuple.
 
-    Straight-line checks: a failing one walks the fields in order to name
-    the first offender.  Every state and every coefficient tuple the engine
-    derives (a flow, a switch) runs these.
+    One chained test first, which accepts exactly the valid tuples: bounded
+    occupations with a finite sum, and finite squares bounded by finite
+    products, leave no field infinite or NaN.  Where it fails or raises (an
+    int beyond float range, a square that overflows), the ordered checks
+    run, and a failing one walks the fields in order to name the first
+    offender.  Every state and every coefficient tuple the engine derives
+    (a flow, a switch) runs these.
     """
-    isfinite, atol = math.isfinite, _XSTATE_ATOL
+    atol = _XSTATE_ATOL
+    try:
+        if (-atol <= a and -atol <= b and -atol <= c and -atol <= d
+                and abs(a + b + c + d - 3.0) <= 3e-12
+                and z_inner**2 <= b * c + atol and z_corner**2 <= a * d + atol):
+            return a, b, c, d, z_inner, z_corner
+    except (ArithmeticError, TypeError, ValueError):
+        pass
+    isfinite = math.isfinite
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)
             and isfinite(z_inner) and isfinite(z_corner)):
         for name, value in zip(_FIELDS, (a, b, c, d, z_inner, z_corner)):

@@ -81,3 +81,71 @@ def test_rss_is_listed_against_timed_passes():
     assert f"slope {slope:.4f} MB per timed pass" in text
     assert "medians 82 -> 101 passes" in text
     assert "    80    57.000 MB |    100    60.000 MB" in text
+
+
+def entry_of(parent, change):
+    runs = {side: [bench_pairs.parse_run(canned(*r)) for r in rows]
+            for side, rows in (("parent", parent), ("change", change))}
+    return bench_pairs.aggregate(runs, METRICS, list(range(1601, 1601 + len(parent))))
+
+
+def test_each_metric_is_held_to_its_bound():
+    entry = entry_of(PARENT, CHANGE)
+    pass_ref_s, rate, rss = (entry["metrics"][name] for name in
+                             ("pass_ref_s", "points_per_ref_s", "peak_rss_mb"))
+    assert pass_ref_s["worse_by"] == round(0.1775 / 0.215 - 1.0, 4)
+    assert rate["worse_by"] < 0.0 and not rate["beyond_bound"]  # higher is better
+    assert rss["worse_by"] == round(60.25 / 57.5 - 1.0, 4) and not rss["beyond_bound"]
+    # 10% more memory is within the bound; 10.5% more is beyond it.
+    for factor, beyond in ((1.1, False), (1.105, True)):
+        heavier = [(t, m * factor, n) for t, m, n in PARENT]
+        assert entry_of(PARENT, heavier)["metrics"]["peak_rss_mb"]["beyond_bound"] is beyond
+    # Relative to the parent's median: 1.3x the time is 30% worse, but its
+    # rate is only 23% worse; 1.4x the time is 29% worse in rate.
+    for factor, rate_beyond in ((1.3, False), (1.4, True)):
+        slower = entry_of(PARENT, [(t * factor, m, n) for t, m, n in PARENT])["metrics"]
+        assert slower["pass_ref_s"]["beyond_bound"]
+        assert slower["points_per_ref_s"]["beyond_bound"] is rate_beyond
+
+
+def test_the_rss_line_gives_the_passes_at_the_bound():
+    entry = entry_of(PARENT, CHANGE)
+    passes = [r[2] for r in PARENT + CHANGE]
+    rss = [r[1] for r in PARENT + CHANGE]
+    slope, intercept = np.polyfit(passes, rss, 1)
+    limit = 1.1 * np.median([r[1] for r in PARENT])
+    fit = entry["rss_fit"]
+    assert fit["limit_mb"] == round(limit, 4)
+    assert fit["passes_at_limit"] == pytest.approx((limit - intercept) / slope, abs=0.05)
+    flat = entry_of(*([(t, m, 80) for t, m, _ in rows] for rows in (PARENT, CHANGE)))
+    assert flat["rss_fit"]["passes_at_limit"] is None
+
+
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_spread():
+    parent = [(0.20 + 0.001 * i, 57.0, 80) for i in range(10)]
+    won = [(0.18 + 0.001 * i, 57.0, 80) for i in range(10)]
+    verdict = bench_pairs.claim_verdict(entry_of(parent, won), "pass_ref_s")
+    assert verdict["holds"] and verdict["change_wins"] == "10/10"
+    assert verdict["median_gap"] == pytest.approx(0.02) and verdict["wins_needed"] == 9
+    # Nine of ten pairs still hold; eight do not.
+    for lost, holds in ((1, True), (2, False)):
+        rows = [(0.3, 57.0, 80)] * lost + won[lost:]
+        assert bench_pairs.claim_verdict(entry_of(parent, rows), "pass_ref_s")["holds"] is holds
+    # Every pair won, by less than the parent's interquartile range (0.0045).
+    close = [(t - 0.004, m, n) for t, m, n in parent]
+    verdict = bench_pairs.claim_verdict(entry_of(parent, close), "pass_ref_s")
+    assert verdict["change_wins"] == "10/10" and not verdict["holds"]
+    assert verdict["parent_iqr"] == pytest.approx(0.0045)
+
+
+def test_the_verdict_is_printed():
+    report = {"workloads": {"phase_map": entry_of(PARENT, CHANGE)},
+              "claimed": {"workload": "phase_map", "metric": "pass_ref_s", "target": "1.1x"}}
+    report["claimed"]["verdict"] = bench_pairs.claim_verdict(
+        report["workloads"]["phase_map"], "pass_ref_s")
+    lines = bench_pairs.verdict_lines(report)
+    assert "phase_map pass_ref_s: 0.1775 vs 0.215 ref_s, worse by -17.44% (bound 25%): ok" in lines
+    assert "phase_map peak_rss_mb: 60.25 vs 57.5 MB, worse by +4.78% (bound 10%): ok" in lines
+    assert "phase_map RSS line reaches 63.25 MB at 119.8 timed passes" in lines
+    assert lines[-1] == ("claim phase_map pass_ref_s: wins 3/4 (needs 4), median gap 0.0375"
+                         " against parent q3 - q1 0.015: NOT MET")

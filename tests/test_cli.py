@@ -631,6 +631,15 @@ def test_critical_sweeps_the_given_grid(capsys, kind, grid):
         assert min_tau_sw == "2.00000000000e-01"
 
 
+@pytest.mark.parametrize("gamma", ["1e-320", "5e-324"])
+def test_critical_rejects_a_gamma_whose_physical_times_overflow(capsys, gamma):
+    # A subnormal gamma: every critical time, tau / gamma, overflows.
+    assert esdsim.cli.main(["critical", "--switch", "both", "--gamma", gamma]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: config field 'gamma': too small: ")
+    assert err.endswith(f"overflows, got {float(gamma)!r}\n")
+
+
 def test_critical_physical_times_scale_with_gamma():
     base = run_cli("critical")
     double = run_cli("critical", "--gamma", "2.0")

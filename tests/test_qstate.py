@@ -91,22 +91,28 @@ def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0):
 
 
 def nudged(draw, x):
-    """x moved by a few ulps, either way."""
+    """x moved by a few ulps, either way; an int is left as it is."""
+    if isinstance(x, int):
+        return x
     steps = draw(st.integers(-2, 2))
     for _ in range(abs(steps)):
         x = math.nextafter(x, math.copysign(math.inf, steps))
     return x
 
 
-# Where the checks turn: not finite, just past -atol, sums 3e-12 off.
-EDGES = (math.nan, math.inf, -math.inf, -_XSTATE_ATOL, 0.0, -0.0, 3.0, 1e308)
+# Where the checks turn: not finite, just past -atol, sums 3e-12 off; and
+# where a one-pass test can go wrong: ints beyond float range, alone or
+# cancelling, and floats whose sum or square overflows.
+EDGES = (math.nan, math.inf, -math.inf, -_XSTATE_ATOL, 0.0, -0.0, 3.0, 1e308,
+         10**400, -10**400)
 
 
 @st.composite
 def xstate_fields(draw):
     """Six coefficients at the edges of every check, one check at a time or
     several: occupations whose sum is 3e-12 off, coherences with z**2 at
-    b*c or a*d, +-atol, and fields swapped for the edge values."""
+    b*c or a*d, +-atol, and up to two fields swapped for the edge values,
+    ints beyond float range among them."""
     a, b, c = (draw(st.floats(0.0, 1.0)) for _ in range(3))
     d = nudged(draw, 3.0 - a - b - c + draw(st.sampled_from((0.0, 3e-12, -3e-12))))
     fields = [a, b, c, d, 0.0, 0.0]
@@ -121,10 +127,17 @@ def xstate_fields(draw):
 
 
 @given(xstate_fields())
+@example([1.0, 1.0, 1.0, 0.0, 10**400, 0.0])  # an int no float holds
+@example([1.0, math.nan, 10**400, 0.0, 0.0, 0.0])  # the NaN is named first
+@example([10**400, -10**400, 1.0, 2.0, 0.0, 0.0])  # a sum that cancels
+@example([1.0, 1.0, 1.0, 0.0, 10**400, -10**400])
+@example([1e308, 1e308, 1.0, 0.0, 0.0, 0.0])  # a float sum that overflows
+@example([1.0, 1.0, 1.0, 0.0, 1e308, math.nan])  # z_inner**2 overflows, then a NaN
 def test_xstate_checks_are_the_loops(fields):
-    # The straight-line checks, on a state or on a tuple, accept exactly
-    # what the field-name loops accept and reject the rest with the same
-    # message; a tuple that passes comes back as it went in.
+    # The one-pass test and the ordered checks behind it, on a state or on
+    # a tuple, accept exactly what the field-name loops accept and reject
+    # the rest with the same exception and message; a tuple that passes
+    # comes back as it went in.
     expected = outcome(loop_checked_xstate, *fields)
     assert outcome(XState, *fields) == outcome(check_coefficients, *fields) == expected
     if expected == "ok":
