@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Three subcommands, all emitting deterministic CSV (12 significant digits):
+One command word and the same seven flags, which may come before it or
+after it; each command writes deterministic CSV (12 significant digits):
 
 * ``evolve``   -- coefficient and measure trajectory on a time grid
 * ``sweep``    -- end time as a function of switch time, plus located features
@@ -12,9 +13,10 @@ field, which names the field it rejects.  A bool is not a number there, and
 ``schedule`` must be a list.  The six coefficients are also checked as one
 state (``config state: ...``; a coherence whose square overflows names its
 field), a grid the sweep refuses, one that reaches the unswitched end time,
-names ``grid``, and a ``gamma`` so small that a ``critical`` time overflows
-as tau / gamma names ``gamma``: once the flags parse, every error on the
-config's values starts with ``config``.  Times in the
+names ``grid``, and a subnormal ``gamma``, or one so small that a
+``critical`` time overflows as tau / gamma, names ``gamma``: once the flags
+parse, every error on the config's values starts with ``config``, and an
+``--out`` file that cannot be opened reads ``out file``.  Times in the
 config and flags are dimensionless (tau = gamma * t) unless ``time_unit`` is
 ``"physical"``; output time columns named ``tau`` are always dimensionless,
 and ``critical`` also reports physical times t = tau / gamma.
@@ -104,10 +106,6 @@ _TINY_B, _TINY_SHIFT = 37, 128
 _E_OF_TINY = np.floor((np.arange(165) - 1151) * np.log10(2.0)).astype(np.intp)
 _TEN_UP_TINY = np.array([2**128 / 10**-(e + 1) for e in _E_OF_TINY.tolist()])
 _SCALE_TINY = np.array([10**(11 - e) / 2**128 if e < -296 else math.nan for e in _E.tolist()])
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT % x
 
 
 def _compact(text: np.ndarray) -> str:
@@ -282,7 +280,7 @@ class ScenarioConfig:
     ``switch`` + ``t_sw`` describe the common single-switch case; an explicit
     ``schedule`` (list of ``{"time": ..., "switch": ...}``) covers multi-switch
     runs and excludes the single-switch fields.  ``grid`` defaults per
-    subcommand (evolve: 121 points on [0, 1.2]; sweep: 400 switch times below
+    command (evolve: 121 points on [0, 1.2]; sweep: 400 switch times below
     the unswitched end time).  Each field is checked once, on construction.
     """
 
@@ -304,6 +302,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             _require(name, _is_number(value), "must be a finite number", value)
         _require("gamma", self.gamma > 0.0, "must be positive", self.gamma)
+        _require("gamma", self.gamma >= sys.float_info.min, "too small: a subnormal gamma "
+                 "keeps few digits, and tau / gamma soon overflows", self.gamma)
         _require("z_corner", self.z_inner == 0.0 or self.z_corner == 0.0,
                  "must be 0 when z_inner is not: one coherence slot at most", self.z_corner)
         try:
@@ -359,12 +359,14 @@ class ScenarioConfig:
             raise ValueError(f"config field '{name}': {exc}") from exc
 
 
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ScenarioConfig))
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    known = {f.name for f in fields(ScenarioConfig)}
     for key in data:
-        _require(key, key in known, "unknown field")
+        _require(key, key in _CONFIG_FIELDS, "unknown field")
     grid = data.get("grid")
     if grid is not None:
         _require("grid", isinstance(grid, dict) and set(grid) == {"start", "stop", "count"},
@@ -412,15 +414,15 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.writelines(chunks)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out_path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ValueError(f"out file {out_path!r}: {exc.strerror or exc}") from exc
+        with fh:
             fh.writelines(chunks)
 
 
-def _text(lines: list[str]) -> list[str]:
-    return ["\n".join(lines) + "\n"]
-
-
-# -- subcommands ----------------------------------------------------------
+# -- commands -------------------------------------------------------------
 
 
 def _grid_taus(cfg: ScenarioConfig, sweep: bool) -> np.ndarray | None:
@@ -501,16 +503,16 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
     lines = []
     for name in ("baseline_end", "ad_crossing", "aversion_threshold"):
         if (tau := getattr(curve, name)) is not None:
-            lines.append(f"# {name} = {_fmt(tau)}")
+            lines.append(f"# {name} = {_FLOAT % tau}")
     if curve.min_tau_sw is not None:
         lines.append(
-            f"# min_end: tau_sw = {_fmt(curve.min_tau_sw)}, "
-            f"tau_end = {_fmt(curve.min_tau_end)}"
+            f"# min_end: tau_sw = {_FLOAT % curve.min_tau_sw}, "
+            f"tau_end = {_FLOAT % curve.min_tau_end}"
         )
     if kind is not Switch.BOTH and _is_canonical(state):
         dev = _curve_max_dev(curve)
         if dev is not None:
-            lines.append(f"# curve_max_abs_dev = {_fmt(dev)}")
+            lines.append(f"# curve_max_abs_dev = {_FLOAT % dev}")
     # tau_end is NaN, and blank, unless death is finite.
     rows = _csv_chunks((curve.tau_sw, curve.fate, curve.tau_end), na_rep="")
     summary = [line + "\n" for line in lines]
@@ -530,7 +532,7 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
         time = tau / cfg.gamma
         _require("gamma", math.isfinite(time),
                  f"too small: {name} in physical time, tau / gamma, overflows", cfg.gamma)
-        return f"{name},{status},{_fmt(tau)},{_fmt(time)}"
+        return f"{name},{status},{_FLOAT % tau},{_FLOAT % time}"
 
     def found(name: str, tau: float | None) -> str:
         return row(name, "undefined" if tau is None else "found", tau)
@@ -562,7 +564,7 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
         found(f"min_end_switch_time_{kind.value}", min_tau_sw),
         found(f"min_end_time_{kind.value}", min_tau_end),
     ]
-    _emit(_text(lines), out_path)
+    _emit(["\n".join(lines) + "\n"], out_path)
     return 0
 
 
@@ -574,25 +576,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two decaying qubits: negativity trajectories, switch "
         "sweeps and critical times of entanglement sudden death.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("evolve", "trajectory of coefficients and measures on a time grid"),
-        ("sweep", "end time versus switch time for one switch kind"),
-        ("critical", "critical times of the scenario in one table"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", metavar="PATH", help="JSON scenario config")
-        p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
-        p.add_argument("--switch", choices=_SWITCH_CHOICES,
-                       help="override the switch kind")
-        p.add_argument("--t-sw", dest="t_sw", type=float, metavar="FLOAT",
-                       help="override the switch time")
-        p.add_argument("--grid", type=_parse_grid, metavar="START:STOP:COUNT",
-                       help="override the grid")
-        p.add_argument("--gamma", type=float, metavar="FLOAT",
-                       help="override the decay rate")
-        p.add_argument("--dump-config", action="store_true",
-                       help="print the effective config as JSON and exit")
+    parser.add_argument("command", choices=("evolve", "sweep", "critical"),
+                        help="evolve: trajectory of coefficients and measures on a time "
+                        "grid; sweep: end time versus switch time for one switch kind; "
+                        "critical: critical times of the scenario in one table")
+    parser.add_argument("--config", metavar="PATH", help="JSON scenario config")
+    parser.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
+    parser.add_argument("--switch", choices=_SWITCH_CHOICES, help="override the switch kind")
+    parser.add_argument("--t-sw", dest="t_sw", type=float, metavar="FLOAT",
+                        help="override the switch time")
+    parser.add_argument("--grid", type=_parse_grid, metavar="START:STOP:COUNT",
+                        help="override the grid")
+    parser.add_argument("--gamma", type=float, metavar="FLOAT", help="override the decay rate")
+    parser.add_argument("--dump-config", action="store_true",
+                        help="print the effective config as JSON and exit")
     return parser
 
 
@@ -602,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         if args.dump_config:
-            _emit(_text([json.dumps(asdict(cfg), indent=2)]), args.out)
+            _emit([json.dumps(asdict(cfg), indent=2) + "\n"], args.out)
             return 0
         handler = {"evolve": cmd_evolve, "sweep": cmd_sweep, "critical": cmd_critical}
         return handler[args.command](cfg, args.out)

@@ -212,6 +212,35 @@ def test_dump_config_round_trips(tmp_path):
     assert json.loads(again.stdout) == data
 
 
+def test_flags_may_come_before_the_command(capsys):
+    # One parser: the command word is a positional among the flags.
+    flags = ["--switch", "alice", "--grid", "0:0.53:41"]
+    assert esdsim.cli.main(["sweep", *flags]) == 0
+    after = capsys.readouterr()
+    assert esdsim.cli.main([*flags, "sweep"]) == 0
+    assert capsys.readouterr() == after and after.out.startswith("tau_sw,fate,tau_end\n")
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "critical"])
+def test_every_command_takes_dump_config(capsys, command):
+    assert esdsim.cli.main([command, "--gamma", "2.0", "--dump-config"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {**asdict(ScenarioConfig()), "gamma": 2.0}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--switch", "both"], "the following arguments are required: command"),
+    (["phase-map"], "argument command: invalid choice: 'phase-map'"),
+], ids=["none", "flags_only", "unknown"])
+def test_a_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        esdsim.cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 2 and out == ""
+    assert err.startswith("usage: esdsim ") and f"esdsim: error: {message}" in err
+
+
 # -- evolve -------------------------------------------------------------------
 
 def test_evolve_default_header_and_shape():
@@ -640,6 +669,18 @@ def test_critical_rejects_a_gamma_whose_physical_times_overflow(capsys, gamma):
     assert err.endswith(f"overflows, got {float(gamma)!r}\n")
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_a_subnormal_gamma_is_refused_by_every_command(tmp_path, capsys, command):
+    # In physical time tau = t * gamma would keep only a few digits.
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps({"time_unit": "physical", "gamma": 1e-320, "switch": "both",
+                                **({"t_sw": 1.0} if command == "evolve" else {})}))
+    assert esdsim.cli.main([command, "--config", str(path), "--grid", "0:1:3"]) == 2
+    assert capsys.readouterr() == ("", "error: config field 'gamma': too small: a subnormal "
+                                   "gamma keeps few digits, and tau / gamma soon overflows, "
+                                   "got 1e-320\n")
+
+
 def test_critical_physical_times_scale_with_gamma():
     base = run_cli("critical")
     double = run_cli("critical", "--gamma", "2.0")
@@ -679,6 +720,16 @@ def test_missing_config_file_is_reported():
 def test_malformed_grid_flag_is_reported():
     result = run_cli("evolve", "--grid", "0:1", expect_code=2)
     assert "START:STOP:COUNT" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep", "critical"])
+def test_an_out_file_that_cannot_be_opened_is_reported(tmp_path, capsys, command):
+    # A missing directory and a directory: a clean error, and nothing on stdout.
+    argv = [command, "--switch", "both", "--t-sw", "0.2", "--grid", "0:0.53:5"]
+    for out, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert esdsim.cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: out file {str(out)!r}: {reason}\n")
 
 
 def test_time_unit_physical_rescales_inputs(tmp_path):

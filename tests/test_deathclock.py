@@ -735,6 +735,12 @@ def test_end_times_match_find_end_time(kind):
         grid = [*np.linspace(0.0, 2.0 * scale, 41).tolist(), 740.0, 745.0, 800.0]
         if baseline.fate is Fate.FINITE_END:
             grid.append(math.nextafter(baseline.tau_end, 0.0))
+            # Wholly below the unswitched end, where no row dies in the first
+            # stretch, wholly past it, and below it but for the last row.
+            below = np.linspace(0.0, 0.9 * scale, 9).tolist()
+            past = np.linspace(1.1 * scale, 3.0 * scale, 9).tolist()
+            for part in (below, past, [*below, past[0]]):
+                assert_end_times_match(state, kind, part)
         fates.update(assert_end_times_match(state, kind, grid).tolist())
     assert fates == set(Fate)
 
