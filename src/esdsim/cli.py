@@ -13,10 +13,11 @@ field, which names the field it rejects.  A bool is not a number there, and
 ``schedule`` must be a list.  The six coefficients are also checked as one
 state (``config state: ...``; a coherence whose square overflows names its
 field), a grid the sweep refuses, one that reaches the unswitched end time,
-names ``grid``, and a subnormal ``gamma``, or one so small that a
-``critical`` time overflows as tau / gamma, names ``gamma``: once the flags
-parse, every error on the config's values starts with ``config``, and an
-``--out`` file that cannot be opened reads ``out file``.  Times in the
+names ``grid``, a nonzero time subnormal in tau names its field, and a
+subnormal ``gamma``, or one so small that a ``critical`` time overflows as
+tau / gamma, names ``gamma``: once the flags parse, every error on the
+config's values starts with ``config``, and an ``--out`` file that cannot
+be opened reads ``out file``.  Times in the
 config and flags are dimensionless (tau = gamma * t) unless ``time_unit`` is
 ``"physical"``; output time columns named ``tau`` are always dimensionless,
 and ``critical`` also reports physical times t = tau / gamma.
@@ -68,6 +69,10 @@ MAX_GRID_COUNT = 10_000_000
 CSV_CELLS = 1 << 12
 
 _FLOAT = "%.11e"
+
+# What a grid or switch time below 2**-1022 in tau (subnormal there) is told.
+_SUBNORMAL_TAU = (f"too small: a nonzero time below {sys.float_info.min!r} in tau is "
+                  f"subnormal and keeps few digits")
 
 
 def _table(*codes):
@@ -345,16 +350,18 @@ class ScenarioConfig:
         return t * self.gamma if self.time_unit == "physical" else t
 
     def resolved_schedule(self) -> Schedule:
-        """The switches in tau; times that overflow or collapse there name their field."""
+        """The switches in tau; times that overflow, collapse or turn subnormal
+        there name their field."""
         if self.switch != "none":
             _require("t_sw", self.t_sw is not None, "required when 'switch' is set")
             name, entries = "t_sw", [(self.t_sw, self.switch)]
         else:
             name, entries = "schedule", [(e["time"], e["switch"]) for e in self.schedule]
+        entries = [(self.to_tau(t), kind) for t, kind in entries]
+        for tau, _ in entries:
+            _require(name, not 0.0 < tau < sys.float_info.min, _SUBNORMAL_TAU, tau)
         try:
-            return Schedule(tuple(
-                SwitchEvent(self.to_tau(t), Switch(kind)) for t, kind in entries
-            ))
+            return Schedule(tuple(SwitchEvent(tau, Switch(kind)) for tau, kind in entries))
         except ValueError as exc:
             raise ValueError(f"config field '{name}': {exc}") from exc
 
@@ -439,6 +446,8 @@ def _grid_taus(cfg: ScenarioConfig, sweep: bool) -> np.ndarray | None:
         taus = cfg.to_tau(grid.points())
     _require("grid", math.isfinite(taus[-1]) and np.all(taus[1:] > taus[:-1]),
              "times must be finite and strictly increasing in tau")
+    low = taus[1] if taus[0] == 0.0 and taus.size > 1 else taus[0]  # the least nonzero
+    _require("grid", not 0.0 < low < sys.float_info.min, _SUBNORMAL_TAU, low.item())
     return taus
 
 

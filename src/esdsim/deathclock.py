@@ -16,29 +16,21 @@ whose ``Q`` turns non-negative dies at the smaller root of ``Q``, and the
 open-ended tail dies iff its ``u -> 0`` limit ``Q(0)`` is positive.  The
 aversion threshold and the sweep minimum come from one bracketed secant
 search (``_search``) down to neighbouring floats, on the exact fate test and
-on the sign of the end time's slope; neither has a tolerance.  Where u is
-subnormal, the threshold is first searched on u's count of quanta.
+on the sign of the end time's slope; neither has a tolerance, and the
+threshold's starts at a closed-form root (``_threshold_root``).
 
 ``find_end_time`` walks one schedule's events in one flat loop, with one
-``np.exp`` per finite stretch: u_end = e^-(end - start) decides whether the
-stretch dies and, if it lives, flows it to the switch.  Each finite stretch
-is unpacked once, and Q(u_end), the death test and the flow are spelled out
-on its coefficients with the operations of ``_quadratic``, ``_stretch_dies``
-and ``damped_coefficients``, in the same order; the flowed and the switched
-tuples still run ``check_coefficients`` and the switch is still
-``switch_coefficients``.  ``state_at`` and ``trajectory`` walk the same
-stretches through ``_stretches``, which steps with ``_flow_switch``; the
-time check is shared, and every u agrees bit for bit, as IEEE subtraction
-gives fl(s - e) = -fl(e - s).
-``end_times`` decides a single switch at an array of switch times with the
-same arithmetic, every row through the same operations, and the sweep
-(``sweep_switch_times``) calls it block by block on times it has checked
-once.  exp and log come from numpy on every path, floats and arrays alike,
-so the two agree bit for bit.
+``np.exp`` per finite stretch; ``state_at`` and ``trajectory`` walk the same
+stretches through ``_stretches``, and ``end_times`` decides a single switch
+at an array of switch times with the same arithmetic, which the sweep
+(``sweep_switch_times``) calls block by block on times it has checked once.
+exp and log come from numpy on every path, floats and arrays alike, so all
+of them agree bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass
@@ -207,14 +199,6 @@ def _stretch_dies(q_end, u_end):
     return (q_end > 0.0) | ((q_end == 0.0) & (u_end > 0.0))
 
 
-def _flow_switch(coefficients: tuple, u: float, op: Switch) -> tuple:
-    """The step from one stretch's start to the next: the flow to u = e^-tau
-    and then the switch ``op``, each checked as ``evolve_xstate_closed`` and
-    ``apply_xstate`` check theirs, with no ``XState`` built."""
-    return check_coefficients(*switch_coefficients(
-        op, check_coefficients(*damped_coefficients(*coefficients, u))))
-
-
 def _stretches(
     state: XState, schedule: Schedule
 ) -> Iterator[tuple[float, float, tuple]]:
@@ -223,13 +207,16 @@ def _stretches(
     Yields (start, end, coefficients at start) for each stretch: from tau =
     0 to the first switch, between switches, and the open-ended tail last
     (end = inf).  A switch at ``start`` is already applied.  Lazy, so a walk
-    that stops early flows no later stretch.
+    that stops early flows no later stretch.  The flow to u = e^-tau and the
+    switch are each checked as ``evolve_xstate_closed`` and ``apply_xstate``
+    check theirs, with no ``XState`` built.
     """
     start, coefficients = 0.0, _COEFFICIENTS(state)
     for event in schedule.events:
         yield start, event.tau, coefficients
         u = float(np.exp(-_check_tau(event.tau - start)))
-        coefficients = _flow_switch(coefficients, u, event.op)
+        coefficients = check_coefficients(*switch_coefficients(
+            event.op, check_coefficients(*damped_coefficients(*coefficients, u))))
         start = event.tau
     yield start, math.inf, coefficients
 
@@ -301,11 +288,9 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
 
     One loop over the events, with one ``np.exp`` per finite stretch: its
     u_end = e^-(end - start) serves the death test and, if the stretch
-    lives, the checked flow to the switch and the switch, the step
-    ``_flow_switch`` takes for ``_stretches``, here spelled out.  It has the
-    bits of ``_flow``'s np.exp(-(end - start)) and of ``trajectory``'s
-    np.exp(start - end) alike, since IEEE subtraction gives
-    fl(s - e) = -fl(e - s).
+    lives, the checked flow and switch of ``_stretches``, here spelled out.
+    It has the bits of ``trajectory``'s np.exp(start - end) too, since IEEE
+    subtraction gives fl(s - e) = -fl(e - s).
     """
     current = _COEFFICIENTS(state)
     d0 = _discriminant(current)
@@ -377,23 +362,17 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     """``_single_switch`` at a float tau_sw, with the state's constants hoisted.
 
     Plain float arithmetic on x = e^-tau_sw from ``np.exp``, so it agrees
-    with ``end_times`` bit for bit.  Gives the threshold's (dies, max(Q(x),
-    q0 / w)), positive where the switch ends in death.  After a single flip
-    q0 = x L(x) with L linear: it sinks to 0 with x, and a secant on it
-    stalls at a wide bracket's upper end.  There w = x (1 + (1 - x) / 2),
-    about 3x/2 near x = 0 and 1 at x = 1.  (With w = x the value is linear,
-    the first secant lands on the threshold to round-off, and near tau_sw
-    = 0, where one x spans some 2**8 floats of tau_sw, the search walks
-    that run from the bracket's far end.)  After a both-qubit flip q0 tends
-    to 9, and w = 1.  With ``slope``, the minimum's (rising, g, v): the end
-    time -ln(x v), v the tail's root, falls iff g = x Q_x - v Q_v < 0, as
-    dv/dx = -Q_x / Q_v and Q_v < 0.
+    with ``end_times`` bit for bit.  Gives the threshold's (dies,
+    max(Q(x), q0), x), positive where the switch ends in death.  With
+    ``slope``, the minimum's (rising, g, v, x): the end time -ln(x v), v the
+    tail's root, falls iff g = x Q_x - v Q_v < 0, as dv/dx = -Q_x / Q_v
+    and Q_v < 0.
     Deaths before the tail or at its start do not fall (g NaN, v None).
     """
     s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
     p2, p1, p0 = map(float, _quadratic(_COEFFICIENTS(state)))
     switched = itemgetter(*switch_coefficients(kind, range(6)))
-    entangled, single = discriminant(state) < 0.0, kind is not Switch.BOTH
+    entangled = discriminant(state) < 0.0
 
     def probe(tau_sw: float) -> tuple:
         x = float(np.exp(-tau_sw))
@@ -402,10 +381,9 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
         q_end = (p2 * x + p1) * x + p0
         first = _stretch_dies(q_end, x)
         if not slope:
-            w = x * (1.0 + 0.5 * (1.0 - x)) if single and x else 1.0
-            return entangled and (first or q0 > 0.0), max(q_end, q0 / w)
+            return entangled and (first or q0 > 0.0), max(q_end, q0), x
         if first or not q2 + q1 + q0 < 0.0 < q0:
-            return True, math.nan, None
+            return True, math.nan, None, x
         v = min(_float_root(q2, q1, q0), 1.0)
         a, b, c, _, z_inner, z_corner = tail
         ramp = s[0] * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
@@ -416,7 +394,7 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
               if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
         d2, d1 = 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da)
         falls, flat = x * ((d2 * v + d1) * v + d0), v * (2.0 * q2 * v + q1)
-        return falls >= flat, falls - flat, v
+        return falls >= flat, falls - flat, v, x
 
     return probe
 
@@ -488,58 +466,105 @@ def find_ad_crossing(state: XState) -> float:
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float's bit pattern
 SLACK = 8  # probes a search may spend beyond bisection's
 TAU_ZERO = 745.1332191019412  # the first tau where u = np.exp(-tau) is 0
-QUANTUM = 5e-324  # 2**-1074: every u below 2**-1022 is a whole number of these
-TAU_QUANTUM = 744.4400719213812  # 1074 ln 2, where u = np.exp(-tau) is one quantum
-FEW = 1 << 20  # quanta of u up to which the threshold is searched on their count
+
+
+def _bits(x: float) -> int:
+    return _I64.unpack(_F64.pack(x))[0]
+
+
+def _tau_of(j: int) -> float:
+    """-ln of the float with bit pattern j, clamped to [0, 1]; inf for 0."""
+    u = _F64.unpack(_I64.pack(min(max(j, 0), _bits(1.0))))[0]
+    return -math.log(u) + 0.0 if u else math.inf
 
 
 def _search(probe: Callable, lo: float, hi: float, at_lo: tuple, at_hi: tuple):
     """Neighbouring floats where ``probe``'s flag turns from at_lo's to at_hi's.
 
-    ``probe(t)`` gives (flag, value, ...), at_lo and at_hi at 0 <= lo < hi.
-    Each probe lands inside the bracket and replaces the end its flag
-    matches.  It goes to the secant root in u = e^-t of the two latest
-    values; where that stalls by the latest probe, 1, 2, 4, ... ulps across;
-    once the ends are a few ulps of u apart, to their bit patterns' midpoint.
-    As in ITP, the j-th probe stays within 2**(n - j) bit patterns of both
-    ends, so the ends meet within n = SLACK + log2(their bit patterns'
-    distance) probes.  Returns them as (t, probe(t)).
+    ``probe(t)`` gives (flag, value, ..., u), at_lo and at_hi at 0 <= lo < hi,
+    and reads t only through u = np.exp(-t), kept with each end.  Each
+    probe lands inside the bracket and replaces the end its flag matches:
+    at the secant root in u of the two latest values, 1, 2, 4, ... floats
+    of t or of u on (the further) where that stalls, and at the t of the
+    ends' u bit patterns' midpoint once those are a few apart.  Ends whose
+    u are neighbouring floats need no probe: the flag turns at the first t
+    where np.exp(-t) is at most the lower u (``_first_tau_at_most``).  As
+    in ITP, the j-th probe stays within 2**(n - j) bit patterns of both
+    ends, so they meet within n = SLACK + log2(their distance) probes.
+    Returns them as (t, probe(t)).
     """
-    ends, steer = [(lo, at_lo), (hi, at_hi)], [(lo, at_lo[1]), (hi, at_hi[1])]
-    k = [_I64.unpack(_F64.pack(t + 0.0))[0] for t in (lo, hi)]  # -0.0 as 0.0
+    ends, steer = [(lo, at_lo), (hi, at_hi)], [(at_lo[1], at_lo[-1]), (at_hi[1], at_hi[-1])]
+    k = [_bits(t + 0.0) for t in (lo, hi)]  # the ends' bit patterns, -0.0 as 0.0
+    j = [_bits(at_lo[-1]), _bits(at_hi[-1])]  # and those of their u
     cap, side, stride = 1 << ((k[1] - k[0] - 1).bit_length() + SLACK - 1), 1, 1
     while k[1] - k[0] > 1:
-        at, ((t0, g0), (t1, g1)) = (k[0] + k[1]) // 2, steer
-        r = g1 / (g1 - g0) if g0 != g1 else 0.0  # equal values stall at t1
-        # The root u = r e^-t0 + (1 - r) e^-t1, taken relative to the larger u.
-        ta, tb, w = (t0, t1, 1.0 - r) if t0 <= t1 else (t1, t0, r)
-        if (ends[1][0] - ends[0][0] > 2.0**-51 and (x := w * math.expm1(ta - tb)) > -1.0
-                and lo < (s := ta - math.log1p(x)) < hi):
-            way = 1 - 2 * side  # from the latest probe toward the other end
-            ahead = (_I64.unpack(_F64.pack(s))[0] - k[side]) * way
-            ahead, stride = (stride, 2 * stride) if ahead <= stride else (ahead, 1)
-            at = k[side] + ahead * way
+        if j[0] - j[1] == 1:
+            t = _first_tau_at_most(ends[1][1][-1], ends[0][0], ends[1][0])
+            return [(math.nextafter(t, 0.0), ends[0][1]), (t, ends[1][1])]
+        at, ((g0, u0), (g1, u1)) = (k[0] + k[1]) // 2, steer
+        if 1 < j[0] - j[1] <= 4:  # a few floats of u apart
+            at = _bits(_tau_of((j[0] + j[1]) // 2))
+        else:
+            r = g1 / (g1 - g0) if g0 != g1 else 0.0  # equal values stall at u1
+            if (root := u1 + r * (u0 - u1)) > 0.0 and lo < (s := -math.log(root)) < hi:
+                way = 1 - 2 * side  # from the latest probe toward the other end
+                ahead = (_bits(s) - k[side]) * way
+                if ahead > stride:
+                    stride = 1
+                else:  # stalled: stride floats of t or of u on, the further
+                    s = _tau_of(j[side] - stride * way)
+                    ahead, stride = max(stride, (_bits(s) - k[side]) * way), 2 * stride
+                at = k[side] + ahead * way
         at = min(max(at, k[0] + 1, k[1] - cap), k[1] - 1, k[0] + cap)
         cap //= 2
         result = probe(t := _F64.unpack(_I64.pack(at))[0])
         if side != (side := int(result[0] != at_lo[0])):
             stride = 1
-        ends[side], k[side], steer = (t, result), at, [steer[1], (t, result[1])]
+        ends[side], k[side], j[side] = (t, result), at, _bits(result[-1])
+        steer = [steer[1], (result[1], result[-1])]
     return ends
 
 
-def _first_tau_at_most(k: int) -> float:
-    """The first float tau where u = np.exp(-tau) is at most k quanta.
+def _first_tau_at_most(u: float, lo: float, hi: float) -> float:
+    """The first float tau in (lo, hi] where np.exp(-tau) <= u, given that it
+    is above u at lo and u at hi, by bisection on tau's bit patterns."""
+    k = [_bits(lo + 0.0), _bits(hi)]
+    while k[1] - k[0] > 1:
+        at = (k[0] + k[1]) // 2
+        k[int(np.exp(-_F64.unpack(_I64.pack(at))[0]) <= u)] = at
+    return _F64.unpack(_I64.pack(k[1]))[0]
 
-    Starts from where e^-tau is k + 1/2 quanta, 1074 ln 2 - ln(k + 1/2),
-    which is within an ulp or two of it, and steps to the exact float.
-    """
-    tau, u = TAU_QUANTUM - math.log(k + 0.5), k * QUANTUM
-    while np.exp(-tau) > u:
-        tau = math.nextafter(tau, math.inf)
-    while np.exp(-math.nextafter(tau, 0.0)) <= u:
-        tau = math.nextafter(tau, 0.0)
-    return tau
+
+def _tail_q0(state: XState, kind: Switch) -> tuple[float, float, float]:
+    """(g2, g1, g0): the tail's q0 = g2 x**2 + g1 x + g0 after one ``kind``
+    switch at x = e^-tau_sw, S = a + b + c + d.  A single flip moves the
+    coherence to the other slot; Bob's forms are Alice's, b and c swapped."""
+    a, b, c, d, z_inner, z_corner = map(float, _COEFFICIENTS(state))
+    s = a + b + c + d
+    if kind is Switch.BOB:
+        b, c = c, b
+    if kind is Switch.BOTH:
+        if z_corner != 0.0:
+            return (a + b) * (a + c) - z_corner * z_corner, -s * (2.0 * a + b + c), s * s
+        return 3.0 * a - z_inner * z_inner, -3.0 * (2.0 * a + b + c), 3.0 * s
+    if z_corner != 0.0:
+        return -(3.0 * a + z_corner * z_corner), 3.0 * (a + c), 0.0
+    return -((a + c) * (a + b) + z_inner * z_inner), (a + c) * s, 0.0
+
+
+def _threshold_root(state: XState, kind: Switch, x_hi: float, x_lo: float) -> float:
+    """The closed-form x = e^-tau_sw in [x_hi, x_lo] where a ``kind`` switch
+    first turns its fate: the largest root there of the tail's q0 or of the
+    first stretch's Q (it dies below its smaller root), else the nearest."""
+    roots = []
+    for r2, r1, r0 in (_tail_q0(state, kind), _quadratic(_COEFFICIENTS(state))):
+        disc = r1 * r1 - 4.0 * r2 * r0  # the roots in the cancellation-free form
+        if disc >= 0.0 and (q := -0.5 * (r1 + math.copysign(math.sqrt(disc), r1))):
+            roots += [r0 / q, q / r2] if r2 else [r0 / q]
+    if inside := [x for x in roots if x_hi <= x <= x_lo]:
+        return max(inside)
+    nearest = min(roots, key=lambda x: max(x_hi - x, x - x_lo), default=x_hi)
+    return min(max(nearest, x_hi), x_lo)
 
 
 def find_aversion_threshold(
@@ -550,27 +575,22 @@ def find_aversion_threshold(
     """Switch time separating averted death from finite-time death.
 
     The first switch time whose fate differs from that at the bracket's
-    lower end, searched (``_search``) on the fate test of ``end_times`` down
-    to neighbouring floats.  By default brackets with [0, baseline end time];
-    raises BracketError when no default bracket exists or both ends
-    classify alike as non-finite, and NoCrossingError when death is finite
-    across the whole bracket (the switch kind never averts it there).
-    A bracket past TAU_ZERO ends there, where u = e^-tau turns 0.  The
-    fate reads tau only through u, so where u is at most ``FEW`` quanta
-    (subnormal) at the upper end, as past tau ~ 730.6, the fate changes
-    between two counts k + 1 and k of quanta, most often as u turns 0 or
-    between its smallest subnormals, where the secant stalls.  There k is
-    searched first: 1 quantum, then FEW (past which the search on tau
-    takes over), then k doubled from the count with the upper end's fate
-    and the gap halved, about 2 log2(k) probes; the threshold is the first
-    float where u is at most k quanta.
+    lower end, on the fate test of ``end_times``, down to neighbouring
+    floats.  By default brackets with [0, baseline end time]; raises
+    BracketError when no default bracket exists or both ends classify
+    alike as non-finite, and NoCrossingError when death is finite across
+    the whole bracket (the switch kind never averts it there).  A bracket
+    past TAU_ZERO ends there, where u = e^-tau turns 0.  The search starts
+    at the closed-form root (``_threshold_root``) of x = e^-tau_sw.  Around
+    it a bracket of m = 2, 32, 512, ... ulps of x either way, mapped to tau
+    by -ln and clamped to the bracket, grows until its ends have the fates
+    of the bracket's ends, and ``_search`` finds the float where the
+    computed fate turns inside it: a median of 6 probes, ends included.
     """
     if bracket is None:
         baseline = find_end_time(state)
         if baseline.fate is not Fate.FINITE_END:
-            raise BracketError(
-                "unswitched evolution never dies; pass an explicit bracket"
-            )
+            raise BracketError("unswitched evolution never dies; pass an explicit bracket")
         lo, hi = 0.0, baseline.tau_end
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
@@ -583,25 +603,18 @@ def find_aversion_threshold(
             raise NoCrossingError(f"death is finite at both bracket ends; a "
                                   f"{kind.value} switch never averts it there")
         raise BracketError("death averted at both bracket ends; widen the bracket")
-    hi, few = min(hi, TAU_ZERO), FEW * QUANTUM
-    if (u_hi := float(np.exp(-hi))) <= few:
-        # Fates: at_hi's at `below` quanta, at_lo's at `above` (if known).
-        u_lo = float(np.exp(-lo))
-        below, above = int(u_hi / QUANTUM), int(u_lo / QUANTUM) if u_lo <= few else None
-        while above is None or above - below > 1:
-            if above is not None:  # doubling from below, then halving
-                k = min(2 * below or 1, (below + above) // 2)
-            elif below < FEW:  # 1 quantum first, the likeliest, then FEW
-                k = FEW if below else 1
-            else:  # no change within FEW quanta: search the rest below
-                break
-            if (at_k := probe(tau := TAU_QUANTUM - math.log(k)))[0] == at_lo[0]:
-                above = k
-            else:
-                below, hi, at_hi = k, tau, at_k
-        else:
-            return _first_tau_at_most(below)
-    return _search(probe, lo, hi, at_lo, at_hi)[1][0]
+    ends, m = [(lo, at_lo), (min(hi, TAU_ZERO), at_hi)], 2
+    x = _bits(_threshold_root(state, kind, float(np.exp(-hi)), float(np.exp(-lo))) + 0.0)
+    while True:
+        near, far = (min(max(lo, _tau_of(j)), hi) for j in (x + m, x - m))
+        for t in (near, far):
+            if ends[0][0] < t < ends[1][0]:
+                result = probe(t)
+                ends[result[0] != at_lo[0]] = (t, result)
+        if ends[0][0] >= near and ends[1][0] <= far:
+            break
+        m *= 16
+    return _search(probe, ends[0][0], ends[1][0], ends[0][1], ends[1][1])[1][0]
 
 
 def single_switch_curve(x):
@@ -653,32 +666,25 @@ def _sweep_switch_times(
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
     if taus is None:
         if baseline_end is None:
-            raise ValueError(
-                "unswitched evolution never dies; pass an explicit switch-time grid"
-            )
+            raise ValueError("unswitched evolution never dies; pass an explicit "
+                             "switch-time grid")
         taus = np.linspace(0.0, baseline_end, 400, endpoint=False)
     else:
         if not taus.size:
             raise ValueError("switch-time grid must not be empty")
         if baseline_end is not None and taus[-1] >= baseline_end:
-            raise ValueError(
-                f"switch times must precede the unswitched end time "
-                f"{baseline_end!r}, got {taus[-1].item()!r}"
-            )
+            raise ValueError(f"switch times must precede the unswitched end time "
+                             f"{baseline_end!r}, got {taus[-1].item()!r}")
     fate, tau_end = np.empty(taus.size, np.int8), np.empty(taus.size)
     for rows in (slice(i, i + BLOCK_ROWS) for i in range(0, taus.size, BLOCK_ROWS)):
         fate[rows], tau_end[rows] = _end_times(state, kind, taus[rows])
 
-    try:
+    ad_crossing = threshold = None
+    with contextlib.suppress(NoCrossingError):
         ad_crossing = find_ad_crossing(state)
-    except NoCrossingError:
-        ad_crossing = None
-    threshold = None
     if baseline_end is not None:  # the default bracket, with no second search
-        try:
+        with contextlib.suppress(BracketError, NoCrossingError):
             threshold = find_aversion_threshold(state, kind, (0.0, baseline_end))
-        except (BracketError, NoCrossingError):
-            pass
 
     dies = fate == Fate.FINITE_END
     min_tau_sw = min_tau_end = None
@@ -689,21 +695,12 @@ def _sweep_switch_times(
         min_tau_sw, min_tau_end = float(taus[i]), float(tau_end[i])
         probe = _probe(state, kind, slope=True)
         if lo < hi and not (at_lo := probe(lo))[0] and (at_hi := probe(hi))[0]:
-            for tau_sw, (_, _, v) in _search(probe, lo, hi, at_lo, at_hi):
+            for tau_sw, (_, _, v, _) in _search(probe, lo, hi, at_lo, at_hi):
                 # A tail death's end time as end_times has it; NaN never wins.
                 end = (tau_sw - float(np.log(v)) if v is not None
                        else end_times(state, kind, [tau_sw])[1].item())
                 if end < min_tau_end:
                     min_tau_sw, min_tau_end = tau_sw, end
 
-    return SweepCurve(
-        kind=kind,
-        tau_sw=taus,
-        fate=fate,
-        tau_end=tau_end,
-        baseline_end=baseline_end,
-        ad_crossing=ad_crossing,
-        aversion_threshold=threshold,
-        min_tau_sw=min_tau_sw,
-        min_tau_end=min_tau_end,
-    )
+    return SweepCurve(kind, taus, fate, tau_end, baseline_end, ad_crossing, threshold,
+                      min_tau_sw, min_tau_end)

@@ -681,6 +681,28 @@ def test_a_subnormal_gamma_is_refused_by_every_command(tmp_path, capsys, command
                                    "got 1e-320\n")
 
 
+@pytest.mark.parametrize("command, field, config, grid, got", [
+    ("evolve", "grid", {"time_unit": "physical", "gamma": 1e-300}, "0:1e-20:3", 5e-321),
+    ("evolve", "t_sw", {"time_unit": "physical", "gamma": 1e-300, "switch": "both",
+                        "t_sw": 1e-20}, "0:1:3", 1e-320),
+    ("evolve", "schedule", {"time_unit": "physical", "gamma": 1e-300, "schedule": [
+        {"time": 0.0, "switch": "both"}, {"time": 1e-20, "switch": "alice"}]}, "0:1:3", 1e-320),
+    ("sweep", "grid", {"switch": "alice"}, "0:1e-310:3", 5e-311),
+    ("critical", "grid", {}, "1e-310:0.2:3", 1e-310),
+])
+def test_a_subnormal_time_in_tau_is_refused(tmp_path, capsys, command, field, config, grid,
+                                            got):
+    # A nonzero grid or switch time below 2**-1022 in tau, also under a
+    # normal gamma, keeps only a few digits: refused, naming its field.
+    # A time of 0 passes.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(config))
+    assert esdsim.cli.main([command, "--config", str(path), "--grid", grid]) == 2
+    assert capsys.readouterr() == ("", f"error: config field '{field}': too small: a nonzero "
+                                   f"time below 2.2250738585072014e-308 in tau is subnormal "
+                                   f"and keeps few digits, got {got!r}\n")
+
+
 def test_critical_physical_times_scale_with_gamma():
     base = run_cli("critical")
     double = run_cli("critical", "--gamma", "2.0")

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from esdsim import (
     BracketError,
@@ -806,7 +806,7 @@ def test_trajectory_matches_state_at_at_the_edges(state, events, times):
 
 # Switch times where u = exp(-tau) underflows: around TAU_ZERO, and past it.
 PAST_ZERO = st.sampled_from((
-    deathclock.TAU_ZERO, math.nextafter(deathclock.TAU_ZERO, 0.0), deathclock.TAU_QUANTUM,
+    deathclock.TAU_ZERO, math.nextafter(deathclock.TAU_ZERO, 0.0), 1074 * math.log(2),
     745.5, 1e4, 1e300))
 
 
@@ -845,20 +845,20 @@ def test_tuple_walk_matches_the_object_walk(state, events, tau, kind):
 )
 def test_search_probe_matches_end_times_at_the_edges(state, kind, switch_times):
     # The searches' probe is _single_switch's arithmetic at one float switch
-    # time: its fate, its threshold value and its tail's end time are those
-    # of the arrays, bit for bit.  The threshold value divides a single
-    # flip's q0 by w = u (1 + (1 - u) / 2) where u > 0.
+    # time: its fate, its threshold value max(Q(u), q0), its tail's end time
+    # and the u it reads the switch time through are those of the arrays,
+    # bit for bit.
     fate, tau_end = end_times(state, kind, switch_times)
     u = np.exp(-np.array(switch_times))
     first, (q2, q1, q0) = deathclock._single_switch(state, kind, u)
     p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(state))
     q_end = (p2 * u + p1) * u + p0
-    w = np.where((u > 0.0) & (kind is not Switch.BOTH), u * (1.0 + 0.5 * (1.0 - u)), 1.0)
     threshold = deathclock._probe(state, kind)
     minimum = deathclock._probe(state, kind, slope=True)
     for i, tau_sw in enumerate(switch_times):
-        assert threshold(tau_sw) == (fate[i] == Fate.FINITE_END, max(q_end[i], q0[i] / w[i]))
-        rising, g, v = minimum(tau_sw)
+        assert threshold(tau_sw) == (fate[i] == Fate.FINITE_END, max(q_end[i], q0[i]), u[i])
+        rising, g, v, x = minimum(tau_sw)
+        assert x == u[i]
         if not first[i] and q2[i] + q1[i] + q0[i] < 0.0 < q0[i]:
             if discriminant(state) < 0.0:  # else end_times has no end time
                 assert tau_sw - float(np.log(v)) == tau_end[i], (state, kind, tau_sw)
@@ -876,7 +876,7 @@ def test_search_probe_slope_sign_matches_the_end_times():
             probe = deathclock._probe(state, kind, slope=True)
             for tau_sw in rng.uniform(h, 1.0, 10).tolist():
                 fate, ends = end_times(state, kind, [tau_sw - h, tau_sw + h])
-                rising, _, v = probe(tau_sw)
+                rising, _, v, _ = probe(tau_sw)
                 slope = (ends[1] - ends[0]) / (2.0 * h)
                 if v is not None and np.all(fate == Fate.FINITE_END) and abs(slope) > 1e-3:
                     assert rising == (slope > 0.0), (state, kind, tau_sw)
@@ -1114,10 +1114,11 @@ FEW_QUANTA_FLIPS = [  # (a, b, c, d, z_inner, z_corner), kind, quanta k at the t
 ]
 
 
-def test_searches_take_a_bounded_number_of_probes(monkeypatch):
+def test_searches_take_a_bounded_number_of_probes(bench, monkeypatch):
     # Each search ends on adjacent floats whose flags straddle, those of its
     # bracket ends.  Counting those ends, a canonical search takes at most 16
-    # probes, and one on any finite bracket at most 2 + SLACK + 63 <= 128.
+    # probes, and one on any finite bracket at most 2 + SLACK + 63 <= 128;
+    # a canonical threshold, from its closed-form start, takes 6.
     search, probe = deathclock._search, deathclock._probe
     one_ulp = (0.3, math.nextafter(0.3, 1.0))
     ends = ((False, -1.0), (True, 1.0))
@@ -1143,19 +1144,37 @@ def test_searches_take_a_bounded_number_of_probes(monkeypatch):
     bound = 2 + deathclock.SLACK + 63
     for bracket in (None, (0.0, 0.2), (0.0, 800.0), (0.0, 1e308)):
         searches.clear()
+        calls.clear()
         assert find_aversion_threshold(CANONICAL, bracket=bracket) == pytest.approx(
             THRESHOLD_BOTH, abs=1e-12
         )
-        assert searches and searches[0] <= (16 if bracket is None else bound)
+        assert searches and len(calls) <= 6, (bracket, len(calls))
     for kind in Switch:
         searches.clear()
         sweep_switch_times(CANONICAL, kind, np.linspace(0.0, 0.53, 4001))
         assert len(searches) == (2 if kind is Switch.BOTH else 1)
         assert max(searches) <= 16, (kind, searches)
+    # A sweep minimum searched up from tau_sw = 0, whose bit pattern lies
+    # some 2**62 below the minimum's: one x = e^-tau_sw spans many floats of
+    # tau_sw there, which the search on u does not walk.
+    searches.clear()
+    curve = sweep_switch_times(CANONICAL, Switch.ALICE, [0.0, 0.5])
+    assert len(searches) == 1 and searches[0] <= 16, searches
+    assert curve.min_tau_sw == sweep_switch_times(CANONICAL, Switch.ALICE).min_tau_sw
+    # A threshold near tau_sw = 0 (seed-3 draw_entangled state 134): with a
+    # threshold value linear in x, a search from the bracket's ends stalled
+    # there for 72 probes.
+    rng, states = random.Random(3), []
+    while len(states) <= 134:
+        if (state := bench["workloads"].draw_entangled(rng)) is not None:
+            states.append(state)
+    calls.clear()
+    t = find_aversion_threshold(states[134], Switch.ALICE, (0.0, 1.0))
+    assert t == float.fromhex("0x1.d9cf9239d62d9p-9") and len(calls) <= 6, len(calls)
     # Random states, whose fates may change where u = exp(-tau) underflows,
-    # on brackets past it.  A threshold query, ends and the probe at the last
-    # tau before u turns 0 included, takes at most 32 probes; where the fate
-    # changes as u turns 0, a search from the bracket's ends takes 73.
+    # on brackets past it.  A threshold query, its bracket's ends included,
+    # takes at most 6 probes; where the fate changes as u turns 0, a search
+    # from the bracket's ends took 73.
     tau_zero = deathclock.TAU_ZERO
     assert np.exp(-tau_zero) == 0.0 < np.exp(-math.nextafter(tau_zero, 0.0))
     rng = np.random.default_rng(12)
@@ -1168,12 +1187,13 @@ def test_searches_take_a_bounded_number_of_probes(monkeypatch):
             with contextlib.suppress(BracketError, NoCrossingError):
                 at_zero += find_aversion_threshold(state, kind, bracket) == tau_zero
             assert all(count <= bound for count in searches)
-            assert len(calls) <= 32, (state, kind, bracket, len(calls))
+            assert len(calls) <= 6, (state, kind, bracket, len(calls))
     assert at_zero >= 4
     # States whose fates change as u steps between its smallest subnormals,
-    # k + 1 and k quanta of 2**-1074 (random_xstate draws, seed 0): the
-    # search over k takes at most 2 log2(k) + 6 probes, ends included; the
-    # secant search on tau stalls there and takes 74.
+    # k + 1 and k quanta of 2**-1074 (random_xstate draws, seed 0): from the
+    # closed-form start, x = 0 after a single flip, a threshold takes at most
+    # 2 log2(k) + 6 probes, ends included, as the search on the count of
+    # quanta did; the secant search on tau from the bracket's ends took 74.
     for coefficients, kind, k in FEW_QUANTA_FLIPS:
         for bracket in ((0.0, 800.0), (0.0, 1e308)):
             calls.clear()
@@ -1186,7 +1206,8 @@ def test_searches_take_a_bounded_number_of_probes(monkeypatch):
 
 
 # md5 of wide_bracket_thresholds' text, as the threshold search found it
-# while it steered on max(Q(x), q0): steering on q0 / w moves no bit.
+# from the bracket's ends while it steered on max(Q(x), q0): steering on
+# q0 / w moved no bit, nor does the closed-form start.
 WIDE_THRESHOLD_MD5 = "4c6e1cbca4f236a82afc18caad5e1197"
 
 
@@ -1210,10 +1231,10 @@ def wide_bracket_thresholds(draw_entangled):
 
 
 def test_thresholds_take_few_probes_on_wide_brackets(bench, monkeypatch):
-    # Steering on max(Q(x), q0), 29 of these thresholds took 73 or 74
-    # probes: after a single flip q0 sinks to 0 with x = e^-tau_sw, and the
-    # secant stalled at the bracket's upper end.  Each now takes at most 32,
-    # ends included, and every threshold keeps its bits.
+    # Searched from the bracket's ends and steered on max(Q(x), q0), 29 of
+    # these thresholds took 73 or 74 probes, and steered on q0 / w up to 24.
+    # From the closed-form start each takes at most 10, ends included, and
+    # every threshold keeps its bits.
     probe, counts = deathclock._probe, []
 
     def counted(*args, **kwargs):
@@ -1224,38 +1245,205 @@ def test_thresholds_take_few_probes_on_wide_brackets(bench, monkeypatch):
     monkeypatch.setattr(deathclock, "_probe", counted)
     text = wide_bracket_thresholds(bench["workloads"].draw_entangled)
     assert hashlib.md5(text.encode()).hexdigest() == WIDE_THRESHOLD_MD5
-    assert max(map(len, counts)) <= 32
-    # The phase_map workload's 512 thresholds (seed 1) took 1,990 probes
-    # in all; they take no more.
+    assert max(map(len, counts)) <= 10
+    # The phase_map workload's 512 thresholds (seed 1) took 1,990 probes in
+    # all when they were searched from the bracket's ends; they take 1,381.
     counts.clear()
     for op in bench["workloads"].PhaseMap(1).ops:
         if not op.latency:  # its a = d crossings and its thresholds
             op.call()
-    assert sum(map(len, counts)) <= 1990
+    assert sum(map(len, counts)) <= 1381
+
+
+# -- the threshold as it was searched from the bracket's ends -------------------
+#
+# find_aversion_threshold before it started from the closed-form root: a
+# bracketed secant on tau from the bracket's ends, steered on max(Q(x), q0 / w),
+# after a search on the count of quanta where u is subnormal at the upper
+# end.  The closed-form start must keep every bit it found.
+
+def bits_float(k):
+    """The float whose bit pattern is k."""
+    return deathclock._F64.unpack(deathclock._I64.pack(k))[0]
+
+
+REFERENCE_QUANTUM = 5e-324  # 2**-1074: every u below 2**-1022 is a whole number of these
+REFERENCE_TAU_QUANTUM = 1074 * math.log(2)  # where u = np.exp(-tau) is one quantum
+REFERENCE_FEW = 1 << 20  # quanta of u up to which the count was searched first
+
+
+def reference_probe(state, kind):
+    """The fate after one switch, and max(Q(x), q0 / w), w = x (1 + (1 - x)/2)
+    after a single flip where x > 0 and 1 otherwise."""
+    entangled, single = discriminant(state) < 0.0, kind is not Switch.BOTH
+    p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(state))
+
+    def probe(tau_sw):
+        x = float(np.exp(-tau_sw))
+        first, (_, _, q0) = deathclock._single_switch(state, kind, np.array([x]))
+        q_end, q0 = (p2 * x + p1) * x + p0, float(q0[0])
+        w = x * (1.0 + 0.5 * (1.0 - x)) if single and x else 1.0
+        return entangled and (bool(first[0]) or q0 > 0.0), max(q_end, q0 / w)
+
+    return probe
+
+
+def reference_search(probe, lo, hi, at_lo, at_hi):
+    ends, steer = [(lo, at_lo), (hi, at_hi)], [(lo, at_lo[1]), (hi, at_hi[1])]
+    k = [deathclock._bits(t + 0.0) for t in (lo, hi)]
+    cap, side, stride = 1 << ((k[1] - k[0] - 1).bit_length() + 8 - 1), 1, 1
+    while k[1] - k[0] > 1:
+        at, ((t0, g0), (t1, g1)) = (k[0] + k[1]) // 2, steer
+        r = g1 / (g1 - g0) if g0 != g1 else 0.0
+        ta, tb, w = (t0, t1, 1.0 - r) if t0 <= t1 else (t1, t0, r)
+        if (ends[1][0] - ends[0][0] > 2.0**-51 and (x := w * math.expm1(ta - tb)) > -1.0
+                and lo < (s := ta - math.log1p(x)) < hi):
+            way = 1 - 2 * side
+            ahead = (deathclock._bits(s) - k[side]) * way
+            ahead, stride = (stride, 2 * stride) if ahead <= stride else (ahead, 1)
+            at = k[side] + ahead * way
+        at = min(max(at, k[0] + 1, k[1] - cap), k[1] - 1, k[0] + cap)
+        cap //= 2
+        result = probe(t := bits_float(at))
+        if side != (side := int(result[0] != at_lo[0])):
+            stride = 1
+        ends[side], k[side], steer = (t, result), at, [steer[1], (t, result[1])]
+    return ends
+
+
+def reference_first_tau_at_most(k):
+    tau, u = REFERENCE_TAU_QUANTUM - math.log(k + 0.5), k * REFERENCE_QUANTUM
+    while np.exp(-tau) > u:
+        tau = math.nextafter(tau, math.inf)
+    while np.exp(-math.nextafter(tau, 0.0)) <= u:
+        tau = math.nextafter(tau, 0.0)
+    return tau
+
+
+def reference_threshold(state, kind, lo, hi):
+    probe = reference_probe(state, kind)
+    at_lo, at_hi = probe(lo), probe(hi)
+    if at_lo[0] == at_hi[0]:
+        raise NoCrossingError if at_lo[0] else BracketError
+    hi, few = min(hi, deathclock.TAU_ZERO), REFERENCE_FEW * REFERENCE_QUANTUM
+    if (u_hi := float(np.exp(-hi))) <= few:
+        u_lo = float(np.exp(-lo))
+        below = int(u_hi / REFERENCE_QUANTUM)
+        above = int(u_lo / REFERENCE_QUANTUM) if u_lo <= few else None
+        while above is None or above - below > 1:
+            if above is not None:
+                k = min(2 * below or 1, (below + above) // 2)
+            elif below < REFERENCE_FEW:
+                k = REFERENCE_FEW if below else 1
+            else:
+                break
+            tau = REFERENCE_TAU_QUANTUM - math.log(k)
+            if (at_k := probe(tau))[0] == at_lo[0]:
+                above = k
+            else:
+                below, hi, at_hi = k, tau, at_k
+        else:
+            return reference_first_tau_at_most(below)
+    return reference_search(probe, lo, hi, at_lo, at_hi)[1][0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edge_xstates(),
+    st.sampled_from(list(Switch)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 744.9)),
+)
+def test_threshold_keeps_the_bits_of_the_search_from_the_ends(state, kind, lo, hi):
+    # From the closed-form start, on states at the edges of the physical
+    # region and brackets out to where u = exp(-tau) is subnormal, the
+    # threshold is the float the search from the bracket's ends found.  Where
+    # round-off turns the computed fate more than once near the root (after
+    # a single flip of a state with a or d near 0, about one threshold in
+    # 1,000), each search may stop at a different turn: both are then floats
+    # where the fate turns, 2 ulps of x apart in every case seen.
+    def answer(query, *args):
+        try:
+            return query(*args)
+        except (BracketError, NoCrossingError) as exc:
+            return type(exc)
+
+    assume(lo < hi)
+    new = answer(find_aversion_threshold, state, kind, (lo, hi))
+    old = answer(reference_threshold, state, kind, lo, hi)
+    if new == old or not isinstance(new, float) or not isinstance(old, float):
+        assert new == old, (state, kind, lo, hi)
+        return
+    fate = deathclock._probe(state, kind)
+    for t in (new, old):
+        assert fate(math.nextafter(t, 0.0))[0] == fate(lo)[0] != fate(t)[0], (state, kind, t)
+    x_new, x_old = (deathclock._bits(float(np.exp(-t))) for t in (new, old))
+    assert abs(x_new - x_old) <= 16, (state, kind, lo, hi, new, old)
+
+
+def test_threshold_starts_at_the_exact_root():
+    # The closed-form start of the canonical thresholds.  After a both-qubit
+    # flip q0 = 9 - 12x + 2x**2, whose root in (0, 1] is 3 - 3/sqrt(2); the
+    # threshold, where the computed fate turns, lies a few ulps from
+    # -ln(3 - 3/sqrt(2)).  After Alice's flip q0 = x (6 - 5x): its root
+    # 6/5 lies outside (0, 1], so her flip never averts death.
+    root = 3.0 - 3.0 / math.sqrt(2.0)
+    assert deathclock._tail_q0(CANONICAL, Switch.BOTH) == (2.0, -12.0, 9.0)
+    start = deathclock._threshold_root(CANONICAL, Switch.BOTH, 0.0, 1.0)
+    assert abs(start - root) <= math.ulp(root)
+    threshold = find_aversion_threshold(CANONICAL)
+    assert abs(threshold - THRESHOLD_BOTH) <= 16 * math.ulp(THRESHOLD_BOTH)
+    g2, g1, g0 = deathclock._tail_q0(CANONICAL, Switch.ALICE)
+    assert (g2, g1, g0) == (-5.0, 6.0, 0.0) and -g1 / g2 == 6 / 5
+    assert deathclock._tail_q0(CANONICAL, Switch.BOB) == (g2, g1, g0)
+    with pytest.raises(NoCrossingError):
+        find_aversion_threshold(CANONICAL, Switch.ALICE, (0.0, 744.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_xstates(), st.sampled_from(list(Switch)), st.floats(0.0, 1.0))
+def test_tail_q0_closed_forms_match_the_switched_tail(state, kind, x):
+    # The closed forms in x agree with the tail's q0 after the switch, as
+    # _single_switch computes it from the flowed and switched coefficients,
+    # to round-off of the terms summed (|terms| <= 3 S**2, S = 3).  Where
+    # the coherence flows to 0 its slot reads as inner, and no form applies.
+    assume((state.z_inner or state.z_corner) * x != 0.0)
+    g2, g1, g0 = deathclock._tail_q0(state, kind)
+    _, (_, _, q0) = deathclock._single_switch(state, kind, np.array([x]))
+    assert (g2 * x + g1) * x + g0 == pytest.approx(float(q0[0]), abs=1e-13)
 
 
 @pytest.mark.parametrize("flat", [False, True])
 def test_search_lands_on_any_step_whatever_its_values(flat):
     # The flag alone decides the sides; a value that misleads (constant,
     # NaN, or of the wrong sign) costs probes, never the result or the bound.
+    # The flag reads t only through u = np.exp(-t), as the searches' probes
+    # do: it turns where u falls to that of the step.
     rng = np.random.default_rng(5 + flat)
     bound = 2 + deathclock.SLACK + 63
-    for _ in range(200):
+    searched = 0
+    for _ in range(400):
         lo, hi = sorted(float(x) for x in 10.0 ** rng.uniform(-320, 308, 2))
         lo = 0.0 if rng.random() < 0.3 or lo == hi else lo
         step = float(rng.uniform(lo, hi)) if rng.random() < 0.5 else float(
             10.0 ** rng.uniform(math.log10(max(lo, 5e-324)), math.log10(hi)))
         step = min(max(step, math.nextafter(lo, math.inf)), hi)
+        if np.exp(-lo) <= (u_step := np.exp(-step)):
+            continue  # lo and the step share their u: no bracket
         value = (lambda t: math.nan) if flat else (lambda t: float(rng.normal()))
         probes = []
 
         def probe(t):
             probes.append(t)
-            return t >= step, value(t)
+            u = float(np.exp(-t))
+            return u <= u_step, value(t), u
 
         (t_lo, _), (t_hi, _) = deathclock._search(probe, lo, hi, probe(lo), probe(hi))
-        assert (t_lo, t_hi) == (math.nextafter(step, 0.0), step)
+        assert lo <= t_lo and math.nextafter(t_lo, math.inf) == t_hi <= hi, (lo, hi, step)
+        assert np.exp(-t_hi) <= u_step < np.exp(-t_lo), (lo, hi, step)
         assert len(probes) <= bound
+        searched += 1
+    assert searched >= 120
 
 
 def test_aversion_threshold_single_sided_never_averts():
