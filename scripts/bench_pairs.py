@@ -26,25 +26,45 @@ Run from the repository root:
 
     python scripts/bench_pairs.py --parent HEAD --seed 1601 \\
         --out BENCH_16.json --change "what the change does"
+
+``--interleaved WORKLOAD`` instead times the two sides pass by pass in one
+session, for gains too small for the runs above to resolve.  Two child
+interpreters, one per side, each import their own copy's
+``benchmarks/workloads.py`` and ``esdsim``, build the workload (seed
+``--seed``) on one CPU, and run one untimed pass; their outputs must be
+equal, or the mode exits 1.  Then, for each of 40 rounds, each side runs
+one pass, the parent first in even rounds and the change first in odd
+ones, and reports the pass's process CPU time.  Prints the median and
+quartiles of the per-round ratio, change over parent:
+
+    python scripts/bench_pairs.py --interleaved phase_map
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
 import json
+import os
 import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sweep_critical", "phase_map", "evolve_dense")
 PAIRS = 10  # per workload, one seed each
 SECONDS = 30
+ROUNDS = 40  # of --interleaved
 PASSES = re.compile(r"^# (\d+) timed passes", re.M)
+SIDES = ("parent", "change")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def parse_run(stdout: str) -> dict:
@@ -187,17 +207,110 @@ def copy_sides(parent: str, into: Path) -> dict:
     return sides
 
 
+def run_pass(ops) -> list:
+    """Every operation's output, or its exception's type and text."""
+    outputs = []
+    for op in ops:
+        try:
+            outputs.append(op.call())
+        except Exception as exc:  # a failed operation is an output too
+            outputs.append(f"{type(exc).__name__}: {exc}")
+    return outputs
+
+
+def child(folder: Path, workload: str, seed: int) -> int:
+    """One side of ``--interleaved``: the workload from ``folder``'s copy.
+
+    Writes the sha256 of its untimed pass's outputs, then for each line
+    read, runs one pass and writes its process CPU time in seconds.  Both
+    sides run on the lowest CPU they may use: on separate CPUs, identical
+    trees read up to 7% apart on a 2-vCPU host, and at most 0.4% on one.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    for var in THREAD_VARS:  # before numpy is first imported, as run.py does
+        os.environ[var] = "1"
+    sys.path[:0] = [str(folder / "src"), str(folder / "benchmarks")]
+    import workloads
+
+    ops = workloads.WORKLOADS[workload](seed).ops
+    print(hashlib.sha256(repr(run_pass(ops)).encode()).hexdigest(), flush=True)
+    for _ in sys.stdin:
+        gc.collect()
+        start = time.process_time()
+        run_pass(ops)
+        print(repr(time.process_time() - start), flush=True)
+    return 0
+
+
+class SidesDiffer(RuntimeError):
+    """The two sides' outputs differ, or a side gave none."""
+
+
+def interleave(commands: dict, rounds: int) -> dict:
+    """Start ``commands[side]`` for each side, check that their first lines
+    (the outputs' digests) agree, then time ``rounds`` rounds of one pass
+    per side, the parent first in even rounds.  Returns each side's times
+    and the per-round ratios, change over parent."""
+    children = {side: subprocess.Popen(commands[side], stdin=subprocess.PIPE,
+                                       stdout=subprocess.PIPE, text=True)
+                for side in SIDES}
+    try:
+        digests = {side: children[side].stdout.readline().strip() for side in SIDES}
+        if not digests["parent"] or digests["parent"] != digests["change"]:
+            raise SidesDiffer(f"the sides' outputs differ: {digests}")
+        times = {side: [] for side in SIDES}
+        for r in range(rounds):
+            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                children[side].stdin.write("\n")
+                children[side].stdin.flush()
+                times[side].append(float(children[side].stdout.readline()))
+    finally:
+        for process in children.values():
+            process.stdin.close()
+            process.wait()
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    return {"digest": digests["parent"], "times": times, "ratios": ratios}
+
+
+def ratio_line(workload: str, result: dict) -> str:
+    """The per-round ratio's median and quartiles, and each side's median."""
+    q1, median, q3 = statistics.quantiles(result["ratios"], n=4, method="inclusive")
+    parent, change = (statistics.median(result["times"][side]) for side in SIDES)
+    return (f"{workload}: change/parent CPU time per pass, median {median:.4f} "
+            f"(q1 {q1:.4f}, q3 {q3:.4f}) over {len(result['ratios'])} rounds; "
+            f"medians {parent:.6f} s -> {change:.6f} s")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--seed", type=int, default=1, help="first seed; one seed per pair")
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "TARGET"))
+    parser.add_argument("--interleaved", choices=WORKLOADS, metavar="WORKLOAD")
+    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.child:
+        return child(Path(args.child[0]), args.child[1], int(args.child[2]))
 
     parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
+    if args.interleaved:
+        with tempfile.TemporaryDirectory() as folder:
+            sides = copy_sides(parent, Path(folder))
+            commands = {side: [sys.executable, __file__, "--child", str(sides[side]),
+                               args.interleaved, str(args.seed)] for side in SIDES}
+            try:
+                result = interleave(commands, ROUNDS)
+            except SidesDiffer as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+        print(ratio_line(args.interleaved, result))
+        return 0
+    if args.out is None:
+        parser.error("--out is required unless --interleaved is given")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     seeds = [args.seed + i for i in range(PAIRS)]
     runs = {w: {"parent": [], "change": []} for w in WORKLOADS}

@@ -19,10 +19,12 @@ search (``_search``) down to neighbouring floats, on the exact fate test and
 on the sign of the end time's slope; neither has a tolerance, and the
 threshold's starts at a closed-form root (``_threshold_root``).
 
-``find_end_time`` walks one schedule's events in one flat loop, with one
-``np.exp`` per finite stretch; ``state_at`` and ``trajectory`` walk the same
-stretches through ``_stretches``, and ``end_times`` decides a single switch
-at an array of switch times with the same arithmetic, which the sweep
+``find_end_time`` walks one schedule's stretches in one flat loop, with one
+``np.exp`` per finite stretch and the helpers' operations written out, so
+that its only Python-level calls are ``check_coefficients`` and
+``DeathReport``.  ``state_at`` and ``trajectory`` walk the same stretches
+through ``_stretches``, and ``end_times`` decides a single switch at an
+array of switch times with the same arithmetic, which the sweep
 (``sweep_switch_times``) calls block by block on times it has checked once.
 exp and log come from numpy on every path, floats and arrays alike, so all
 of them agree bit for bit.
@@ -41,13 +43,14 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .channel import _check_tau, _flow, damped_coefficients
-from .intervention import Schedule, Switch, switch_coefficients
+from .intervention import _SWITCHED, Schedule, Switch, switch_coefficients
 from .qstate import (
     _COEFFICIENTS, UnsupportedShapeError, XState, check_coefficients, xstate_measures,
 )
 
 
 BLOCK_ROWS = 1 << 14  # rows per block of the sweep and of evolve: bounded temporaries
+_exp, _log = np.exp, np.log  # bound once: np's attribute lookup is a fifth of a float call
 
 
 class Fate(IntEnum):
@@ -188,17 +191,6 @@ def _float_root(r2: float, r1: float, r0: float) -> float:
     return 2.0 * w / (1.0 + math.sqrt(max(1.0 - 4.0 * r * w, 0.0)))
 
 
-def _stretch_dies(q_end, u_end):
-    """Whether a stretch whose Q reads ``q_end`` at its end u_end dies.
-
-    Q(u_end) >= 0, except where u_end is 0: the tail, or a stretch ending
-    past tau ~ 745, where exp(-tau) underflows.  There Q(0) = p0, and the
-    stretch dies only if p0 > 0, since p0 = 0 leaves Q(u) = u (p1 + p2 u)
-    negative at the true, positive u_end.  Floats or arrays.
-    """
-    return (q_end > 0.0) | ((q_end == 0.0) & (u_end > 0.0))
-
-
 def _stretches(
     state: XState, schedule: Schedule
 ) -> Iterator[tuple[float, float, tuple]]:
@@ -279,61 +271,75 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     Each switch-free stretch, the open-ended tail last, is decided in closed
     form.  Along a stretch Q only rises, from Q(1) at its start to Q(u_end)
     at its end (u_end = 0 for the tail), so the stretch dies iff
-    Q(u_end) >= 0, at the smaller root of Q (``_smaller_root``); where
-    u_end is 0, the tail's or an underflowed one, iff p0 = Q(0) > 0
-    (``_stretch_dies``).  A stretch whose Q is already non-negative at its
-    start (a switch landing where the discriminant is zero to round-off)
-    dies at its start.  A tail that does not die averts death.  The witness
-    is the discriminant of the dying stretch's state flowed to the end time.
+    Q(u_end) >= 0, at the smaller root of Q (``_smaller_root``, clamped to
+    the stretch against round-off); where u_end is 0, the tail's or one
+    underflowed past tau ~ 745, iff p0 = Q(0) > 0, as p0 = 0 leaves
+    Q(u) = u (p1 + p2 u) < 0 at the true u_end.  A stretch whose Q is
+    already non-negative at its start (a switch landing where the
+    discriminant is zero to round-off) dies at its start.  A tail that does
+    not die averts death.  The witness is the discriminant of the dying
+    stretch's state flowed to the end time.
 
-    One loop over the events, with one ``np.exp`` per finite stretch: its
-    u_end = e^-(end - start) serves the death test and, if the stretch
-    lives, the checked flow and switch of ``_stretches``, here spelled out.
-    It has the bits of ``trajectory``'s np.exp(start - end) too, since IEEE
-    subtraction gives fl(s - e) = -fl(e - s).
+    One loop, with one ``np.exp`` per finite stretch: its u_end =
+    e^-(end - start) serves the death test and, if the stretch lives, the
+    checked flow and switch of ``_stretches``; it has the bits of
+    ``trajectory``'s np.exp(start - end), as fl(s - e) = -fl(e - s).  The
+    helpers' operations are written out in their order, so only
+    ``check_coefficients`` and ``DeathReport`` are called in Python.
     """
-    current = _COEFFICIENTS(state)
-    d0 = _discriminant(current)
+    a, b, c, d, z_inner, z_corner = _COEFFICIENTS(state)
+    if z_inner != 0.0 and z_corner != 0.0:
+        _discriminant((a, b, c, d, z_inner, z_corner))  # raises
+    d0 = b * c - z_corner**2 if z_corner != 0.0 else a * d - z_inner**2
     if d0 >= 0.0:
         return DeathReport(_NEVER_ENTANGLED, None, d0)
 
     start = 0.0
-    for event in schedule.events:
-        u_end = float(np.exp(-_check_tau(event.tau - start)))
-        # _quadratic, _stretch_dies and damped_coefficients on one unpacking
-        # of the stretch's coefficients: the same operations in the same order.
-        a, b, c, d, z_inner, z_corner = current
+    for event in (*schedule.events, None):
         p2, p1 = a * a, -a * (b + c + 2.0 * a)
-        if z_corner != 0.0:
-            p0 = (b + a) * (c + a) - z_corner * z_corner
-        else:
-            p0 = 3.0 * a - z_inner * z_inner
+        p0 = ((b + a) * (c + a) - z_corner * z_corner if z_corner != 0.0
+              else 3.0 * a - z_inner * z_inner)
+        if event is None:  # the tail, from u = 1 at start down to u_end = 0
+            if p0 <= 0.0:  # it never reaches Q = 0
+                return DeathReport(_AVERTED, None, p0)
+            u_end = 0.0
+            break
+        if not 0.0 <= (tau := event.tau - start) < math.inf:
+            _check_tau(tau)  # raises
+        u_end = float(_exp(-tau))
         q_end = (p2 * u_end + p1) * u_end + p0
         if q_end > 0.0 or q_end == 0.0 and u_end > 0.0:
             break
         feed, loss = a * (u_end - u_end * u_end), 1.0 - u_end
-        current = check_coefficients(*switch_coefficients(event.op, check_coefficients(
-            a * u_end * u_end, b * u_end + feed, c * u_end + feed,
-            d + loss * (b + c + a * loss), z_inner * u_end, z_corner * u_end)))
+        a, b, c, d, z_inner, z_corner = check_coefficients(
+            *_SWITCHED[event.op._value_](check_coefficients(
+                a * u_end * u_end, b * u_end + feed, c * u_end + feed,
+                d + loss * (b + c + a * loss), z_inner * u_end, z_corner * u_end)))
         start = event.tau
-    else:  # the tail, from u = 1 at start down to u_end = 0
-        p2, p1, p0 = _quadratic(current)
-        if p0 <= 0.0:  # the tail never reaches Q = 0
-            return DeathReport(_AVERTED, None, p0)
-        u_end = 0.0
     if p2 + p1 + p0 >= 0.0:
         u_root = 1.0
     else:
-        # Clamped because round-off can put the root a hair outside the
-        # stretch when Q is near zero at an end.
-        u_root = min(max(_float_root(p2, p1, p0), u_end), 1.0)
-    tau_end = start - float(np.log(u_root))
-    witness = _discriminant(check_coefficients(*_flow(current, tau_end - start)))
+        w, r = p0 / -p1, p2 / -p1  # _float_root, then min(max(., u_end), 1); u_end <= 1
+        t = 1.0 - 4.0 * r * w
+        u_root = 2.0 * w / (1.0 + math.sqrt(0.0 if 0.0 > t else t))
+        u_root = u_end if u_end > u_root else 1.0 if 1.0 < u_root else u_root
+    tau_end = start - float(_log(u_root))
+    if not 0.0 <= (tau := tau_end - start) < math.inf:
+        _check_tau(tau)  # raises
+    u = float(_exp(-tau))  # the witness: the flow to tau_end and its discriminant
+    feed, loss = a * (u - u * u), 1.0 - u
+    a, b, c, d, z_inner, z_corner = check_coefficients(
+        a * u * u, b * u + feed, c * u + feed, d + loss * (b + c + a * loss),
+        z_inner * u, z_corner * u)
+    witness = b * c - z_corner**2 if z_corner != 0.0 else a * d - z_inner**2
     return DeathReport(_FINITE_END, tau_end, witness)
 
 
 def _times(grid: Sequence[float], name: str, increasing: bool = False) -> np.ndarray:
-    taus = np.array(grid, dtype=float)
+    try:
+        taus = np.array(grid, dtype=float)
+    except OverflowError as exc:  # an int beyond float range
+        raise ValueError(f"{name} must be finite and >= 0: {exc}") from None
     if taus.ndim != 1:
         raise ValueError(f"{name} must be a flat sequence of times")
     bad = ~(np.isfinite(taus) & (taus >= 0.0))
@@ -347,15 +353,16 @@ def _times(grid: Sequence[float], name: str, increasing: bool = False) -> np.nda
 def _single_switch(state: XState, kind: Switch, u: np.ndarray):
     """First-stretch fate and the tail after one ``kind`` switch at u = e^-tau_sw.
 
-    Whether the first stretch dies (``_stretch_dies`` at u) and the tail's
-    (q2, q1, q0), on arrays; the tail's slot is read off the switched z_corner.
+    Whether the first stretch dies (``find_end_time``'s test at u) and the
+    tail's (q2, q1, q0), on arrays; the tail's slot is read off z_corner.
     """
     p2, p1, p0 = _quadratic(_COEFFICIENTS(state))
     a, b, c, _, z_inner, z_corner = switch_coefficients(
         kind, damped_coefficients(*_COEFFICIENTS(state), u))
     q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
                   3.0 * a - z_inner * z_inner)
-    return _stretch_dies((p2 * u + p1) * u + p0, u), (a * a, -a * (b + c + 2.0 * a), q0)
+    q_end = (p2 * u + p1) * u + p0
+    return (q_end > 0.0) | ((q_end == 0.0) & (u > 0.0)), (a * a, -a * (b + c + 2.0 * a), q0)
 
 
 def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
@@ -370,16 +377,16 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     Deaths before the tail or at its start do not fall (g NaN, v None).
     """
     s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
-    p2, p1, p0 = map(float, _quadratic(_COEFFICIENTS(state)))
+    p2, p1, p0 = _quadratic(s)
     switched = itemgetter(*switch_coefficients(kind, range(6)))
-    entangled = discriminant(state) < 0.0
+    entangled = _discriminant(s) < 0.0
 
     def probe(tau_sw: float) -> tuple:
-        x = float(np.exp(-tau_sw))
+        x = float(_exp(-tau_sw))
         tail = switched(damped_coefficients(*s, x))
         q2, q1, q0 = _quadratic(tail)
         q_end = (p2 * x + p1) * x + p0
-        first = _stretch_dies(q_end, x)
+        first = q_end > 0.0 or q_end == 0.0 and x > 0.0
         if not slope:
             return entangled and (first or q0 > 0.0), max(q_end, q0), x
         if first or not q2 + q1 + q0 < 0.0 < q0:
@@ -407,7 +414,7 @@ def end_times(
     Entry i is what ``find_end_time(state, Schedule.single(switch_times[i],
     kind))`` reports, bit for bit, decided on whole arrays with its
     arithmetic: the closed-form flow to each switch time, the switch as a
-    coefficient permutation, the first stretch dying as ``_stretch_dies``
+    coefficient permutation, the first stretch dying as ``find_end_time``
     decides at u_sw, the tail after the switch dying iff its p0 > 0, and
     each death at the stable root of its stretch.  exp and log are
     ``np.exp`` and ``np.log`` on both paths, which give the same bits on a
@@ -593,7 +600,10 @@ def find_aversion_threshold(
             raise BracketError("unswitched evolution never dies; pass an explicit bracket")
         lo, hi = 0.0, baseline.tau_end
     else:
-        lo, hi = float(bracket[0]), float(bracket[1])
+        try:
+            lo, hi = float(bracket[0]), float(bracket[1])
+        except OverflowError:  # an int beyond float range
+            lo = hi = math.nan
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise BracketError(f"bad bracket {bracket!r}")
     probe = _probe(state, kind)

@@ -82,8 +82,11 @@ class SwitchEvent:
     op: Switch
 
     def __init__(self, tau: float, op: Switch) -> None:
-        if not (math.isfinite(tau) and tau >= 0.0):
-            raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}")
+        try:  # an int beyond float range raises OverflowError in isfinite
+            if not (math.isfinite(tau) and tau >= 0.0):
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}") from None
         if not isinstance(op, Switch):
             raise TypeError(f"SwitchEvent.op must be a named Switch, got {op!r}")
         _SET_TAU(self, tau)
@@ -101,18 +104,21 @@ class Schedule:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        events = self.events
-        for index, event in enumerate(events):
+        events, previous = self.events, -1.0  # every SwitchEvent.tau is >= 0
+        for event in events:  # one pass that accepts exactly the valid events
+            if not (isinstance(event, SwitchEvent) and event.tau > previous):
+                break
+            previous = event.tau
+        else:
+            return
+        for index, event in enumerate(events):  # the checks, to name what fails
             if not isinstance(event, SwitchEvent):
                 raise TypeError(
                     f"Schedule.events[{index}] must be a SwitchEvent, got {event!r}")
-        for index in range(1, len(events)):
-            earlier, later = events[index - 1], events[index]
+        for earlier, later in zip(events, events[1:]):
             if not later.tau > earlier.tau:
-                raise ValueError(
-                    f"schedule times must strictly increase, got "
-                    f"{earlier.tau!r} then {later.tau!r}"
-                )
+                raise ValueError(f"schedule times must strictly increase, got "
+                                 f"{earlier.tau!r} then {later.tau!r}")
 
     @classmethod
     def single(cls, tau: float, op: Switch) -> "Schedule":

@@ -81,8 +81,8 @@ def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:
     products, leave no field infinite or NaN.  Where it fails or raises (an
     int beyond float range, a square that overflows), the ordered checks
     run, and a failing one walks the fields in order to name the first
-    offender.  Every state and every coefficient tuple the engine derives
-    (a flow, a switch) runs these.
+    offender; an int beyond float range is not finite.  Every state and
+    every coefficient tuple the engine derives (a flow, a switch) runs these.
     """
     atol = _XSTATE_ATOL
     try:
@@ -92,12 +92,13 @@ def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:
             return a, b, c, d, z_inner, z_corner
     except (ArithmeticError, TypeError, ValueError):
         pass
-    isfinite = math.isfinite
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)
-            and isfinite(z_inner) and isfinite(z_corner)):
-        for name, value in zip(_FIELDS, (a, b, c, d, z_inner, z_corner)):
-            if not isfinite(value):
-                raise ValueError(f"XState.{name} must be finite, got {value!r}")
+    for name, value in zip(_FIELDS, (a, b, c, d, z_inner, z_corner)):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
+            raise ValueError(f"XState.{name} must be finite, got {value!r}")
     if a < -atol or b < -atol or c < -atol or d < -atol:
         for name, value in zip(_FIELDS, (a, b, c, d)):
             if value < -atol:

@@ -1,7 +1,9 @@
-"""scripts/bench_pairs.py's aggregation, on canned benchmark output (no run)."""
+"""scripts/bench_pairs.py's aggregation, on canned benchmark output (no run),
+and its interleaved mode, on stub children."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,3 +151,45 @@ def test_the_verdict_is_printed():
     assert "phase_map RSS line reaches 63.25 MB at 119.8 timed passes" in lines
     assert lines[-1] == ("claim phase_map pass_ref_s: wins 3/4 (needs 4), median gap 0.0375"
                          " against parent q3 - q1 0.015: NOT MET")
+
+
+# A stand-in for one side's child: writes a digest, then for each line read
+# logs its side and writes a fixed pass time.
+STUB = """
+import sys
+side, seconds, digest, log = sys.argv[1:]
+print(digest, flush=True)
+for _ in sys.stdin:
+    with open(log, "a") as f:
+        f.write(side + "\\n")
+    print(seconds, flush=True)
+"""
+
+
+def stub_commands(tmp_path, parent=("0.5", "d1"), change=("0.4", "d1")):
+    log = tmp_path / "order.log"
+    return log, {side: [sys.executable, "-c", STUB, side, seconds, digest, str(log)]
+                 for side, (seconds, digest) in (("parent", parent), ("change", change))}
+
+
+def test_interleaved_sides_take_turns_and_give_per_round_ratios(tmp_path):
+    log, commands = stub_commands(tmp_path)
+    result = bench_pairs.interleave(commands, rounds=4)
+    assert result["digest"] == "d1"
+    assert result["times"] == {"parent": [0.5] * 4, "change": [0.4] * 4}
+    assert result["ratios"] == pytest.approx([0.8] * 4)
+    # The parent goes first in even rounds, the change in odd ones.
+    assert log.read_text().split() == ["parent", "change", "change", "parent"] * 2
+    line = bench_pairs.ratio_line("phase_map", result)
+    assert line == ("phase_map: change/parent CPU time per pass, median 0.8000 (q1 0.8000,"
+                    " q3 0.8000) over 4 rounds; medians 0.500000 s -> 0.400000 s")
+
+
+@pytest.mark.parametrize("parent, change", [(("0.5", "d1"), ("0.4", "d2")),
+                                            (("0.5", ""), ("0.4", ""))],
+                         ids=["outputs_differ", "no_outputs"])
+def test_interleaved_sides_must_agree_before_any_pass_is_timed(tmp_path, parent, change):
+    log, commands = stub_commands(tmp_path, parent, change)
+    with pytest.raises(bench_pairs.SidesDiffer, match="outputs differ"):
+        bench_pairs.interleave(commands, rounds=4)
+    assert not log.exists()

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -691,6 +692,66 @@ def test_walk_checks_every_derived_tuple(checks):
         for schedule in schedules:
             reference_end_time(state, schedule)
     assert len(checks["checked"]) == checks["built"] == FAMILY_CHECKS
+
+
+CORNER = XState(1.0, 0.25, 0.75, 1.0, z_corner=1.0)  # b*c - z_corner**2 < 0
+
+
+@pytest.mark.parametrize("state, events, fate, checked", [
+    (CANONICAL, (), Fate.FINITE_END, 1),
+    (CORNER, (), Fate.FINITE_END, 1),
+    (CANONICAL, ((0.223, Switch.BOTH),), Fate.FINITE_END, 3),
+    (CANONICAL, ((2.0, Switch.ALICE),), Fate.FINITE_END, 1),  # dies before the switch
+    (CANONICAL, ((0.1, Switch.BOTH),), Fate.AVERTED, 2),
+    (CANONICAL, ((0.1, Switch.ALICE), (0.3, Switch.BOB)), Fate.FINITE_END, 5),
+    (CANONICAL, ((0.05, Switch.ALICE), (0.1, Switch.BOB)), Fate.AVERTED, 4),
+    (CORNER, ((0.1, Switch.BOB), (0.2, Switch.BOTH)), Fate.FINITE_END, 5),
+    (XState(1.0, 1.0, 1.0, 0.0), ((0.2, Switch.BOTH),), Fate.NEVER_ENTANGLED, 0),
+], ids=["none", "none_corner", "one", "one_before", "one_averted", "two", "two_averted",
+        "two_corner", "never_entangled"])
+def test_find_end_time_calls_only_its_checks_and_its_report(state, events, fate, checked):
+    # The scalar path's call budget: whatever the schedule and the fate, the
+    # only Python-level functions find_end_time enters are the coefficient
+    # checks, once per derived tuple, and the report's __init__, once.  A
+    # helper that comes back onto this path costs a few per cent of a query,
+    # which the benchmark cannot resolve; this test sees it.
+    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in events))
+    report = find_end_time(state, schedule)
+    assert report.fate is fate
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        again = find_end_time(state, schedule)
+    finally:
+        sys.setprofile(None)
+    assert bits(lambda: again) == bits(lambda: report)
+    check, init = qstate.check_coefficients.__code__, DeathReport.__init__.__code__
+    assert entered == [find_end_time.__code__, *[check] * checked, init]
+
+
+def test_ints_beyond_float_range_are_refused_naming_the_field():
+    # Each of these raised a bare OverflowError: int too large to convert to float.
+    huge = 10**400
+    with pytest.raises(ValueError, match=r"^SwitchEvent\.tau must be >= 0, got 1000"):
+        SwitchEvent(huge, Switch.BOTH)
+    with pytest.raises(ValueError, match=r"^XState\.a must be finite, got 1000"):
+        XState(huge, 1, 1, 0)
+    with pytest.raises(ValueError, match=r"^XState\.z_corner must be finite, got -1000"):
+        XState(1.0, 1.0, 1.0, 0.0, 0.0, -huge)
+    with pytest.raises(BracketError, match=r"^bad bracket \(0, 1000"):
+        find_aversion_threshold(CANONICAL, Switch.BOTH, bracket=(0, huge))
+    with pytest.raises(BracketError, match=r"^bad bracket \(-1000"):
+        find_aversion_threshold(CANONICAL, Switch.BOTH, bracket=(-huge, 1))
+    for query, name in ((lambda g: end_times(CANONICAL, Switch.BOTH, g), "switch times"),
+                        (lambda g: sweep_switch_times(CANONICAL, grid=g), "switch-time grid"),
+                        (lambda g: trajectory(CANONICAL, grid=g), "trajectory grid")):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0: int too"):
+            query([0.0, huge])
 
 
 # -- end_times: find_end_time on a whole switch-time array ----------------------

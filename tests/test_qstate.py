@@ -69,7 +69,8 @@ def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0):
     self = SimpleNamespace(a=a, b=b, c=c, d=d, z_inner=z_inner, z_corner=z_corner)
     for name in ("a", "b", "c", "d", "z_inner", "z_corner"):
         value = getattr(self, name)
-        if not math.isfinite(value):
+        # An int from 2**1024 - 2**970 up rounds past the largest float.
+        if not (abs(value) < 2**1024 - 2**970 and math.isfinite(value)):
             raise ValueError(f"XState.{name} must be finite, got {value!r}")
     for name in ("a", "b", "c", "d"):
         value = getattr(self, name)
