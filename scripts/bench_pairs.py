@@ -27,17 +27,19 @@ Run from the repository root:
     python scripts/bench_pairs.py --parent HEAD --seed 1601 \\
         --out BENCH_16.json --change "what the change does"
 
-``--interleaved WORKLOAD`` instead times the two sides pass by pass in one
-session, for gains too small for the runs above to resolve.  Two child
+``--interleaved WORKLOAD [WORKLOAD ...]`` instead times the two sides pass
+by pass in one session, for gains too small for the runs above to resolve.
+The two trees are copied once; for each workload in turn, two child
 interpreters, one per side, each import their own copy's
 ``benchmarks/workloads.py`` and ``esdsim``, build the workload (seed
 ``--seed``) on one CPU, and run one untimed pass; their outputs must be
 equal, or the mode exits 1.  Then, for each of 40 rounds, each side runs
 one pass, the parent first in even rounds and the change first in odd
-ones, and reports the pass's process CPU time.  Prints the median and
-quartiles of the per-round ratio, change over parent:
+ones, and reports the pass's process CPU time.  Prints one line per
+workload: the median and quartiles of the per-round ratio, change over
+parent:
 
-    python scripts/bench_pairs.py --interleaved phase_map
+    python scripts/bench_pairs.py --interleaved evolve_dense sweep_critical phase_map
 """
 
 from __future__ import annotations
@@ -282,6 +284,27 @@ def ratio_line(workload: str, result: dict) -> str:
             f"medians {parent:.6f} s -> {change:.6f} s")
 
 
+def child_command(folder: Path, workload: str, seed: int) -> list[str]:
+    """The command line of one side's ``--interleaved`` child."""
+    return [sys.executable, __file__, "--child", str(folder), workload, str(seed)]
+
+
+def interleaved(parent: str, workloads: list[str], seed: int) -> int:
+    """``--interleaved``: copy the two trees once, then time each workload in
+    turn and print its ratio line; exit 1 at the first whose sides differ."""
+    with tempfile.TemporaryDirectory() as folder:
+        sides = copy_sides(parent, Path(folder))
+        for workload in workloads:
+            commands = {side: child_command(sides[side], workload, seed) for side in SIDES}
+            try:
+                result = interleave(commands, ROUNDS)
+            except SidesDiffer as exc:
+                print(f"error: {workload}: {exc}", file=sys.stderr)
+                return 1
+            print(ratio_line(workload, result), flush=True)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD")
@@ -289,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--claim", nargs=3, metavar=("WORKLOAD", "METRIC", "TARGET"))
-    parser.add_argument("--interleaved", choices=WORKLOADS, metavar="WORKLOAD")
+    parser.add_argument("--interleaved", nargs="+", choices=WORKLOADS, metavar="WORKLOAD")
     parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -298,17 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                             capture_output=True, text=True).stdout.strip()
     if args.interleaved:
-        with tempfile.TemporaryDirectory() as folder:
-            sides = copy_sides(parent, Path(folder))
-            commands = {side: [sys.executable, __file__, "--child", str(sides[side]),
-                               args.interleaved, str(args.seed)] for side in SIDES}
-            try:
-                result = interleave(commands, ROUNDS)
-            except SidesDiffer as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        print(ratio_line(args.interleaved, result))
-        return 0
+        return interleaved(parent, args.interleaved, args.seed)
     if args.out is None:
         parser.error("--out is required unless --interleaved is given")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]

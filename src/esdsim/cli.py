@@ -104,13 +104,6 @@ _SCALE = np.array([10**max(11 - e, 0) / 10**max(e - 11, 0) if -297 <= e <= 308 e
 _E_OF_B = np.floor((np.arange(2048) - 1023) * np.log10(2.0)).astype(np.intp)
 _E_OF_B[0] = 310
 _TEN_UP = 10.0 ** np.minimum(_E_OF_B + 1, 308)
-# Below 2**-986 (b < 37, so e <= -297; subnormals too) the same three tables for
-# |x| 2**128, which is exact and normal: indexed by its biased exponent (< 165),
-# the e of |x| and 10**(e + 1) 2**128, and at e in [-324, -297] 10**(11 - e) 2**-128.
-_TINY_B, _TINY_SHIFT = 37, 128
-_E_OF_TINY = np.floor((np.arange(165) - 1151) * np.log10(2.0)).astype(np.intp)
-_TEN_UP_TINY = np.array([2**128 / 10**-(e + 1) for e in _E_OF_TINY.tolist()])
-_SCALE_TINY = np.array([10**(11 - e) / 2**128 if e < -296 else math.nan for e in _E.tolist()])
 
 
 def _compact(text: np.ndarray) -> str:
@@ -136,18 +129,18 @@ def _runs(slots: list, offsets: list) -> Iterator[tuple[int, int, int]]:
         first = k
 
 
-def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[str]:
+def _csv_chunks(columns: Sequence[np.ndarray]) -> Iterator[str]:
     """Rows of equal-length columns as CSV lines, one sub-block at a time.
 
     A float column reads as ``"%.11e" % x`` would write each entry, byte for
-    byte, except that NaN is written as ``na_rep`` (at most 19 characters);
-    an integer column reads as ``"%d" % x``.  A sub-block of at most
-    ``CSV_CELLS`` cells is one record in a reused buffer, a slot per cell,
-    each ending in the separator and exactly as wide as its column's text:
-    17 bytes for a float, 18 in a column of negative cells, w for integers
-    of w <= 4 digits.  Such a record is the text.  A column that holds NaN,
-    inf, both signs, e outside [-98, 98] or integers of other widths gets
-    20-byte slots instead, whose null bytes in shorter cells ``_compact`` drops.
+    byte, except that NaN is written as a blank cell; an integer column
+    reads as ``"%d" % x``.  A sub-block of at most ``CSV_CELLS`` cells is one
+    record in a reused buffer, a slot per cell, each ending in the separator
+    and exactly as wide as its column's text: 17 bytes for a float, 18 in a
+    column of negative cells, w for integers of w <= 4 digits.  Such a
+    record is the text.  A column that holds NaN, inf, both signs, e outside
+    [-98, 98] or integers of other widths gets 20-byte slots instead, whose
+    null bytes in shorter cells ``_compact`` drops.
     Float columns with equal slots at evenly spaced offsets, such as a
     sweep's two float columns around its fates, are filled as one run; the
     NaN fill and the ``%`` fallback run only in a sub-block that needs them.
@@ -157,15 +150,11 @@ def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[
     in [1e11, 1e12], split by int64 floor division.  For e in [-297, 308]
     the power is within a relative 2**-53 of its value and the product
     rounds once more, so y is within 1e12 * (2**-52 + 2**-106) < 2**-12 of
-    the exact value.  Below that range, subnormals included, |x| is first
-    multiplied by 2**128, exactly, and y is that product times
-    10**(11 - e) 2**-128, a normal double within a relative 2**-53 of its
-    value: the same two roundings, so the same bound.  m is then the
-    correctly rounded mantissa unless y lies within 2**-11 of a half-way
-    point.  Such cells, inf and integers in 20-byte slots are written by ``%``.
+    the exact value, and m is the correctly rounded mantissa unless y lies
+    within 2**-11 of a half-way point.  Those cells, the cells below 1e-297
+    (subnormals included; ``_SCALE`` is NaN there), inf and integers in
+    20-byte slots are written by ``%``.
     """
-    if len(na_rep) > 19:  # the widest slot's text
-        raise ValueError(f"na_rep must be at most 19 characters, got {len(na_rep)}")
     width, size = len(columns), len(columns[0])
     floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
     ints = [j for j in range(width) if j not in floats]
@@ -183,17 +172,9 @@ def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[
         m, fast = _mantissa(ax * _SCALE.take(e))  # not fast for 0, NaN, inf and e < -297
         neg, nan, zero = np.signbit(x), x != x, x == 0.0
         slow = ~(fast | zero | nan)
-        wide = (np.abs(e) > 98) & ~zero  # NaN, inf, and below 1e-297, subnormals too
-        padded = np.zeros(len(floats), bool)
-        if wide.any():
-            padded = wide.any(0)
-            tiny = np.flatnonzero(wide & (b < _TINY_B))
-            if tiny.size:
-                at = ax.ravel()[tiny] * 2.0**_TINY_SHIFT
-                bt = at.view(np.int64) >> 52
-                e.flat[tiny] = et = _E_OF_TINY.take(bt) + (at >= _TEN_UP_TINY.take(bt))
-                m.flat[tiny], fast = _mantissa(at * _SCALE_TINY.take(et))
-                slow.flat[tiny] = ~fast
+        wide = (np.abs(e) > 98) & ~zero  # NaN, inf and subnormals too
+        # any(0), across the rows, costs about a tenth of a sweep's encoding.
+        padded = wide.any(0) if wide.any() else np.zeros(len(floats), bool)
         if neg.any():
             padded |= neg.any(0) != neg.all(0)
         carry = m == 1e12  # 9.999999999995 is 1.00000000000e+01
@@ -236,7 +217,7 @@ def _csv_chunks(columns: Sequence[np.ndarray], na_rep: str = "nan") -> Iterator[
                 field = cell[..., k:k + table.itemsize].view(table.dtype)[..., 0]
                 field[...] = table.take(index[:, cols], mode="wrap")
             if has_nan:
-                cells[nan[:, cols]] = na_rep
+                cells[nan[:, cols]] = b""
             if has_slow:
                 r, c = np.divmod(np.flatnonzero(slow[:, cols]), n)
                 cells[r, c] = [_FLOAT % v for v in x[r, c + f].tolist()]
@@ -523,7 +504,7 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
         if dev is not None:
             lines.append(f"# curve_max_abs_dev = {_FLOAT % dev}")
     # tau_end is NaN, and blank, unless death is finite.
-    rows = _csv_chunks((curve.tau_sw, curve.fate, curve.tau_end), na_rep="")
+    rows = _csv_chunks((curve.tau_sw, curve.fate, curve.tau_end))
     summary = [line + "\n" for line in lines]
     _emit(itertools.chain(["tau_sw,fate,tau_end\n"], rows, summary), out_path)
     return 0
@@ -533,46 +514,33 @@ def cmd_critical(cfg: ScenarioConfig, out_path: str | None) -> int:
     state = cfg.initial_state()
     kind = Switch(cfg.switch) if cfg.switch != "none" else Switch.BOTH
     taus = _grid_taus(cfg, sweep=True)
-    lines = ["quantity,status,tau,time"]
-
-    def row(name: str, status: str, tau: float | None) -> str:
-        if tau is None:
-            return f"{name},{status},,"
-        time = tau / cfg.gamma
-        _require("gamma", math.isfinite(time),
-                 f"too small: {name} in physical time, tau / gamma, overflows", cfg.gamma)
-        return f"{name},{status},{_FLOAT % tau},{_FLOAT % time}"
-
-    def found(name: str, tau: float | None) -> str:
-        return row(name, "undefined" if tau is None else "found", tau)
-
     baseline = find_end_time(state)
-    status = {
-        Fate.FINITE_END: "finite",
-        Fate.AVERTED: "averted",
-        Fate.NEVER_ENTANGLED: "never_entangled",
-    }[baseline.fate]
     if baseline.fate is Fate.FINITE_END:
         with _sweep_grid():  # the grid is checked, and the baseline found, once
             curve = _sweep_switch_times(state, kind, taus, baseline)
-        baseline_end, ad_crossing = curve.baseline_end, curve.ad_crossing
-        threshold = curve.aversion_threshold
-        min_tau_sw, min_tau_end = curve.min_tau_sw, curve.min_tau_end
+        values = (curve.baseline_end, curve.ad_crossing, curve.aversion_threshold,
+                  curve.min_tau_sw, curve.min_tau_end)
     else:
         # The threshold search brackets with the unswitched end time, so
         # without one it is undefined, as is the sweep's minimum.
-        baseline_end = threshold = min_tau_sw = min_tau_end = None
-        try:
-            ad_crossing = find_ad_crossing(state)
-        except NoCrossingError:
-            ad_crossing = None
-    lines += [
-        row("baseline_end", status, baseline_end),
-        found("ad_crossing", ad_crossing),
-        found(f"aversion_threshold_{kind.value}", threshold),
-        found(f"min_end_switch_time_{kind.value}", min_tau_sw),
-        found(f"min_end_time_{kind.value}", min_tau_end),
-    ]
+        crossing = None
+        with contextlib.suppress(NoCrossingError):
+            crossing = find_ad_crossing(state)
+        values = (None, crossing, None, None, None)
+    names = ("baseline_end", "ad_crossing", f"aversion_threshold_{kind.value}",
+             f"min_end_switch_time_{kind.value}", f"min_end_time_{kind.value}")
+    fate = {Fate.FINITE_END: "finite", Fate.AVERTED: "averted",
+            Fate.NEVER_ENTANGLED: "never_entangled"}[baseline.fate]
+    lines = ["quantity,status,tau,time"]
+    for name, tau in zip(names, values):
+        status = fate if name == "baseline_end" else "undefined" if tau is None else "found"
+        cells = ",,"
+        if tau is not None:
+            time = tau / cfg.gamma
+            _require("gamma", math.isfinite(time),
+                     f"too small: {name} in physical time, tau / gamma, overflows", cfg.gamma)
+            cells = f",{_FLOAT % tau},{_FLOAT % time}"
+        lines.append(f"{name},{status}{cells}")
     _emit(["\n".join(lines) + "\n"], out_path)
     return 0
 

@@ -136,20 +136,10 @@ def discriminant(state: XState) -> float:
     corner-coherence states.  Every named swap permutes the coefficients so
     that this value is unchanged at the switch instant.
     """
-    return _discriminant(_COEFFICIENTS(state))
-
-
-def _discriminant(coefficients: tuple) -> float:
-    """``discriminant`` of the six coefficients (a, ..., z_corner)."""
-    a, b, c, d, z_inner, z_corner = coefficients
-    inner, corner = z_inner != 0.0, z_corner != 0.0
-    if inner and corner:
-        raise UnsupportedShapeError(
-            "discriminant needs at most one active coherence slot"
-        )
-    if corner:
-        return b * c - z_corner**2
-    return a * d - z_inner**2
+    a, b, c, d, z_inner, z_corner = _COEFFICIENTS(state)
+    if z_inner != 0.0 and z_corner != 0.0:
+        raise UnsupportedShapeError("discriminant needs at most one active coherence slot")
+    return b * c - z_corner**2 if z_corner != 0.0 else a * d - z_inner**2
 
 
 def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
@@ -203,8 +193,12 @@ def _stretches(
     switch are each checked as ``evolve_xstate_closed`` and ``apply_xstate``
     check theirs, with no ``XState`` built.
     """
+    try:
+        events = schedule.events
+    except AttributeError:
+        raise TypeError(f"schedule must be a Schedule, got {schedule!r}") from None
     start, coefficients = 0.0, _COEFFICIENTS(state)
-    for event in schedule.events:
+    for event in events:
         yield start, event.tau, coefficients
         u = float(np.exp(-_check_tau(event.tau - start)))
         coefficients = check_coefficients(*switch_coefficients(
@@ -285,17 +279,22 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     checked flow and switch of ``_stretches``; it has the bits of
     ``trajectory``'s np.exp(start - end), as fl(s - e) = -fl(e - s).  The
     helpers' operations are written out in their order, so only
-    ``check_coefficients`` and ``DeathReport`` are called in Python.
+    ``check_coefficients`` and ``DeathReport`` are called in Python.  A
+    ``schedule`` that is not a ``Schedule`` raises TypeError, as in ``_stretches``.
     """
+    try:
+        events = (*schedule.events, None)
+    except AttributeError:
+        raise TypeError(f"schedule must be a Schedule, got {schedule!r}") from None
     a, b, c, d, z_inner, z_corner = _COEFFICIENTS(state)
     if z_inner != 0.0 and z_corner != 0.0:
-        _discriminant((a, b, c, d, z_inner, z_corner))  # raises
+        discriminant(state)  # raises
     d0 = b * c - z_corner**2 if z_corner != 0.0 else a * d - z_inner**2
     if d0 >= 0.0:
         return DeathReport(_NEVER_ENTANGLED, None, d0)
 
     start = 0.0
-    for event in (*schedule.events, None):
+    for event in events:
         p2, p1 = a * a, -a * (b + c + 2.0 * a)
         p0 = ((b + a) * (c + a) - z_corner * z_corner if z_corner != 0.0
               else 3.0 * a - z_inner * z_inner)
@@ -379,7 +378,7 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
     p2, p1, p0 = _quadratic(s)
     switched = itemgetter(*switch_coefficients(kind, range(6)))
-    entangled = _discriminant(s) < 0.0
+    entangled = discriminant(state) < 0.0
 
     def probe(tau_sw: float) -> tuple:
         x = float(_exp(-tau_sw))

@@ -99,10 +99,9 @@ def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:
             finite = False
         if not finite:
             raise ValueError(f"XState.{name} must be finite, got {value!r}")
-    if a < -atol or b < -atol or c < -atol or d < -atol:
-        for name, value in zip(_FIELDS, (a, b, c, d)):
-            if value < -atol:
-                raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
+    for name, value in zip(_FIELDS, (a, b, c, d)):
+        if value < -atol:
+            raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
     total = a + b + c + d
     if abs(total - 3.0) > 3e-12:
         raise ValueError(f"XState occupations must sum to 3, got {total!r}")
@@ -254,18 +253,20 @@ def negativity_xstate(state: XState) -> float:
 def concurrence(m: np.ndarray) -> float:
     """Concurrence of a two-qubit density matrix (spin-flip construction).
 
-    Takes square roots of the eigenvalues of ``m @ flipped``, so an
-    eigenvalue that is zero only up to round-off (~1e-17) comes back as
-    ~3e-9: on X states at the positivity edge ``z**2 = b*c`` this route
-    keeps only about half the digits of the closed form in
-    ``xstate_measures`` (off by 2e-9 to 6e-9 on random such states; exact
-    only where the products are exact, as for b = 1, c = 0.25, z = 0.5).
+    Wootters' lambdas are the singular values of sqrt(m) @ sqrt(flipped),
+    where sqrt(m) comes from ``eigh`` with the eigenvalues clipped at 0 and
+    sqrt(flipped) = yy @ sqrt(m).conj() @ yy (Wootters, PRL 80, 2245
+    (1998)).  No square root is taken of an eigenvalue of ``m @ flipped``,
+    so on X states at the positivity edge ``z**2 = b*c`` this route keeps
+    the digits of the closed form in ``xstate_measures``.  An eigenvalue of
+    ``m`` within round-off of 0 still costs digits: beside an occupation
+    near 1e-16, where sqrt(b*c) is that sensitive, it reads to about 1e-8.
     """
     m = validate_density_matrix(m)
+    w, v = np.linalg.eigh(m)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     yy = np.kron(SIGMA_Y, SIGMA_Y)
-    flipped = yy @ m.conj() @ yy
-    eigenvalues = np.linalg.eigvals(m @ flipped)
-    lam = np.sort(np.sqrt(np.clip(eigenvalues.real, 0.0, None)))[::-1]
+    lam = np.linalg.svd(root @ yy @ root.conj() @ yy, compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 

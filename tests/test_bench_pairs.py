@@ -193,3 +193,43 @@ def test_interleaved_sides_must_agree_before_any_pass_is_timed(tmp_path, parent,
     with pytest.raises(bench_pairs.SidesDiffer, match="outputs differ"):
         bench_pairs.interleave(commands, rounds=4)
     assert not log.exists()
+
+
+def test_interleaved_copies_the_trees_once_and_gives_a_line_per_workload(
+        tmp_path, monkeypatch, capsys):
+    copies = []
+
+    def copy_sides(parent, into):
+        copies.append(parent)
+        return {side: into / side for side in bench_pairs.SIDES}
+
+    seconds = {("parent", "evolve_dense"): "0.5", ("change", "evolve_dense"): "0.4",
+               ("parent", "phase_map"): "0.2", ("change", "phase_map"): "0.3"}
+
+    def child_command(folder, workload, seed):
+        assert seed == 7
+        side = folder.name
+        return [sys.executable, "-c", STUB, side, seconds[side, workload], "d1",
+                str(tmp_path / f"{workload}.log")]
+
+    monkeypatch.setattr(bench_pairs, "copy_sides", copy_sides)
+    monkeypatch.setattr(bench_pairs, "child_command", child_command)
+    monkeypatch.setattr(bench_pairs, "ROUNDS", 2)
+    assert bench_pairs.interleaved("abc123", ["evolve_dense", "phase_map"], 7) == 0
+    assert copies == ["abc123"]
+    assert capsys.readouterr().out.splitlines() == [
+        "evolve_dense: change/parent CPU time per pass, median 0.8000 (q1 0.8000,"
+        " q3 0.8000) over 2 rounds; medians 0.500000 s -> 0.400000 s",
+        "phase_map: change/parent CPU time per pass, median 1.5000 (q1 1.5000,"
+        " q3 1.5000) over 2 rounds; medians 0.200000 s -> 0.300000 s"]
+    for workload in ("evolve_dense", "phase_map"):
+        assert (tmp_path / f"{workload}.log").read_text().split() == [
+            "parent", "change", "change", "parent"]
+
+
+def test_interleaved_takes_one_or_more_known_workloads(capsys):
+    for argv, message in ((["--interleaved"], "expected at least one argument"),
+                          (["--interleaved", "phase_map", "nope"], "invalid choice: 'nope'")):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(argv)
+        assert message in capsys.readouterr().err

@@ -375,12 +375,12 @@ def test_sweep_rejects_single_point_grid():
 
 # -- CSV encoding ------------------------------------------------------------------
 
-def reference_csv(columns, na_rep="nan"):
-    """The rows as the per-cell % formatting writes them."""
+def reference_csv(columns):
+    """The rows as the per-cell % formatting writes them, NaN blank."""
     def cell(v):
         if isinstance(v, int):
             return "%d" % v
-        return na_rep if v != v else "%.11e" % v
+        return "" if v != v else "%.11e" % v
 
     rows = zip(*(col.tolist() for col in columns))
     return "".join(",".join(map(cell, row)) + "\n" for row in rows)
@@ -410,7 +410,7 @@ DOUBLES = st.one_of(
 @given(st.lists(DOUBLES, min_size=1, max_size=40))
 def test_encoder_matches_percent_format_on_every_double(values):
     x = np.array(values)
-    assert "".join(_csv_chunks([x])) == "".join("%.11e\n" % v for v in values)
+    assert "".join(_csv_chunks([x])) == reference_csv([x])
     assert "".join(_csv_chunks([x, x[::-1]])) == reference_csv([x, x[::-1]])
 
 
@@ -430,24 +430,22 @@ def test_encoder_writes_integers_and_blank_nans():
     tau_sw = np.array([0.0, 0.125, 0.25, 1e-300])
     fate = np.array([0, 1, 2, 0], dtype=np.int8)
     tau_end = np.array([0.5, math.nan, math.nan, -0.0])
-    out = "".join(_csv_chunks([tau_sw, fate, tau_end], na_rep=""))
+    out = "".join(_csv_chunks([tau_sw, fate, tau_end]))
     assert out.splitlines()[1:3] == ["1.25000000000e-01,1,", "2.50000000000e-01,2,"]
-    assert out == reference_csv([tau_sw, fate, tau_end], na_rep="")
+    assert out == reference_csv([tau_sw, fate, tau_end])
     ints = np.array([0, 7, 10, 99, 100, 999, 1000, -1, -(2**63), 2**63 - 1])
     assert "".join(_csv_chunks([ints, ints.astype(float)])) == reference_csv(
         [ints, ints.astype(float)]
     )
 
 
-def test_encoder_rejects_an_na_rep_wider_than_its_slot():
-    # A NaN cell's 20-byte slot holds 19 characters and the separator; a
-    # longer na_rep is refused, not cut.
-    x = np.array([1.0, math.nan, -2.5])
-    widest = "x" * 19
-    assert "".join(_csv_chunks([x, x], widest)) == reference_csv([x, x], widest)
-    for na_rep in ("x" * 20, "x" * 25):
-        with pytest.raises(ValueError, match=f"at most 19 characters, got {len(na_rep)}"):
-            "".join(_csv_chunks([x], na_rep))
+def test_encoder_writes_nan_cells_blank():
+    # NaN of either sign is an empty cell, first, inside or last in its row.
+    x = np.array([1.0, math.nan, -2.5, -math.nan])
+    out = "".join(_csv_chunks([x, np.arange(4), x]))
+    assert out.splitlines() == [
+        "1.00000000000e+00,0,1.00000000000e+00", ",1,",
+        "-2.50000000000e+00,2,-2.50000000000e+00", ",3,"]
 
 
 def fallback_columns(width):
@@ -475,14 +473,14 @@ def test_encoder_sub_blocks_give_the_one_block_text(monkeypatch, capsys, cells):
         assert esdsim.cli.main(argv) == 0
         whole.append(capsys.readouterr().out)
     columns = [fallback_columns(3), fallback_columns(10)]
-    texts = ["".join(_csv_chunks(cols, na_rep="")) for cols in columns]
+    texts = ["".join(_csv_chunks(cols)) for cols in columns]
     monkeypatch.setattr(esdsim.cli, "CSV_CELLS", cells)
     for argv, text in zip(argvs, whole):
         assert esdsim.cli.main(argv) == 0
         assert capsys.readouterr().out == text
     for cols, text in zip(columns, texts):
-        assert text == reference_csv(cols, na_rep="")
-        assert "".join(_csv_chunks(cols, na_rep="")) == text
+        assert text == reference_csv(cols)
+        assert "".join(_csv_chunks(cols)) == text
         assert len(list(_csv_chunks(cols))) == (40 if cells < len(cols) else 20)
 
 
@@ -531,11 +529,11 @@ def encoder_columns(draw):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
-@given(encoder_columns(), st.sampled_from(["", "nan"]), st.integers(1, 12))
-def test_encoder_exact_and_padded_sub_blocks_match_percent_format(columns, na_rep, cells):
+@given(encoder_columns(), st.integers(1, 12))
+def test_encoder_exact_and_padded_sub_blocks_match_percent_format(columns, cells):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(esdsim.cli, "CSV_CELLS", cells)
-        assert "".join(_csv_chunks(columns, na_rep)) == reference_csv(columns, na_rep)
+        assert "".join(_csv_chunks(columns)) == reference_csv(columns)
 
 
 def test_canonical_evolve_takes_the_exact_width_path(monkeypatch, capsys):
@@ -563,11 +561,11 @@ def test_canonical_evolve_takes_the_exact_width_path(monkeypatch, capsys):
         esdsim.cli.main(["sweep", "--switch", "both"])
 
 
-def test_deep_evolve_writes_no_tiny_cell_by_percent(monkeypatch, capsys):
+def test_deep_evolve_writes_tiny_cells_by_percent(monkeypatch, capsys):
     # Out to tau = 800, 1,649 of the 40,010 cells lie below 1e-297, 976 of
-    # them subnormal.  Scaled by 2**128 first, they are written from the
-    # digit tables like the rest: % writes only the 27 cells (one of them
-    # subnormal) whose mantissa lies within 2**-11 of a half-way point.
+    # them subnormal.  The digit tables' scale stops at e = -297, so % writes
+    # each of them, and the 25 larger cells whose mantissa lies within
+    # 2**-11 of a half-way point: 1,674 cells.
     argv = ["evolve", "--switch", "both", "--t-sw", "0.223", "--grid", "0:800:4001"]
     assert esdsim.cli.main(argv) == 0
     text = capsys.readouterr().out
@@ -586,8 +584,9 @@ def test_deep_evolve_writes_no_tiny_cell_by_percent(monkeypatch, capsys):
     monkeypatch.setattr(esdsim.cli, "_FLOAT", Recorded(esdsim.cli._FLOAT))
     assert esdsim.cli.main(argv) == 0
     assert capsys.readouterr().out == text
-    assert len(written) == 27
-    for value in written:
+    assert len(written) == 1_674
+    assert sum(abs(x) < 1e-297 for x in written) == 1_649
+    for value in (x for x in written if abs(x) >= 1e-297):
         exact = Decimal(abs(value))
         mantissa = exact.scaleb(11 - exact.adjusted())
         assert abs(mantissa % 1 - Decimal("0.5")) < Decimal(2) ** -10, value
@@ -609,6 +608,24 @@ def test_encoder_working_set_does_not_grow_with_the_rows():
             tracemalloc.stop()
         assert size > 17 * 10 * rows
         assert peak < 2_000_000, (rows, peak)
+
+
+def test_sweep_working_set_grows_only_with_its_arrays(tmp_path):
+    # A sweep keeps its switch times, fates and end times, 17 bytes a row;
+    # the rows' text goes out a sub-block at a time, so the traced peak
+    # grows by no more than 32 bytes a row from 20,000 to 200,000 rows.
+    peaks = []
+    for rows in (20_000, 200_000):
+        argv = ["sweep", "--switch", "alice", "--grid", f"0:0.53:{rows}",
+                "--out", str(tmp_path / "sweep.csv")]
+        tracemalloc.start()
+        try:
+            assert esdsim.cli.main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "sweep.csv").stat().st_size > 35 * 200_000
+    assert peaks[1] - peaks[0] <= 32 * 180_000, peaks
 
 
 # -- critical --------------------------------------------------------------------
@@ -891,7 +908,7 @@ def test_any_config_exits_cleanly_and_sweeps_as_end_times(command, data):
         cfg = config_from_dict(data)
         state, kind = cfg.initial_state(), Switch(cfg.switch)
         taus = sweep_switch_times(state, kind, esdsim.cli._grid_taus(cfg, sweep=True)).tau_sw
-        rows = reference_csv((taus, *end_times(state, kind, taus)), na_rep="")
+        rows = reference_csv((taus, *end_times(state, kind, taus)))
         assert out.getvalue().startswith("tau_sw,fate,tau_end\n" + rows)
     if command == "critical" and code == 0:
         assert out.getvalue() == library_critical_table(config_from_dict(data))

@@ -481,6 +481,18 @@ def test_find_end_time_rejects_general_unitaries():
         find_end_time(CANONICAL, Schedule.single(0.1, op))
 
 
+def test_a_schedule_that_is_not_a_schedule_names_the_field():
+    # Each ended in AttributeError: ... has no attribute 'events'.
+    events = [SwitchEvent(0.1, Switch.BOTH)]
+    never = XState(1.5, 0.0, 0.0, 1.5)
+    for query in (lambda: find_end_time(CANONICAL, events),
+                  lambda: find_end_time(never, events),
+                  lambda: state_at(CANONICAL, events, 0.2),
+                  lambda: trajectory(CANONICAL, None, [0.1])):
+        with pytest.raises(TypeError, match=r"^schedule must be a Schedule, got "):
+            query()
+
+
 # md5 of scalar_query_results(), computed while the dying-stretch root went
 # through np.sqrt: any bit that moves shows.
 SCALAR_QUERY_MD5 = "72afdeca93edae623e98d0120d09ed7b"

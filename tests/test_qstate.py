@@ -321,6 +321,21 @@ def test_concurrence_matches_sqrt_construction():
         assert concurrence(m) == pytest.approx(expected, abs=1e-10)
 
 
+def test_concurrence_keeps_its_digits_at_the_positivity_edge():
+    # At z**2 = b*c (or a*d) an eigenvalue of m @ flipped is zero, and a
+    # square root taken of its round-off read as ~3e-9.  The singular values
+    # of sqrt(m) @ sqrt(flipped) keep the closed form's digits.
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        a, b, c, d = 3.0 * rng.dirichlet(np.ones(4))
+        d = 3.0 - a - b - c
+        sign = rng.choice([-1.0, 1.0])
+        for slots in ((sign * math.sqrt(b * c), 0.0), (0.0, sign * math.sqrt(a * d))):
+            state = XState(a, b, c, d, *slots)
+            expected = xstate_measures(*_COEFFICIENTS(state))[1]
+            assert abs(concurrence(to_density_matrix(state)) - expected) <= 1e-12, state
+
+
 def test_negativity_zero_iff_concurrence_zero():
     rng = np.random.default_rng(41)
     for _ in range(300):
