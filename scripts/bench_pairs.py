@@ -3,7 +3,9 @@
 Copies the parent (``git archive``) and the working tree's files (tracked
 and untracked, not ignored) into a temporary directory, then for each of 10
 seeds and each workload runs ``benchmarks/run.py`` for 30 s once on each
-side, the parent first on odd seeds and the change first on even ones.
+side, the parent first on odd seeds and the change first on even ones,
+each run pinned to the lowest CPU the script may use (the run alone: the
+script itself is not pinned).
 Writes one JSON file in the layout of the committed ``BENCH_<n>.json``
 files: per workload and end-to-end metric (``BENCHMARK.json``'s list) each
 side's median and quartiles (inclusive, as numpy's linear percentiles), the
@@ -220,16 +222,22 @@ def run_pass(ops) -> list:
     return outputs
 
 
+def pin_to_one_cpu() -> None:
+    """Pin the calling process to the lowest CPU it may use, where the
+    platform allows.  On separate CPUs, identical trees read up to 7% apart
+    on a 2-vCPU host, and at most 0.4% on one."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def child(folder: Path, workload: str, seed: int) -> int:
     """One side of ``--interleaved``: the workload from ``folder``'s copy.
 
     Writes the sha256 of its untimed pass's outputs, then for each line
     read, runs one pass and writes its process CPU time in seconds.  Both
-    sides run on the lowest CPU they may use: on separate CPUs, identical
-    trees read up to 7% apart on a 2-vCPU host, and at most 0.4% on one.
+    sides run on the lowest CPU they may use (``pin_to_one_cpu``).
     """
-    if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    pin_to_one_cpu()
     for var in THREAD_VARS:  # before numpy is first imported, as run.py does
         os.environ[var] = "1"
     sys.path[:0] = [str(folder / "src"), str(folder / "benchmarks")]
@@ -335,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
                 for side in order:
                     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-                    out = subprocess.run(cmd, cwd=sides[side], check=True,
-                                         capture_output=True, text=True).stdout
+                    out = subprocess.run(cmd, cwd=sides[side], check=True, capture_output=True,
+                                         text=True, preexec_fn=pin_to_one_cpu).stdout
                     run = parse_run(out)
                     runs[workload][side].append(run)
                     print(f"seed {seed} {workload:<14} {side:<6} pass_ref_s "
@@ -357,7 +365,9 @@ def main(argv: list[str] | None = None) -> int:
         "method": (
             f"{PAIRS} pairs per workload, seeds {seeds[0]}-{seeds[-1]}, parent and "
             f"change alternating which runs first (odd seeds parent first); per seed the "
-            f"workloads ran in the order {', '.join(WORKLOADS)}; each side run from a "
+            f"workloads ran in the order {', '.join(WORKLOADS)}; each run pinned to one CPU "
+            f"(os.sched_setaffinity in the child before exec, the lowest CPU allowed; "
+            f"run.py's set-up interpreters inherit it); each side run from a "
             f"copy holding only its files (git archive of the parent; the working tree's "
             f"tracked and untracked files), by scripts/bench_pairs.py; medians and quartiles "
             f"(linear percentiles) over the runs; change_wins counts pairs where the change "

@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .qstate import _COEFFICIENTS, XState, validate_density_matrix
+from .qstate import _COEFFICIENTS, XState, _is_finite, validate_density_matrix
 
 
 def _check_tau(tau: float) -> float:
-    """tau, checked to be finite and non-negative: the one time check."""
-    if not (math.isfinite(tau) and tau >= 0.0):
+    """tau, checked to be finite and non-negative: the one time check.  An
+    int beyond float range is not finite."""
+    if not (_is_finite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
     return tau
 

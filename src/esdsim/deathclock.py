@@ -114,7 +114,10 @@ class SweepCurve:
     the largest switch time below which death is averted (None when the
     sweep's switch kind never averts); ``min_tau_sw``/``min_tau_end`` locate
     the sweep minimum of the end time, refined between the grid rows by the
-    sign of its slope, and never above the grid's own lowest row.
+    sign of its slope, and never above the grid's own lowest row.  Where
+    round-off turns the computed fate, or the slope's sign, back and forth
+    over a few floats, the threshold and the minimum are the turn the
+    search's path meets, which need not be the first in the bracket.
     """
 
     kind: Switch
@@ -134,12 +137,14 @@ def discriminant(state: XState) -> float:
     Uses ``a*d - z_inner**2`` for inner-coherence states (including diagonal
     ones, where it is non-negative anyway) and ``b*c - z_corner**2`` for
     corner-coherence states.  Every named swap permutes the coefficients so
-    that this value is unchanged at the switch instant.
+    that this value is unchanged at the switch instant.  The coherence is
+    squared as ``z * z``, as ``xstate_measures`` squares it, so at
+    z**2 = a*d exactly the fate and the measures agree.
     """
     a, b, c, d, z_inner, z_corner = _COEFFICIENTS(state)
     if z_inner != 0.0 and z_corner != 0.0:
         raise UnsupportedShapeError("discriminant needs at most one active coherence slot")
-    return b * c - z_corner**2 if z_corner != 0.0 else a * d - z_inner**2
+    return b * c - z_corner * z_corner if z_corner != 0.0 else a * d - z_inner * z_inner
 
 
 def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
@@ -289,7 +294,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     a, b, c, d, z_inner, z_corner = _COEFFICIENTS(state)
     if z_inner != 0.0 and z_corner != 0.0:
         discriminant(state)  # raises
-    d0 = b * c - z_corner**2 if z_corner != 0.0 else a * d - z_inner**2
+    d0 = b * c - z_corner * z_corner if z_corner != 0.0 else a * d - z_inner * z_inner
     if d0 >= 0.0:
         return DeathReport(_NEVER_ENTANGLED, None, d0)
 
@@ -330,7 +335,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     a, b, c, d, z_inner, z_corner = check_coefficients(
         a * u * u, b * u + feed, c * u + feed, d + loss * (b + c + a * loss),
         z_inner * u, z_corner * u)
-    witness = b * c - z_corner**2 if z_corner != 0.0 else a * d - z_inner**2
+    witness = b * c - z_corner * z_corner if z_corner != 0.0 else a * d - z_inner * z_inner
     return DeathReport(_FINITE_END, tau_end, witness)
 
 
@@ -592,6 +597,10 @@ def find_aversion_threshold(
     by -ln and clamped to the bracket, grows until its ends have the fates
     of the bracket's ends, and ``_search`` finds the float where the
     computed fate turns inside it: a median of 6 probes, ends included.
+    Where round-off turns the computed fate back and forth over a few
+    floats (single flips of states with a or d near 0), the result is the
+    turn the search's path meets, which need not be the first turn in the
+    bracket.
     """
     if bracket is None:
         baseline = find_end_time(state)
@@ -636,7 +645,10 @@ def single_switch_curve(x):
     point y = x at x = 2 - sqrt(2).  Takes a float (returns a float) or an
     array (returns an array of the same shape).
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"x = exp(-tau_sw) must lie in (0, 1], got {x!r}") from None
     outside = ~((0.0 < x) & (x <= 1.0))
     if outside.any():
         raise ValueError(
@@ -671,7 +683,11 @@ def _sweep_switch_times(
 ) -> SweepCurve:
     """``sweep_switch_times`` on switch times already checked to be finite,
     >= 0 and strictly increasing (None for the default grid), given the
-    state's unswitched ``find_end_time`` report."""
+    state's unswitched ``find_end_time`` report.  The threshold and the
+    minimum are each the turn, of the fate or of the slope's sign, that
+    ``_search``'s path meets; where round-off makes either turn back and
+    forth over a few floats, that need not be the first turn in the bracket.
+    """
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
     if taus is None:
         if baseline_end is None:

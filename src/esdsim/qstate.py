@@ -73,31 +73,43 @@ _FIELDS = ("a", "b", "c", "d", "z_inner", "z_corner")
 _COEFFICIENTS = attrgetter(*_FIELDS)  # an XState's six, the engine's coefficient tuple
 
 
+def _is_finite(value) -> bool:
+    """``math.isfinite``, with an int beyond float range not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # int too large to convert to float
+        return False
+
+
 def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:
     """The ``XState`` checks on six coefficients; returns them as a tuple.
 
-    One chained test first, which accepts exactly the valid tuples: bounded
+    One chained test first, which accepts only valid tuples: bounded
     occupations with a finite sum, and finite squares bounded by finite
-    products, leave no field infinite or NaN.  Where it fails or raises (an
-    int beyond float range, a square that overflows), the ordered checks
-    run, and a failing one walks the fields in order to name the first
-    offender; an int beyond float range is not finite.  Every state and
-    every coefficient tuple the engine derives (a flow, a switch) runs these.
+    products, leave no field infinite or NaN.  Its bounds are literals
+    (``_XSTATE_ATOL`` and three of it), and it squares as ``z * z``, which
+    is correctly rounded and takes about 25 ns, where ``z**2`` calls libm's
+    ``pow`` (about 60 ns) and may be one ulp off; its strict ``<`` on the
+    squares keeps it from accepting a tuple whose ``z**2`` the ordered
+    checks refuse.  Where it fails or raises (an int beyond float range),
+    the ordered checks run, and a failing one walks the fields in order to
+    name the first offender; an int beyond float range is not finite.  They
+    keep ``z**2``, so their verdicts and messages are the ones the library
+    always gave, and a square past float range still raises OverflowError
+    (``z * z`` would be inf).  Every state and every coefficient tuple the
+    engine derives (a flow, a switch) runs these.
     """
-    atol = _XSTATE_ATOL
     try:
-        if (-atol <= a and -atol <= b and -atol <= c and -atol <= d
-                and abs(a + b + c + d - 3.0) <= 3e-12
-                and z_inner**2 <= b * c + atol and z_corner**2 <= a * d + atol):
+        if (-1e-12 <= a and -1e-12 <= b and -1e-12 <= c and -1e-12 <= d
+                and -3e-12 <= a + b + c + d - 3.0 <= 3e-12
+                and z_inner * z_inner < b * c + 1e-12
+                and z_corner * z_corner < a * d + 1e-12):
             return a, b, c, d, z_inner, z_corner
     except (ArithmeticError, TypeError, ValueError):
         pass
+    atol = _XSTATE_ATOL
     for name, value in zip(_FIELDS, (a, b, c, d, z_inner, z_corner)):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond float range
-            finite = False
-        if not finite:
+        if not _is_finite(value):
             raise ValueError(f"XState.{name} must be finite, got {value!r}")
     for name, value in zip(_FIELDS, (a, b, c, d)):
         if value < -atol:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from esdsim import XState, evolve_xstate_closed
+from esdsim import Schedule, XState, evolve_xstate_closed, state_at
 from esdsim.channel import amplitude_damping_kraus, evolve_kraus, gamma_factor
 from esdsim.qstate import to_density_matrix, validate_density_matrix
 
@@ -22,6 +22,17 @@ def test_gamma_factor_values():
 def test_gamma_factor_rejects_bad_tau(tau):
     with pytest.raises(ValueError):
         gamma_factor(tau)
+
+
+def test_an_int_beyond_float_range_is_not_a_finite_tau():
+    # Each of these raised a bare OverflowError: int too large to convert to float.
+    refused = r"^tau must be finite and non-negative, got -?1000"
+    for huge in (10**400, -(10**400)):
+        for query in (lambda: gamma_factor(huge),
+                      lambda: evolve_xstate_closed(CANONICAL, huge),
+                      lambda: state_at(CANONICAL, Schedule(), huge)):
+            with pytest.raises(ValueError, match=refused):
+                query()
 
 
 def test_kraus_pair_is_trace_preserving():

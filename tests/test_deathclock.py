@@ -493,9 +493,8 @@ def test_a_schedule_that_is_not_a_schedule_names_the_field():
             query()
 
 
-# md5 of scalar_query_results(), computed while the dying-stretch root went
-# through np.sqrt: any bit that moves shows.
-SCALAR_QUERY_MD5 = "72afdeca93edae623e98d0120d09ed7b"
+# md5 of scalar_query_results(): any bit that moves shows.
+SCALAR_QUERY_MD5 = "ba298169b6eda9e7c2452bb62ed55a04"
 
 
 def scalar_query_family():
@@ -764,6 +763,23 @@ def test_ints_beyond_float_range_are_refused_naming_the_field():
                         (lambda g: trajectory(CANONICAL, grid=g), "trajectory grid")):
         with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0: int too"):
             query([0.0, huge])
+    with pytest.raises(ValueError, match=r"^x = exp\(-tau_sw\) must lie in \(0, 1\], got 1000"):
+        single_switch_curve(huge)
+
+
+def test_fate_and_measures_agree_at_the_positivity_edge_exactly():
+    # z*z = a*d to the bit, where z**2 is one ulp above it: the discriminant
+    # squared by pow read the state as entangled (FINITE_END at tau = 0,
+    # witness -5.6e-17) while its negativity and concurrence are exactly 0.
+    z = 0.608872523333657
+    b = (2.0 - z * z) / 2.0
+    state = XState(z * z, b, b, 1.0, z_inner=z)
+    assert z**2 > z * z and z * z + b + b + 1.0 == 3.0
+    assert discriminant(state) == 0.0
+    assert find_end_time(state) == DeathReport(Fate.NEVER_ENTANGLED, None, 0.0)
+    assert end_times(state, Switch.ALICE, [0.0, 0.5])[0].tolist() == [Fate.NEVER_ENTANGLED] * 2
+    negativity_, concurrence_, _ = qstate.xstate_measures(*qstate._COEFFICIENTS(state))
+    assert negativity_ == concurrence_ == 0.0
 
 
 # -- end_times: find_end_time on a whole switch-time array ----------------------
@@ -1452,6 +1468,22 @@ def test_threshold_keeps_the_bits_of_the_search_from_the_ends(state, kind, lo, h
         assert fate(math.nextafter(t, 0.0))[0] == fate(lo)[0] != fate(t)[0], (state, kind, t)
     x_new, x_old = (deathclock._bits(float(np.exp(-t))) for t in (new, old))
     assert abs(x_new - x_old) <= 16, (state, kind, lo, hi, new, old)
+
+
+def test_threshold_is_a_turn_of_the_fate_not_always_the_first():
+    # After Bob's flip of this state (a = 0), round-off turns the computed
+    # fate three times within 33 floats of tau_sw.  The threshold is a float
+    # where end_times' fate turns: the turn the search's path meets.
+    state = XState(0.0, 1.4296783757716618, 1.5682385688870906, 0.002083055341247906,
+                   z_inner=-1.4973565941314617)
+    t = find_aversion_threshold(state, Switch.BOB, (0.0, 1.0))
+    fate = end_times(state, Switch.BOB, [math.nextafter(t, 0.0), t])[0]
+    assert fate[0] != fate[1]
+    taus = [t]
+    for _ in range(40):
+        taus.append(math.nextafter(taus[-1], math.inf))
+    fate = end_times(state, Switch.BOB, taus)[0]
+    assert np.count_nonzero(fate[1:] != fate[:-1]) == 2
 
 
 def test_threshold_starts_at_the_exact_root():

@@ -134,6 +134,9 @@ def xstate_fields(draw):
 @example([1.0, 1.0, 1.0, 0.0, 10**400, -10**400])
 @example([1e308, 1e308, 1.0, 0.0, 0.0, 0.0])  # a float sum that overflows
 @example([1.0, 1.0, 1.0, 0.0, 1e308, math.nan])  # z_inner**2 overflows, then a NaN
+# z * z is b*c + atol to the bit, and z**2 is one ulp above it: accepted by
+# a test on z * z <= b*c + atol, refused by the loops.
+@example([0.0, 1.0, 0.7739271793452859, 1.2260728206547142, 0.8797313108820703, 0.0])
 def test_xstate_checks_are_the_loops(fields):
     # The one-pass test and the ordered checks behind it, on a state or on
     # a tuple, accept exactly what the field-name loops accept and reject
@@ -143,6 +146,12 @@ def test_xstate_checks_are_the_loops(fields):
     assert outcome(XState, *fields) == outcome(check_coefficients, *fields) == expected
     if expected == "ok":
         assert check_coefficients(*fields) == tuple(fields)
+
+
+def test_the_accept_test_bounds_are_the_tolerance():
+    # check_coefficients' one-pass test writes _XSTATE_ATOL, and three of
+    # it for the sum, as literals.
+    assert _XSTATE_ATOL == 1e-12
 
 
 # -- density matrix construction -------------------------------------------
