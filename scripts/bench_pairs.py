@@ -279,6 +279,7 @@ def interleave(commands: dict, rounds: int) -> dict:
         for process in children.values():
             process.stdin.close()
             process.wait()
+            process.stdout.close()
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     return {"digest": digests["parent"], "times": times, "ratios": ratios}
 

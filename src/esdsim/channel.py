@@ -44,15 +44,8 @@ def evolve_xstate_closed(state: XState, tau: float) -> XState:
     and both coherences are damped by the same factor u.  At tau = 0 every
     coefficient comes back unchanged, bit for bit.
     """
-    return XState(*_flow(_COEFFICIENTS(state), tau))
-
-
-def _flow(coefficients: tuple, tau: float) -> tuple:
-    """``evolve_xstate_closed`` on a coefficient tuple, unchecked: the tau
-    check, then the flow at u = np.exp(-tau).  Callers run the ``XState``
-    checks on the result, as ``XState`` or ``check_coefficients``.
-    """
-    return damped_coefficients(*coefficients, float(np.exp(-_check_tau(tau))))
+    u = float(np.exp(-_check_tau(tau)))
+    return XState(*damped_coefficients(*_COEFFICIENTS(state), u))
 
 
 def damped_coefficients(a, b, c, d, z_inner, z_corner, u):

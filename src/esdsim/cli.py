@@ -48,15 +48,13 @@ from .deathclock import (
     BLOCK_ROWS as CSV_BLOCK,
     Fate,
     NoCrossingError,
-    SweepCurve,
     _sweep_switch_times,
     find_ad_crossing,
     find_end_time,
-    single_switch_curve,
     trajectory,
 )
 from .intervention import Schedule, Switch, SwitchEvent
-from .qstate import _COEFFICIENTS, XState
+from .qstate import XState
 
 _SWITCH_CHOICES = ("both", "alice", "bob", "none")
 
@@ -447,28 +445,6 @@ def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
     return 0
 
 
-def _is_canonical(state: XState) -> bool:
-    """Whether ``state`` has the default config's six coefficients, to 1e-12."""
-    return all(abs(v - default) <= 1e-12
-               for v, default in zip(_COEFFICIENTS(state), _COEFFICIENTS(ScenarioConfig)))
-
-
-def _curve_max_dev(curve: SweepCurve) -> float | None:
-    """Largest |tau_end - exact| over the rows that die, or None if none does.
-
-    The exact end time of a single flip from the canonical state is
-    -ln y with y = single_switch_curve(e^-tau_sw); exp and log come from
-    numpy, as in the end times themselves.  tau_end is NaN on the rows that
-    do not die, and ``np.fmax`` passes NaN over.  The maximum is taken over
-    blocks of ``CSV_BLOCK`` rows, so the temporaries do not grow with the grid.
-    """
-    dev = math.nan
-    for i in range(0, curve.tau_sw.size, CSV_BLOCK):
-        exact = -np.log(single_switch_curve(np.exp(-curve.tau_sw[i:i + CSV_BLOCK])))
-        dev = np.fmax(dev, np.fmax.reduce(np.abs(curve.tau_end[i:i + CSV_BLOCK] - exact)))
-    return None if math.isnan(dev) else float(dev)
-
-
 @contextlib.contextmanager
 def _sweep_grid():
     """Names the config's grid in what a sweep refuses.
@@ -499,10 +475,6 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
             f"# min_end: tau_sw = {_FLOAT % curve.min_tau_sw}, "
             f"tau_end = {_FLOAT % curve.min_tau_end}"
         )
-    if kind is not Switch.BOTH and _is_canonical(state):
-        dev = _curve_max_dev(curve)
-        if dev is not None:
-            lines.append(f"# curve_max_abs_dev = {_FLOAT % dev}")
     # tau_end is NaN, and blank, unless death is finite.
     rows = _csv_chunks((curve.tau_sw, curve.fate, curve.tau_end))
     summary = [line + "\n" for line in lines]

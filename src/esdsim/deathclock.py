@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .channel import _check_tau, _flow, damped_coefficients
+from .channel import _check_tau, damped_coefficients
 from .intervention import _SWITCHED, Schedule, Switch, switch_coefficients
 from .qstate import (
     _COEFFICIENTS, UnsupportedShapeError, XState, check_coefficients, xstate_measures,
@@ -176,16 +176,6 @@ def _smaller_root(r2, r1, r0):
     return 2.0 * w / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r * w, 0.0)))
 
 
-def _float_root(r2: float, r1: float, r0: float) -> float:
-    """``_smaller_root`` of one quadratic in plain float arithmetic.
-
-    math.sqrt is correctly rounded, as np.sqrt is, and max passes NaN on as
-    np.maximum does, so the two agree bit for bit.
-    """
-    w, r = r0 / -r1, r2 / -r1
-    return 2.0 * w / (1.0 + math.sqrt(max(1.0 - 4.0 * r * w, 0.0)))
-
-
 def _stretches(
     state: XState, schedule: Schedule
 ) -> Iterator[tuple[float, float, tuple]]:
@@ -217,7 +207,7 @@ def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -
     _check_tau(tau)
     for start, end, current in _stretches(state, schedule):
         if tau < end:
-            return XState(*_flow(current, tau - start))
+            return XState(*damped_coefficients(*current, float(_exp(start - tau))))
 
 
 @dataclass(frozen=True)
@@ -323,7 +313,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     if p2 + p1 + p0 >= 0.0:
         u_root = 1.0
     else:
-        w, r = p0 / -p1, p2 / -p1  # _float_root, then min(max(., u_end), 1); u_end <= 1
+        w, r = p0 / -p1, p2 / -p1  # _smaller_root, then min(max(., u_end), 1); u_end <= 1
         t = 1.0 - 4.0 * r * w
         u_root = 2.0 * w / (1.0 + math.sqrt(0.0 if 0.0 > t else t))
         u_root = u_end if u_end > u_root else 1.0 if 1.0 < u_root else u_root
@@ -372,12 +362,12 @@ def _single_switch(state: XState, kind: Switch, u: np.ndarray):
 def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     """``_single_switch`` at a float tau_sw, with the state's constants hoisted.
 
-    Plain float arithmetic on x = e^-tau_sw from ``np.exp``, so it agrees
-    with ``end_times`` bit for bit.  Gives the threshold's (dies,
-    max(Q(x), q0), x), positive where the switch ends in death.  With
-    ``slope``, the minimum's (rising, g, v, x): the end time -ln(x v), v the
-    tail's root, falls iff g = x Q_x - v Q_v < 0, as dv/dx = -Q_x / Q_v
-    and Q_v < 0.
+    Float arithmetic on x = e^-tau_sw from ``np.exp``, with the tail's root
+    from ``_smaller_root``, so it agrees with ``end_times`` bit for bit.
+    Gives the threshold's (dies, max(Q(x), q0), x), positive where the
+    switch ends in death.  With ``slope``, the minimum's (rising, g, v, x):
+    the end time -ln(x v), v the tail's root, falls iff g = x Q_x - v Q_v
+    < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
     Deaths before the tail or at its start do not fall (g NaN, v None).
     """
     s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
@@ -395,7 +385,7 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
             return entangled and (first or q0 > 0.0), max(q_end, q0), x
         if first or not q2 + q1 + q0 < 0.0 < q0:
             return True, math.nan, None, x
-        v = min(_float_root(q2, q1, q0), 1.0)
+        v = min(float(_smaller_root(q2, q1, q0)), 1.0)
         a, b, c, _, z_inner, z_corner = tail
         ramp = s[0] * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
         da, db, dc, _, dz_inner, dz_corner = switched((

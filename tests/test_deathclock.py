@@ -630,7 +630,7 @@ def reference_end_time(state, schedule):
             if p2 + p1 + p0 >= 0.0:
                 u_root = 1.0
             else:
-                u_root = min(max(deathclock._float_root(p2, p1, p0), u_end), 1.0)
+                u_root = min(max(deathclock._smaller_root(p2, p1, p0), u_end), 1.0)
             tau_end = start - float(np.log(u_root))
             witness = discriminant(evolve_xstate_closed(current, tau_end - start))
             return DeathReport(Fate.FINITE_END, tau_end, witness)
@@ -973,7 +973,7 @@ def test_search_probe_slope_sign_matches_the_end_times():
     assert checked >= 150
 
 
-def test_sweep_minimum_end_time_is_end_times_at_it():
+def test_sweep_minimum_end_time_is_end_times_at_it(monkeypatch):
     rng = np.random.default_rng(31)
     states = [CANONICAL] + [random_xstate(rng, slot=("inner", "corner")[k % 2])
                             for k in range(120)]
@@ -989,6 +989,17 @@ def test_sweep_minimum_end_time_is_end_times_at_it():
             assert end == curve.min_tau_end, (state, kind)
             moved += curve.min_tau_sw not in curve.tau_sw
     assert moved >= 20  # minima found between the grid rows
+    # A search end whose slope probe finds no tail root (v is None) takes
+    # its end time from end_times itself; this state and grid reach it.
+    state = XState(2.141645794310974, 0.2760297914776501, 0.041329137083991836,
+                   0.540995277127384, z_corner=-0.49562354475879533)
+    grid = [0.0, math.nextafter(find_end_time(state).tau_end, 0.0)]
+    calls = []
+    monkeypatch.setattr(deathclock, "end_times",
+                        lambda *args: calls.append(args[2]) or end_times(*args))
+    curve = sweep_switch_times(state, Switch.BOTH, grid)
+    assert calls == [[curve.min_tau_sw]] and grid[0] < curve.min_tau_sw < grid[1]
+    assert curve.min_tau_end == end_times(state, Switch.BOTH, [curve.min_tau_sw])[1][0]
 
 
 def test_end_times_validate_their_inputs():
@@ -1708,6 +1719,8 @@ def test_sweep_rejects_grid_reaching_baseline_end():
 def test_sweep_rejects_unsorted_grid():
     with pytest.raises(ValueError, match="increasing"):
         sweep_switch_times(CANONICAL, Switch.BOTH, [0.2, 0.1])
+    with pytest.raises(ValueError, match="must not be empty"):
+        sweep_switch_times(CANONICAL, Switch.BOTH, [])
 
 
 def test_sweep_without_finite_baseline_needs_explicit_grid():
