@@ -34,12 +34,14 @@ by pass in one session, for gains too small for the runs above to resolve.
 The two trees are copied once; for each workload in turn, two child
 interpreters, one per side, each import their own copy's
 ``benchmarks/workloads.py`` and ``esdsim``, build the workload (seed
-``--seed``) on one CPU, and run one untimed pass; their outputs must be
-equal, or the mode exits 1.  Then, for each of 40 rounds, each side runs
-one pass, the parent first in even rounds and the change first in odd
-ones, and reports the pass's process CPU time.  Prints one line per
-workload: the median and quartiles of the per-round ratio, change over
-parent:
+``--seed``) on one CPU, and run one untimed pass, which the workload's own
+``check`` judges, as ``benchmarks/run.py`` judges its reference pass; the
+mode exits 1 if either side fails an operation or its check, or gives no
+output.  Then, for each of 40 rounds, each side runs one pass, the parent
+first in even rounds and the change first in odd ones, and reports the
+pass's process CPU time.  Prints one line per workload: the median and
+quartiles of the per-round ratio, change over parent, and whether the two
+sides' outputs differ (a change may alter them on purpose):
 
     python scripts/bench_pairs.py --interleaved evolve_dense sweep_critical phase_map
 """
@@ -211,15 +213,17 @@ def copy_sides(parent: str, into: Path) -> dict:
     return sides
 
 
-def run_pass(ops) -> list:
-    """Every operation's output, or its exception's type and text."""
-    outputs = []
-    for op in ops:
+def run_pass(ops) -> tuple[list, dict]:
+    """Every operation's output, None where it raised, and the failures: the
+    type and text of each exception by operation index, as in run.py."""
+    outputs, failures = [], {}
+    for i, op in enumerate(ops):
         try:
             outputs.append(op.call())
-        except Exception as exc:  # a failed operation is an output too
-            outputs.append(f"{type(exc).__name__}: {exc}")
-    return outputs
+        except Exception as exc:  # a failed operation is an outcome too
+            outputs.append(None)
+            failures[i] = f"{type(exc).__name__}: {exc}"
+    return outputs, failures
 
 
 def pin_to_one_cpu() -> None:
@@ -233,9 +237,11 @@ def pin_to_one_cpu() -> None:
 def child(folder: Path, workload: str, seed: int) -> int:
     """One side of ``--interleaved``: the workload from ``folder``'s copy.
 
-    Writes the sha256 of its untimed pass's outputs, then for each line
-    read, runs one pass and writes its process CPU time in seconds.  Both
-    sides run on the lowest CPU they may use (``pin_to_one_cpu``).
+    Writes the sha256 of its untimed pass's outputs and the number of
+    operations that failed or that the workload's ``check`` failed, then for
+    each line read, runs one pass and writes its process CPU time in
+    seconds.  Both sides run on the lowest CPU they may use
+    (``pin_to_one_cpu``).
     """
     pin_to_one_cpu()
     for var in THREAD_VARS:  # before numpy is first imported, as run.py does
@@ -243,8 +249,12 @@ def child(folder: Path, workload: str, seed: int) -> int:
     sys.path[:0] = [str(folder / "src"), str(folder / "benchmarks")]
     import workloads
 
-    ops = workloads.WORKLOADS[workload](seed).ops
-    print(hashlib.sha256(repr(run_pass(ops)).encode()).hexdigest(), flush=True)
+    work = workloads.WORKLOADS[workload](seed)
+    ops = work.ops
+    outputs, failures = run_pass(ops)
+    bad = failures.keys() | work.check(outputs).bad.keys()
+    digest = hashlib.sha256(repr((outputs, failures)).encode()).hexdigest()
+    print(digest, len(bad), flush=True)
     for _ in sys.stdin:
         gc.collect()
         start = time.process_time()
@@ -253,22 +263,28 @@ def child(folder: Path, workload: str, seed: int) -> int:
     return 0
 
 
-class SidesDiffer(RuntimeError):
-    """The two sides' outputs differ, or a side gave none."""
+class SideFailed(RuntimeError):
+    """A side failed an operation or its workload's check, or gave no output."""
 
 
 def interleave(commands: dict, rounds: int) -> dict:
-    """Start ``commands[side]`` for each side, check that their first lines
-    (the outputs' digests) agree, then time ``rounds`` rounds of one pass
-    per side, the parent first in even rounds.  Returns each side's times
-    and the per-round ratios, change over parent."""
+    """Start ``commands[side]`` for each side, check their first lines (the
+    outputs' digest and the count of failed operations), then time
+    ``rounds`` rounds of one pass per side, the parent first in even
+    rounds.  Returns the parent's digest, whether the change's differs,
+    each side's times and the per-round ratios, change over parent."""
     children = {side: subprocess.Popen(commands[side], stdin=subprocess.PIPE,
                                        stdout=subprocess.PIPE, text=True)
                 for side in SIDES}
     try:
-        digests = {side: children[side].stdout.readline().strip() for side in SIDES}
-        if not digests["parent"] or digests["parent"] != digests["change"]:
-            raise SidesDiffer(f"the sides' outputs differ: {digests}")
+        digests = {}
+        for side in SIDES:
+            first = children[side].stdout.readline().split()
+            if len(first) != 2:
+                raise SideFailed(f"the {side} side gave no output")
+            if first[1] != "0":
+                raise SideFailed(f"the {side} side failed {first[1]} operations or their check")
+            digests[side] = first[0]
         times = {side: [] for side in SIDES}
         for r in range(rounds):
             for side in SIDES if r % 2 == 0 else SIDES[::-1]:
@@ -281,16 +297,19 @@ def interleave(commands: dict, rounds: int) -> dict:
             process.wait()
             process.stdout.close()
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    return {"digest": digests["parent"], "times": times, "ratios": ratios}
+    return {"digest": digests["parent"], "outputs_differ": digests["parent"] != digests["change"],
+            "times": times, "ratios": ratios}
 
 
 def ratio_line(workload: str, result: dict) -> str:
-    """The per-round ratio's median and quartiles, and each side's median."""
+    """The per-round ratio's median and quartiles, each side's median, and
+    whether the sides' outputs differ."""
     q1, median, q3 = statistics.quantiles(result["ratios"], n=4, method="inclusive")
     parent, change = (statistics.median(result["times"][side]) for side in SIDES)
     return (f"{workload}: change/parent CPU time per pass, median {median:.4f} "
             f"(q1 {q1:.4f}, q3 {q3:.4f}) over {len(result['ratios'])} rounds; "
-            f"medians {parent:.6f} s -> {change:.6f} s")
+            f"medians {parent:.6f} s -> {change:.6f} s"
+            + ("; the sides' outputs differ" if result["outputs_differ"] else ""))
 
 
 def child_command(folder: Path, workload: str, seed: int) -> list[str]:
@@ -300,14 +319,14 @@ def child_command(folder: Path, workload: str, seed: int) -> list[str]:
 
 def interleaved(parent: str, workloads: list[str], seed: int) -> int:
     """``--interleaved``: copy the two trees once, then time each workload in
-    turn and print its ratio line; exit 1 at the first whose sides differ."""
+    turn and print its ratio line; exit 1 at the first where a side fails."""
     with tempfile.TemporaryDirectory() as folder:
         sides = copy_sides(parent, Path(folder))
         for workload in workloads:
             commands = {side: child_command(sides[side], workload, seed) for side in SIDES}
             try:
                 result = interleave(commands, ROUNDS)
-            except SidesDiffer as exc:
+            except SideFailed as exc:
                 print(f"error: {workload}: {exc}", file=sys.stderr)
                 return 1
             print(ratio_line(workload, result), flush=True)

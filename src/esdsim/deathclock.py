@@ -19,21 +19,27 @@ search (``_search``) down to neighbouring floats, on the exact fate test and
 on the sign of the end time's slope; neither has a tolerance, and the
 threshold's starts at a closed-form root (``_threshold_root``).
 
-``find_end_time`` walks one schedule's stretches in one flat loop, with one
-``np.exp`` per finite stretch and the helpers' operations written out, so
-that its only Python-level calls are ``check_coefficients`` and
-``DeathReport``.  ``state_at`` and ``trajectory`` walk the same stretches
-through ``_stretches``, and ``end_times`` decides a single switch at an
-array of switch times with the same arithmetic, which the sweep
-(``sweep_switch_times``) calls block by block on times it has checked once.
-exp and log come from numpy on every path, floats and arrays alike, so all
-of them agree bit for bit.
+An ``XState`` keeps, from when it was built, its coefficient tuple, its
+discriminant at tau = 0 and its first stretch's Q (``qstate._discriminant``
+and ``qstate._quadratic``), and the engine reads them rather than derive
+them per query.  ``find_end_time`` walks one schedule's events in one flat
+loop, the tail after it, with one ``np.exp`` per finite stretch and the
+helpers' operations written out, so that its only Python-level calls are
+``check_coefficients`` and ``DeathReport``.  ``state_at`` and
+``trajectory`` walk the same stretches through ``_stretches``, and
+``end_times`` decides a single switch at an array of switch times with the
+same arithmetic, which the sweep (``sweep_switch_times``) calls block by
+block on times it has checked once.  exp and log come from numpy on every
+path, floats and arrays alike, so all of them agree bit for bit.  Every
+public function here that takes a state raises TypeError for one that is
+not an ``XState``, and refuses times that are not real numbers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -45,7 +51,7 @@ import numpy as np
 from .channel import _check_tau, damped_coefficients
 from .intervention import _SWITCHED, Schedule, Switch, switch_coefficients
 from .qstate import (
-    _COEFFICIENTS, UnsupportedShapeError, XState, check_coefficients, xstate_measures,
+    _COEFFICIENTS, UnsupportedShapeError, XState, _quadratic, check_coefficients, xstate_measures,
 )
 
 
@@ -131,6 +137,15 @@ class SweepCurve:
     min_tau_end: float | None
 
 
+def _constants(state: XState) -> tuple:
+    """The engine's constants an ``XState`` keeps: (coefficients, d0, Q).
+    Anything else raises TypeError, as a bad schedule does."""
+    try:
+        return state._coefficients, state._d0, state._q
+    except AttributeError:
+        raise TypeError(f"state must be an XState, got {state!r}") from None
+
+
 def discriminant(state: XState) -> float:
     """Sign witness for entanglement: negative iff the state is entangled.
 
@@ -139,30 +154,13 @@ def discriminant(state: XState) -> float:
     corner-coherence states.  Every named swap permutes the coefficients so
     that this value is unchanged at the switch instant.  The coherence is
     squared as ``z * z``, as ``xstate_measures`` squares it, so at
-    z**2 = a*d exactly the fate and the measures agree.
+    z**2 = a*d exactly the fate and the measures agree.  The state keeps it
+    from when it was built (``qstate._discriminant``).
     """
-    a, b, c, d, z_inner, z_corner = _COEFFICIENTS(state)
-    if z_inner != 0.0 and z_corner != 0.0:
+    d0 = _constants(state)[1]
+    if d0 is None:
         raise UnsupportedShapeError("discriminant needs at most one active coherence slot")
-    return b * c - z_corner * z_corner if z_corner != 0.0 else a * d - z_inner * z_inner
-
-
-def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
-    """Coefficients (p2, p1, p0) of Q with disc(tau) = u**2 Q(u), u = e^-tau.
-
-    Quadratic and linear terms are common to both coherence slots; only the
-    constant term differs.  The vertex -p1 / (2 p2) = (b+c+2a) / (2a) >= 1,
-    so Q never decreases along the flow (u falling from 1 toward 0).
-    Coherences are squared as ``z * z``, as ``end_times`` squares arrays.
-    """
-    a, b, c, _, z_inner, z_corner = coefficients
-    p2 = a * a
-    p1 = -a * (b + c + 2.0 * a)
-    if z_corner != 0.0:  # discriminant() rejects two active slots
-        p0 = (b + a) * (c + a) - z_corner * z_corner
-    else:
-        p0 = 3.0 * a - z_inner * z_inner
-    return p2, p1, p0
+    return d0
 
 
 def _smaller_root(r2, r1, r0):
@@ -192,7 +190,7 @@ def _stretches(
         events = schedule.events
     except AttributeError:
         raise TypeError(f"schedule must be a Schedule, got {schedule!r}") from None
-    start, coefficients = 0.0, _COEFFICIENTS(state)
+    start, coefficients = 0.0, _constants(state)[0]
     for event in events:
         yield start, event.tau, coefficients
         u = float(np.exp(-_check_tau(event.tau - start)))
@@ -269,35 +267,35 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     not die averts death.  The witness is the discriminant of the dying
     stretch's state flowed to the end time.
 
-    One loop, with one ``np.exp`` per finite stretch: its u_end =
-    e^-(end - start) serves the death test and, if the stretch lives, the
-    checked flow and switch of ``_stretches``; it has the bits of
-    ``trajectory``'s np.exp(start - end), as fl(s - e) = -fl(e - s).  The
-    helpers' operations are written out in their order, so only
-    ``check_coefficients`` and ``DeathReport`` are called in Python.  A
-    ``schedule`` that is not a ``Schedule`` raises TypeError, as in ``_stretches``.
+    One loop over the schedule's events, with one ``np.exp`` per finite
+    stretch, and the tail after it: u_end = e^-(end - start) serves the
+    death test and, if the stretch lives, the checked flow and switch of
+    ``_stretches``; it has the bits of ``trajectory``'s
+    np.exp(start - end), as fl(s - e) = -fl(e - s).  The state's
+    coefficients, its discriminant at tau = 0 and the first stretch's Q are
+    the ones it keeps from when it was built; each later stretch's Q is
+    computed right after its switch.  The helpers' operations are written
+    out in their order, so only ``check_coefficients`` and ``DeathReport``
+    are called in Python.  A ``schedule`` that is not a ``Schedule``, or a
+    ``state`` that is not an ``XState``, raises TypeError.
     """
     try:
-        events = (*schedule.events, None)
+        events = schedule.events
     except AttributeError:
         raise TypeError(f"schedule must be a Schedule, got {schedule!r}") from None
-    a, b, c, d, z_inner, z_corner = _COEFFICIENTS(state)
-    if z_inner != 0.0 and z_corner != 0.0:
+    try:
+        d0 = state._d0
+    except AttributeError:
+        raise TypeError(f"state must be an XState, got {state!r}") from None
+    if d0 is None:
         discriminant(state)  # raises
-    d0 = b * c - z_corner * z_corner if z_corner != 0.0 else a * d - z_inner * z_inner
     if d0 >= 0.0:
         return DeathReport(_NEVER_ENTANGLED, None, d0)
 
+    a, b, c, d, z_inner, z_corner = state._coefficients
+    p2, p1, p0 = state._q
     start = 0.0
     for event in events:
-        p2, p1 = a * a, -a * (b + c + 2.0 * a)
-        p0 = ((b + a) * (c + a) - z_corner * z_corner if z_corner != 0.0
-              else 3.0 * a - z_inner * z_inner)
-        if event is None:  # the tail, from u = 1 at start down to u_end = 0
-            if p0 <= 0.0:  # it never reaches Q = 0
-                return DeathReport(_AVERTED, None, p0)
-            u_end = 0.0
-            break
         if not 0.0 <= (tau := event.tau - start) < math.inf:
             _check_tau(tau)  # raises
         u_end = float(_exp(-tau))
@@ -310,6 +308,13 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
                 a * u_end * u_end, b * u_end + feed, c * u_end + feed,
                 d + loss * (b + c + a * loss), z_inner * u_end, z_corner * u_end)))
         start = event.tau
+        p2, p1 = a * a, -a * (b + c + 2.0 * a)
+        p0 = ((b + a) * (c + a) - z_corner * z_corner if z_corner != 0.0
+              else 3.0 * a - z_inner * z_inner)
+    else:  # the tail, from u = 1 at start down to u_end = 0
+        if p0 <= 0.0:  # it never reaches Q = 0
+            return DeathReport(_AVERTED, None, p0)
+        u_end = 0.0
     if p2 + p1 + p0 >= 0.0:
         u_root = 1.0
     else:
@@ -330,12 +335,17 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
 
 
 def _times(grid: Sequence[float], name: str, increasing: bool = False) -> np.ndarray:
+    values = np.asarray(grid)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a flat sequence of times")
+    if values.dtype.kind not in "biuf":  # text, bytes, None and complex are no time
+        for value in values.tolist():
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be real numbers, got {value!r}")
     try:
-        taus = np.array(grid, dtype=float)
+        taus = np.array(values, dtype=float)
     except OverflowError as exc:  # an int beyond float range
         raise ValueError(f"{name} must be finite and >= 0: {exc}") from None
-    if taus.ndim != 1:
-        raise ValueError(f"{name} must be a flat sequence of times")
     bad = ~(np.isfinite(taus) & (taus >= 0.0))
     if bad.any():
         raise ValueError(f"{name} must be finite and >= 0, got {taus[bad][0].item()!r}")
@@ -350,7 +360,7 @@ def _single_switch(state: XState, kind: Switch, u: np.ndarray):
     Whether the first stretch dies (``find_end_time``'s test at u) and the
     tail's (q2, q1, q0), on arrays; the tail's slot is read off z_corner.
     """
-    p2, p1, p0 = _quadratic(_COEFFICIENTS(state))
+    p2, p1, p0 = state._q
     a, b, c, _, z_inner, z_corner = switch_coefficients(
         kind, damped_coefficients(*_COEFFICIENTS(state), u))
     q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
@@ -370,10 +380,10 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
     Deaths before the tail or at its start do not fall (g NaN, v None).
     """
+    entangled = discriminant(state) < 0.0
     s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
     p2, p1, p0 = _quadratic(s)
     switched = itemgetter(*switch_coefficients(kind, range(6)))
-    entangled = discriminant(state) < 0.0
 
     def probe(tau_sw: float) -> tuple:
         x = float(_exp(-tau_sw))
@@ -441,7 +451,7 @@ def _end_times(
 
     # The dying stretch: the first, from u = 1 at tau = 0 down to u_sw, or
     # the tail, from u = 1 at tau_sw down to u = 0.
-    for r, p in zip((r2, r1, r0), _quadratic(_COEFFICIENTS(state))):
+    for r, p in zip((r2, r1, r0), state._q):
         np.copyto(r, p, where=first)
     u_end, start = np.where(first, u_sw, 0.0), np.where(first, 0.0, tau_sw)
     with np.errstate(all="ignore"):
@@ -458,7 +468,8 @@ def find_ad_crossing(state: XState) -> float:
     tau = ln((2a + b + c) / 3); raises NoCrossingError when a < d already at
     tau = 0 (then a both-qubit swap is counterproductive from the start).
     """
-    slope = 2.0 * state.a + state.b + state.c
+    a, b, c, *_ = _constants(state)[0]
+    slope = 2.0 * a + b + c
     if slope < 3.0:
         raise NoCrossingError("a < d already at tau = 0; no crossing ahead")
     return math.log(slope / 3.0)
@@ -558,7 +569,7 @@ def _threshold_root(state: XState, kind: Switch, x_hi: float, x_lo: float) -> fl
     first turns its fate: the largest root there of the tail's q0 or of the
     first stretch's Q (it dies below its smaller root), else the nearest."""
     roots = []
-    for r2, r1, r0 in (_tail_q0(state, kind), _quadratic(_COEFFICIENTS(state))):
+    for r2, r1, r0 in (_tail_q0(state, kind), state._q):
         disc = r1 * r1 - 4.0 * r2 * r0  # the roots in the cancellation-free form
         if disc >= 0.0 and (q := -0.5 * (r1 + math.copysign(math.sqrt(disc), r1))):
             roots += [r0 / q, q / r2] if r2 else [r0 / q]
@@ -581,7 +592,8 @@ def find_aversion_threshold(
     BracketError when no default bracket exists or both ends classify
     alike as non-finite, and NoCrossingError when death is finite across
     the whole bracket (the switch kind never averts it there).  A bracket
-    past TAU_ZERO ends there, where u = e^-tau turns 0.  The search starts
+    past TAU_ZERO ends there, where u = e^-tau turns 0, and one that is not
+    a pair of real numbers raises BracketError too.  The search starts
     at the closed-form root (``_threshold_root``) of x = e^-tau_sw.  Around
     it a bracket of m = 2, 32, 512, ... ulps of x either way, mapped to tau
     by -ln and clamped to the bracket, grows until its ends have the fates
@@ -599,9 +611,12 @@ def find_aversion_threshold(
         lo, hi = 0.0, baseline.tau_end
     else:
         try:
-            lo, hi = float(bracket[0]), float(bracket[1])
-        except OverflowError:  # an int beyond float range
-            lo = hi = math.nan
+            lo, hi = bracket
+            if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+                raise TypeError
+            lo, hi = float(lo), float(hi)
+        except (ArithmeticError, TypeError, ValueError):  # not a pair of reals, or
+            lo = hi = math.nan  # an int beyond float range
         if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
             raise BracketError(f"bad bracket {bracket!r}")
     probe = _probe(state, kind)

@@ -22,7 +22,7 @@ closed forms to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -55,6 +55,15 @@ class XState:
     |-->; ``z_inner`` is (3x) the real |+-><-+| coherence and ``z_corner``
     (3x) the real |++><--| one.  Positivity of the physical matrix requires
     ``z_inner**2 <= b*c`` and ``z_corner**2 <= a*d``.
+
+    Beside its six fields a state keeps what the engine reads of it,
+    derived once when it is built, right after the checks: the checked
+    coefficient tuple (``_COEFFICIENTS``), the discriminant at tau = 0
+    (``_discriminant``) and the first stretch's (p2, p1, p0)
+    (``_quadratic``), the last two None where both coherence slots are
+    active.  They take no part in the constructor, ``repr``, ``==``,
+    ``hash`` or ``__match_args__``; ``dataclasses.replace`` derives them
+    anew, and copies and pickles carry them.
     """
 
     a: float
@@ -63,14 +72,55 @@ class XState:
     d: float
     z_inner: float = 0.0
     z_corner: float = 0.0
+    _coefficients: tuple = field(init=False, repr=False, compare=False)
+    _d0: float | None = field(init=False, repr=False, compare=False)
+    _q: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_coefficients(
+        coefficients = check_coefficients(
             self.a, self.b, self.c, self.d, self.z_inner, self.z_corner)
+        d0 = _discriminant(coefficients)
+        _SET_COEFFICIENTS(self, coefficients)
+        _SET_D0(self, d0)
+        _SET_Q(self, None if d0 is None else _quadratic(coefficients))
 
 
+# The engine's constants, stored through the slots' descriptors: the class
+# is frozen.
+_SET_COEFFICIENTS, _SET_D0 = XState._coefficients.__set__, XState._d0.__set__
+_SET_Q = XState._q.__set__
 _FIELDS = ("a", "b", "c", "d", "z_inner", "z_corner")
-_COEFFICIENTS = attrgetter(*_FIELDS)  # an XState's six, the engine's coefficient tuple
+_COEFFICIENTS = attrgetter("_coefficients")  # an XState's six, the engine's coefficient tuple
+
+
+def _discriminant(coefficients: tuple) -> float | None:
+    """The discriminant of a coefficient tuple: ``a*d - z_inner*z_inner``, or
+    ``b*c - z_corner*z_corner`` when the corner slot is active; None when
+    both slots are.  Squared as ``z * z``, as ``xstate_measures`` squares."""
+    a, b, c, d, z_inner, z_corner = coefficients
+    if z_corner == 0.0:
+        return a * d - z_inner * z_inner
+    if z_inner == 0.0:
+        return b * c - z_corner * z_corner
+    return None
+
+
+def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
+    """Coefficients (p2, p1, p0) of Q with disc(tau) = u**2 Q(u), u = e^-tau.
+
+    Quadratic and linear terms are common to both coherence slots; only the
+    constant term differs.  The vertex -p1 / (2 p2) = (b+c+2a) / (2a) >= 1,
+    so Q never decreases along the flow (u falling from 1 toward 0).
+    Coherences are squared as ``z * z``, as ``end_times`` squares arrays.
+    """
+    a, b, c, _, z_inner, z_corner = coefficients
+    p2 = a * a
+    p1 = -a * (b + c + 2.0 * a)
+    if z_corner != 0.0:  # XState derives no Q where both slots are active
+        p0 = (b + a) * (c + a) - z_corner * z_corner
+    else:
+        p0 = 3.0 * a - z_inner * z_inner
+    return p2, p1, p0
 
 
 def _is_finite(value) -> bool:

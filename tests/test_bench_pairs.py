@@ -153,8 +153,9 @@ def test_the_verdict_is_printed():
                          " against parent q3 - q1 0.015: NOT MET")
 
 
-# A stand-in for one side's child: writes a digest, then for each line read
-# logs its side and writes a fixed pass time.
+# A stand-in for one side's child: writes its first line (the outputs' digest
+# and the count of failed operations), then for each line read logs its side
+# and writes a fixed pass time.
 STUB = """
 import sys
 side, seconds, digest, log = sys.argv[1:]
@@ -166,7 +167,7 @@ for _ in sys.stdin:
 """
 
 
-def stub_commands(tmp_path, parent=("0.5", "d1"), change=("0.4", "d1")):
+def stub_commands(tmp_path, parent=("0.5", "d1 0"), change=("0.4", "d1 0")):
     log = tmp_path / "order.log"
     return log, {side: [sys.executable, "-c", STUB, side, seconds, digest, str(log)]
                  for side, (seconds, digest) in (("parent", parent), ("change", change))}
@@ -175,7 +176,7 @@ def stub_commands(tmp_path, parent=("0.5", "d1"), change=("0.4", "d1")):
 def test_interleaved_sides_take_turns_and_give_per_round_ratios(tmp_path):
     log, commands = stub_commands(tmp_path)
     result = bench_pairs.interleave(commands, rounds=4)
-    assert result["digest"] == "d1"
+    assert result["digest"] == "d1" and not result["outputs_differ"]
     assert result["times"] == {"parent": [0.5] * 4, "change": [0.4] * 4}
     assert result["ratios"] == pytest.approx([0.8] * 4)
     # The parent goes first in even rounds, the change in odd ones.
@@ -185,14 +186,30 @@ def test_interleaved_sides_take_turns_and_give_per_round_ratios(tmp_path):
                     " q3 0.8000) over 4 rounds; medians 0.500000 s -> 0.400000 s")
 
 
-@pytest.mark.parametrize("parent, change", [(("0.5", "d1"), ("0.4", "d2")),
-                                            (("0.5", ""), ("0.4", ""))],
-                         ids=["outputs_differ", "no_outputs"])
-def test_interleaved_sides_must_agree_before_any_pass_is_timed(tmp_path, parent, change):
+@pytest.mark.parametrize("parent, change, message", [
+    (("0.5", "d1 0"), ("0.4", "d2 3"), "the change side failed 3 operations or their check"),
+    (("0.5", "d1 1"), ("0.4", "d1 0"), "the parent side failed 1 operations or their check"),
+    (("0.5", ""), ("0.4", ""), "the parent side gave no output"),
+    (("0.5", "d1 0"), ("0.4", ""), "the change side gave no output"),
+], ids=["change_fails", "parent_fails", "no_outputs", "no_change_output"])
+def test_interleaved_sides_must_pass_their_checks_before_any_pass_is_timed(
+        tmp_path, parent, change, message):
     log, commands = stub_commands(tmp_path, parent, change)
-    with pytest.raises(bench_pairs.SidesDiffer, match="outputs differ"):
+    with pytest.raises(bench_pairs.SideFailed, match=f"^{message}$"):
         bench_pairs.interleave(commands, rounds=4)
     assert not log.exists()
+
+
+def test_interleaved_times_sides_whose_outputs_differ_and_says_so(tmp_path):
+    # A change may alter an output on purpose; both sides passed their
+    # checks, so the passes are timed and the line says the outputs differ.
+    log, commands = stub_commands(tmp_path, ("0.5", "d1 0"), ("0.4", "d2 0"))
+    result = bench_pairs.interleave(commands, rounds=2)
+    assert result["digest"] == "d1" and result["outputs_differ"]
+    assert log.read_text().split() == ["parent", "change", "change", "parent"]
+    assert bench_pairs.ratio_line("phase_map", result) == (
+        "phase_map: change/parent CPU time per pass, median 0.8000 (q1 0.8000, q3 0.8000)"
+        " over 2 rounds; medians 0.500000 s -> 0.400000 s; the sides' outputs differ")
 
 
 def test_interleaved_copies_the_trees_once_and_gives_a_line_per_workload(
@@ -209,7 +226,7 @@ def test_interleaved_copies_the_trees_once_and_gives_a_line_per_workload(
     def child_command(folder, workload, seed):
         assert seed == 7
         side = folder.name
-        return [sys.executable, "-c", STUB, side, seconds[side, workload], "d1",
+        return [sys.executable, "-c", STUB, side, seconds[side, workload], "d1 0",
                 str(tmp_path / f"{workload}.log")]
 
     monkeypatch.setattr(bench_pairs, "copy_sides", copy_sides)

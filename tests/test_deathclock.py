@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import sys
 import warnings
@@ -745,6 +747,13 @@ def test_find_end_time_calls_only_its_checks_and_its_report(state, events, fate,
     assert entered == [find_end_time.__code__, *[check] * checked, init]
 
 
+GRID_QUERIES = (
+    (lambda g: end_times(CANONICAL, Switch.BOTH, g), "switch times"),
+    (lambda g: sweep_switch_times(CANONICAL, grid=g), "switch-time grid"),
+    (lambda g: trajectory(CANONICAL, grid=g), "trajectory grid"),
+)
+
+
 def test_ints_beyond_float_range_are_refused_naming_the_field():
     # Each of these raised a bare OverflowError: int too large to convert to float.
     huge = 10**400
@@ -758,13 +767,49 @@ def test_ints_beyond_float_range_are_refused_naming_the_field():
         find_aversion_threshold(CANONICAL, Switch.BOTH, bracket=(0, huge))
     with pytest.raises(BracketError, match=r"^bad bracket \(-1000"):
         find_aversion_threshold(CANONICAL, Switch.BOTH, bracket=(-huge, 1))
-    for query, name in ((lambda g: end_times(CANONICAL, Switch.BOTH, g), "switch times"),
-                        (lambda g: sweep_switch_times(CANONICAL, grid=g), "switch-time grid"),
-                        (lambda g: trajectory(CANONICAL, grid=g), "trajectory grid")):
+    for query, name in GRID_QUERIES:
         with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0: int too"):
             query([0.0, huge])
     with pytest.raises(ValueError, match=r"^x = exp\(-tau_sw\) must lie in \(0, 1\], got 1000"):
         single_switch_curve(huge)
+
+
+def test_text_times_and_malformed_brackets_are_refused():
+    # numpy parses text as floats: end_times took ["0.1", "0.2"] and [b"0.1"],
+    # and find_aversion_threshold took the bracket "01" as (0, 1); (0.0,)
+    # raised IndexError and (None, 1) a bare TypeError.
+    for query, name in GRID_QUERIES:
+        for grid, shown in ((["0.1", "0.2"], "'0.1'"), ([b"0.1"], r"b'0\.1'"),
+                            ([0.1, None], "None"), ([0.2j], r"0\.2j")):
+            with pytest.raises(ValueError, match=rf"^{name} must be real numbers, got {shown}$"):
+                query(grid)
+    for bracket in ("01", (0.0,), (None, 1), (0.0, "1"), (0.0, 0.5, 1.0), 1.0):
+        with pytest.raises(BracketError, match=r"^bad bracket "):
+            find_aversion_threshold(CANONICAL, Switch.BOTH, bracket)
+    # Numbers of any real type still pass, as the same floats.
+    assert find_aversion_threshold(CANONICAL, Switch.BOTH, (0, np.float32(1))) == (
+        find_aversion_threshold(CANONICAL, Switch.BOTH, (0.0, 1.0)))
+    rows = [end_times(CANONICAL, Switch.BOTH, grid)
+            for grid in ([0, np.int8(1) / 4, True], [0.0, 0.25, 1.0])]
+    assert [repr(a.tolist()) for a in rows[0]] == [repr(a.tolist()) for a in rows[1]]
+
+
+@pytest.mark.parametrize("query", [
+    discriminant, find_end_time, state_at, find_ad_crossing,
+    lambda s: trajectory(s, grid=[0.1]),
+    lambda s: end_times(s, Switch.BOTH, [0.1]),
+    lambda s: find_aversion_threshold(s),
+    lambda s: find_aversion_threshold(s, Switch.ALICE, (0.0, 1.0)),
+    lambda s: sweep_switch_times(s),
+    lambda s: sweep_switch_times(s, grid=[0.1]),
+], ids=["discriminant", "find_end_time", "state_at", "find_ad_crossing", "trajectory",
+        "end_times", "threshold", "threshold_bracket", "sweep", "sweep_grid"])
+@pytest.mark.parametrize("state", [(1, 1, 1, 0, 1, 0), None, to_density_matrix(CANONICAL)],
+                         ids=["tuple", "none", "matrix"])
+def test_a_state_that_is_not_an_xstate_is_refused_by_name(query, state):
+    # Each raised an AttributeError, such as "'tuple' object has no attribute 'a'".
+    with pytest.raises(TypeError, match=r"^state must be an XState, got "):
+        query(state)
 
 
 def test_fate_and_measures_agree_at_the_positivity_edge_exactly():
@@ -891,6 +936,49 @@ def test_trajectory_matches_state_at_at_the_edges(state, events, times):
         s = state_at(state, schedule, tau)
         got = tuple(float(getattr(traj, name)[k]) for name in COLUMNS[:6])
         assert got == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), (state, tau)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edge_xstates(),
+    st.floats(0.0, 1.0),
+    st.lists(st.tuples(SWITCH_TIMES, st.sampled_from(list(Switch))),
+             max_size=2, unique_by=lambda event: event[0]),
+)
+def test_a_state_keeps_its_engine_constants_from_its_six_fields(state, other, events):
+    # The other coherence slot is filled to a fraction of its positivity edge,
+    # so two-slot states come too (the fraction may be 0).
+    a, b, c, d, z_inner, z_corner = (getattr(state, name) for name in COLUMNS[:6])
+    if z_corner == 0.0:
+        z_corner = other * math.sqrt(a * d)
+    else:
+        z_inner = other * math.sqrt(b * c)
+    state = XState(a, b, c, d, z_inner, z_corner)
+    # What the engine reads equals a fresh computation from the six fields,
+    # bit for bit: the coefficient tuple, the discriminant at tau = 0 and the
+    # first stretch's Q, both None for two active slots.
+    if z_inner != 0.0 and z_corner != 0.0:
+        d0 = q = None
+    elif z_corner != 0.0:
+        d0 = b * c - z_corner * z_corner
+        q = (a * a, -a * (b + c + 2.0 * a), (b + a) * (c + a) - z_corner * z_corner)
+    else:
+        d0 = a * d - z_inner * z_inner
+        q = (a * a, -a * (b + c + 2.0 * a), 3.0 * a - z_inner * z_inner)
+    kept = (qstate._COEFFICIENTS(state), state._d0, state._q)
+    assert repr(kept) == repr(((a, b, c, d, z_inner, z_corner), d0, q))
+    # Copies, pickles and replace give states that answer as the original does.
+    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in sorted(events)))
+    for twin in (dataclasses.replace(state), copy.copy(state), copy.deepcopy(state),
+                 pickle.loads(pickle.dumps(state))):
+        assert twin == state and hash(twin) == hash(state) and repr(twin) == repr(state)
+        assert repr((qstate._COEFFICIENTS(twin), twin._d0, twin._q)) == repr(kept)
+        assert bits(find_end_time, twin, schedule) == bits(find_end_time, state, schedule)
+    # The constants are no fields of the constructor, repr, == or match.
+    assert [f.name for f in dataclasses.fields(XState) if f.init] == list(COLUMNS[:6])
+    assert XState.__match_args__ == COLUMNS[:6]
+    assert repr(state) == "XState(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(COLUMNS, kept[0])) + ")"
 
 
 # Switch times where u = exp(-tau) underflows: around TAU_ZERO, and past it.
