@@ -6,9 +6,12 @@ switches reshuffle the populations and can postpone that end or avert it
 altogether.  This package evolves the states in closed form, measures
 entanglement (negativity, concurrence, entropy), and locates the critical
 times, with a CSV-emitting command line on top.  The package namespace holds
-the X-state engine; the generic matrix route the tests check it against
-(Kraus channel, switch matrices, eigenvalue measures) stays importable
-from ``esdsim.channel``, ``esdsim.intervention`` and ``esdsim.qstate``.
+the X-state engine, for states with at most one active coherence slot (damping
+and switches keep it so).  The generic matrix route the tests and the
+benchmark's oracle check it against (``evolve_kraus``, ``apply_unitary``,
+eigenvalue measures) stays importable from ``esdsim.channel``,
+``esdsim.intervention`` and ``esdsim.qstate``, and the canonical state's
+``single_switch_curve`` from ``esdsim.deathclock``.
 """
 
 from .channel import evolve_xstate_closed
@@ -24,7 +27,6 @@ from .deathclock import (
     find_ad_crossing,
     find_aversion_threshold,
     find_end_time,
-    single_switch_curve,
     state_at,
     sweep_switch_times,
     trajectory,
@@ -47,7 +49,6 @@ __all__ = [
     "find_ad_crossing",
     "find_aversion_threshold",
     "find_end_time",
-    "single_switch_curve",
     "state_at",
     "sweep_switch_times",
     "trajectory",

@@ -6,7 +6,7 @@ physical times with its ``gamma`` field).  The single-qubit amplitude
 survival factor is gamma = exp(-tau / 2), so populations decay by gamma**2
 per excited qubit.  Two equivalent propagators are provided: a closed form
 on X states (the family is preserved) and a Kraus-operator channel on
-arbitrary density matrices, kept as an independent cross-check.
+arbitrary density matrices, the tests' and the benchmark oracle's check.
 """
 
 from __future__ import annotations
@@ -15,20 +15,15 @@ import math
 
 import numpy as np
 
-from .qstate import _COEFFICIENTS, XState, _is_finite, validate_density_matrix
+from .qstate import XState, _constants, _is_finite, validate_density_matrix
 
 
 def _check_tau(tau: float) -> float:
     """tau, checked to be finite and non-negative: the one time check.  An
-    int beyond float range is not finite."""
+    int beyond float range, or text, is not finite."""
     if not (_is_finite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
     return tau
-
-
-def gamma_factor(tau: float) -> float:
-    """Amplitude survival factor exp(-tau/2); lies in (0, 1] for tau >= 0."""
-    return math.exp(-_check_tau(tau) / 2.0)
 
 
 def evolve_xstate_closed(state: XState, tau: float) -> XState:
@@ -45,7 +40,7 @@ def evolve_xstate_closed(state: XState, tau: float) -> XState:
     coefficient comes back unchanged, bit for bit.
     """
     u = float(np.exp(-_check_tau(tau)))
-    return XState(*damped_coefficients(*_COEFFICIENTS(state), u))
+    return XState(*damped_coefficients(*_constants(state)[0], u))
 
 
 def damped_coefficients(a, b, c, d, z_inner, z_corner, u):
@@ -68,23 +63,16 @@ def damped_coefficients(a, b, c, d, z_inner, z_corner, u):
     )
 
 
-def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
-    """Single-qubit Kraus pair for amplitude damping at survival factor gamma."""
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
-    k0 = np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [math.sqrt(1.0 - gamma * gamma), 0.0]], dtype=complex)
-    return [k0, k1]
-
-
 def evolve_kraus(m: np.ndarray, tau: float) -> np.ndarray:
     """Amplitude-damp an arbitrary two-qubit density matrix for tau.
 
     Applies the product channel sum_ij (K_i x K_j) m (K_i x K_j)^dagger with
-    the same damping factor on both qubits.
+    the same Kraus pair on both qubits, at survival factor exp(-tau/2).
     """
     m = validate_density_matrix(m)
-    kraus = amplitude_damping_kraus(gamma_factor(tau))
+    gamma = math.exp(-_check_tau(tau) / 2.0)
+    kraus = (np.array([[gamma, 0.0], [0.0, 1.0]], dtype=complex),
+             np.array([[0.0, 0.0], [math.sqrt(1.0 - gamma * gamma), 0.0]], dtype=complex))
     out = np.zeros((4, 4), dtype=complex)
     for ka in kraus:
         for kb in kraus:

@@ -19,10 +19,10 @@ search (``_search``) down to neighbouring floats, on the exact fate test and
 on the sign of the end time's slope; neither has a tolerance, and the
 threshold's starts at a closed-form root (``_threshold_root``).
 
-An ``XState`` keeps, from when it was built, its coefficient tuple, its
-discriminant at tau = 0 and its first stretch's Q (``qstate._discriminant``
-and ``qstate._quadratic``), and the engine reads them rather than derive
-them per query.  ``find_end_time`` walks one schedule's events in one flat
+An ``XState`` keeps, from when it was built, its coefficients as floats, its
+discriminant at tau = 0 and its first stretch's Q (``qstate._constants``
+reads all three), and the engine reads them rather than derive them per
+query.  ``find_end_time`` walks one schedule's events in one flat
 loop, the tail after it, with one ``np.exp`` per finite stretch and the
 helpers' operations written out, so that its only Python-level calls are
 ``check_coefficients`` and ``DeathReport``.  ``state_at`` and
@@ -50,9 +50,7 @@ import numpy as np
 
 from .channel import _check_tau, damped_coefficients
 from .intervention import _SWITCHED, Schedule, Switch, switch_coefficients
-from .qstate import (
-    _COEFFICIENTS, UnsupportedShapeError, XState, _quadratic, check_coefficients, xstate_measures,
-)
+from .qstate import XState, _constants, _quadratic, check_coefficients, xstate_measures
 
 
 BLOCK_ROWS = 1 << 14  # rows per block of the sweep and of evolve: bounded temporaries
@@ -137,15 +135,6 @@ class SweepCurve:
     min_tau_end: float | None
 
 
-def _constants(state: XState) -> tuple:
-    """The engine's constants an ``XState`` keeps: (coefficients, d0, Q).
-    Anything else raises TypeError, as a bad schedule does."""
-    try:
-        return state._coefficients, state._d0, state._q
-    except AttributeError:
-        raise TypeError(f"state must be an XState, got {state!r}") from None
-
-
 def discriminant(state: XState) -> float:
     """Sign witness for entanglement: negative iff the state is entangled.
 
@@ -157,10 +146,7 @@ def discriminant(state: XState) -> float:
     z**2 = a*d exactly the fate and the measures agree.  The state keeps it
     from when it was built (``qstate._discriminant``).
     """
-    d0 = _constants(state)[1]
-    if d0 is None:
-        raise UnsupportedShapeError("discriminant needs at most one active coherence slot")
-    return d0
+    return _constants(state)[1]
 
 
 def _smaller_root(r2, r1, r0):
@@ -287,8 +273,6 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
         d0 = state._d0
     except AttributeError:
         raise TypeError(f"state must be an XState, got {state!r}") from None
-    if d0 is None:
-        discriminant(state)  # raises
     if d0 >= 0.0:
         return DeathReport(_NEVER_ENTANGLED, None, d0)
 
@@ -362,7 +346,7 @@ def _single_switch(state: XState, kind: Switch, u: np.ndarray):
     """
     p2, p1, p0 = state._q
     a, b, c, _, z_inner, z_corner = switch_coefficients(
-        kind, damped_coefficients(*_COEFFICIENTS(state), u))
+        kind, damped_coefficients(*state._coefficients, u))
     q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
                   3.0 * a - z_inner * z_inner)
     q_end = (p2 * u + p1) * u + p0
@@ -370,7 +354,7 @@ def _single_switch(state: XState, kind: Switch, u: np.ndarray):
 
 
 def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
-    """``_single_switch`` at a float tau_sw, with the state's constants hoisted.
+    """``_single_switch`` at a float tau_sw, on the constants the state keeps.
 
     Float arithmetic on x = e^-tau_sw from ``np.exp``, with the tail's root
     from ``_smaller_root``, so it agrees with ``end_times`` bit for bit.
@@ -380,9 +364,8 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
     Deaths before the tail or at its start do not fall (g NaN, v None).
     """
-    entangled = discriminant(state) < 0.0
-    s = tuple(map(float, _COEFFICIENTS(state)))  # plain floats, as numpy's would be slow
-    p2, p1, p0 = _quadratic(s)
+    s, d0, (p2, p1, p0) = _constants(state)
+    entangled = d0 < 0.0
     switched = itemgetter(*switch_coefficients(kind, range(6)))
 
     def probe(tau_sw: float) -> tuple:
@@ -551,7 +534,7 @@ def _tail_q0(state: XState, kind: Switch) -> tuple[float, float, float]:
     """(g2, g1, g0): the tail's q0 = g2 x**2 + g1 x + g0 after one ``kind``
     switch at x = e^-tau_sw, S = a + b + c + d.  A single flip moves the
     coherence to the other slot; Bob's forms are Alice's, b and c swapped."""
-    a, b, c, d, z_inner, z_corner = map(float, _COEFFICIENTS(state))
+    a, b, c, d, z_inner, z_corner = state._coefficients
     s = a + b + c + d
     if kind is Switch.BOB:
         b, c = c, b
@@ -648,12 +631,12 @@ def single_switch_curve(x):
     leads to death at y = (3 - sqrt(9 - 24 x + 20 x**2)) / (2 (2 - x)).
     The radicand is positive for every real x, and the curve has the fixed
     point y = x at x = 2 - sqrt(2).  Takes a float (returns a float) or an
-    array (returns an array of the same shape).
+    array (returns an array of the same shape) of real numbers.
     """
-    try:
-        x = np.asarray(x, dtype=float)
-    except OverflowError:  # an int beyond float range
-        raise ValueError(f"x = exp(-tau_sw) must lie in (0, 1], got {x!r}") from None
+    values = np.asarray(x)
+    if values.dtype.kind not in "biuf":  # text, None, complex, an int beyond float range
+        raise ValueError(f"x = exp(-tau_sw) must lie in (0, 1], got {x!r}")
+    x = values.astype(float)
     outside = ~((0.0 < x) & (x <= 1.0))
     if outside.any():
         raise ValueError(

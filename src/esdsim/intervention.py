@@ -17,9 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .qstate import _COEFFICIENTS, XState, validate_density_matrix
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+from .qstate import XState, _constants, validate_density_matrix
 
 
 class Switch(Enum):
@@ -30,19 +28,16 @@ class Switch(Enum):
     BOB = "bob"
 
 
-def unitary_matrix(op: Switch) -> np.ndarray:
-    """The 4x4 matrix a named switch applies (u_a tensor u_b)."""
+def apply_unitary(m: np.ndarray, op: Switch) -> np.ndarray:
+    """Conjugate a density matrix by a named switch: U m U^dagger, with
+    U = u_a tensor u_b the Pauli-x on each flipped qubit."""
+    m = validate_density_matrix(m)
     if not isinstance(op, Switch):
         raise TypeError(f"expected a named Switch, got {op!r}")
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     identity = np.eye(2, dtype=complex)  # on the qubit a single switch leaves alone
-    return np.kron(identity if op is Switch.BOB else PAULI_X,
-                   identity if op is Switch.ALICE else PAULI_X)
-
-
-def apply_unitary(m: np.ndarray, op: Switch) -> np.ndarray:
-    """Conjugate a density matrix by a named switch: U m U^dagger."""
-    m = validate_density_matrix(m)
-    u = unitary_matrix(op)
+    u = np.kron(identity if op is Switch.BOB else flip,
+                identity if op is Switch.ALICE else flip)
     return u @ m @ u.conj().T
 
 
@@ -71,7 +66,7 @@ def switch_coefficients(switch: Switch, coefficients: tuple) -> tuple:
 
 def apply_xstate(state: XState, switch: Switch) -> XState:
     """Exact coefficient permutation a named switch performs on an X state."""
-    return XState(*switch_coefficients(switch, _COEFFICIENTS(state)))
+    return XState(*switch_coefficients(switch, _constants(state)[0]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,10 +77,10 @@ class SwitchEvent:
     op: Switch
 
     def __init__(self, tau: float, op: Switch) -> None:
-        try:  # an int beyond float range raises OverflowError in isfinite
-            if not (math.isfinite(tau) and tau >= 0.0):
+        try:  # isfinite raises OverflowError for an int beyond float range,
+            if not (math.isfinite(tau) and tau >= 0.0):  # TypeError for text
                 raise OverflowError
-        except OverflowError:
+        except (OverflowError, TypeError):
             raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}") from None
         if not isinstance(op, Switch):
             raise TypeError(f"SwitchEvent.op must be a named Switch, got {op!r}")

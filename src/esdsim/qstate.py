@@ -23,27 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
-
-# Tolerances for validating matrices that should be exact up to round-off.
-HERMITIAN_ATOL = 1e-12
-TRACE_ATOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
 
 # Slack for XState coefficient invariants; absorbs round-off from the
 # closed-form evolution, never real physicality violations.
 _XSTATE_ATOL = 1e-12
 
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
 
 class UnsupportedShapeError(ValueError):
-    """A closed form was asked for a state outside its family.
+    """Both coherence slots active, outside the closed forms' family.
 
-    The X-state fast paths assume at most one of the two coherence slots is
-    populated; states with both slots active need the generic matrix route.
+    ``XState`` refuses such a state when it is built, and ``xstate_measures``
+    such array elements; the generic matrix route takes any density matrix.
     """
 
 
@@ -54,16 +46,17 @@ class XState:
     ``a``, ``b``, ``c``, ``d`` are (3x) the occupations of |++>, |+->, |-+>,
     |-->; ``z_inner`` is (3x) the real |+-><-+| coherence and ``z_corner``
     (3x) the real |++><--| one.  Positivity of the physical matrix requires
-    ``z_inner**2 <= b*c`` and ``z_corner**2 <= a*d``.
+    ``z_inner**2 <= b*c`` and ``z_corner**2 <= a*d``.  At most one of the
+    two coherences may be nonzero (``UnsupportedShapeError`` otherwise).
 
     Beside its six fields a state keeps what the engine reads of it,
     derived once when it is built, right after the checks: the checked
-    coefficient tuple (``_COEFFICIENTS``), the discriminant at tau = 0
+    coefficients as a tuple of floats, the discriminant at tau = 0
     (``_discriminant``) and the first stretch's (p2, p1, p0)
-    (``_quadratic``), the last two None where both coherence slots are
-    active.  They take no part in the constructor, ``repr``, ``==``,
-    ``hash`` or ``__match_args__``; ``dataclasses.replace`` derives them
-    anew, and copies and pickles carry them.
+    (``_quadratic``), all three read through ``_constants``.  They take no
+    part in the constructor, ``repr``, ``==``, ``hash`` or
+    ``__match_args__``; ``dataclasses.replace`` derives them anew, and
+    copies and pickles carry them.
     """
 
     a: float
@@ -73,16 +66,15 @@ class XState:
     z_inner: float = 0.0
     z_corner: float = 0.0
     _coefficients: tuple = field(init=False, repr=False, compare=False)
-    _d0: float | None = field(init=False, repr=False, compare=False)
-    _q: tuple | None = field(init=False, repr=False, compare=False)
+    _d0: float = field(init=False, repr=False, compare=False)
+    _q: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coefficients = check_coefficients(
-            self.a, self.b, self.c, self.d, self.z_inner, self.z_corner)
-        d0 = _discriminant(coefficients)
+        coefficients = tuple(map(float, check_coefficients(
+            self.a, self.b, self.c, self.d, self.z_inner, self.z_corner)))
+        _SET_D0(self, _discriminant(coefficients))
         _SET_COEFFICIENTS(self, coefficients)
-        _SET_D0(self, d0)
-        _SET_Q(self, None if d0 is None else _quadratic(coefficients))
+        _SET_Q(self, _quadratic(coefficients))
 
 
 # The engine's constants, stored through the slots' descriptors: the class
@@ -90,19 +82,29 @@ class XState:
 _SET_COEFFICIENTS, _SET_D0 = XState._coefficients.__set__, XState._d0.__set__
 _SET_Q = XState._q.__set__
 _FIELDS = ("a", "b", "c", "d", "z_inner", "z_corner")
-_COEFFICIENTS = attrgetter("_coefficients")  # an XState's six, the engine's coefficient tuple
 
 
-def _discriminant(coefficients: tuple) -> float | None:
+def _constants(state: XState) -> tuple:
+    """What the engine reads of a state: (coefficients, d0, Q), as built.
+    Anything but an ``XState`` raises TypeError, as a bad schedule does."""
+    try:
+        return state._coefficients, state._d0, state._q
+    except AttributeError:
+        raise TypeError(f"state must be an XState, got {state!r}") from None
+
+
+def _discriminant(coefficients: tuple) -> float:
     """The discriminant of a coefficient tuple: ``a*d - z_inner*z_inner``, or
-    ``b*c - z_corner*z_corner`` when the corner slot is active; None when
-    both slots are.  Squared as ``z * z``, as ``xstate_measures`` squares."""
+    ``b*c - z_corner*z_corner`` when the corner slot is active; both slots
+    active raise UnsupportedShapeError.  Squared as ``z * z``, as
+    ``xstate_measures`` squares."""
     a, b, c, d, z_inner, z_corner = coefficients
     if z_corner == 0.0:
         return a * d - z_inner * z_inner
     if z_inner == 0.0:
         return b * c - z_corner * z_corner
-    return None
+    raise UnsupportedShapeError(f"XState needs at most one active coherence slot, got "
+                                f"z_inner = {z_inner!r} and z_corner = {z_corner!r}")
 
 
 def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
@@ -116,7 +118,7 @@ def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
     a, b, c, _, z_inner, z_corner = coefficients
     p2 = a * a
     p1 = -a * (b + c + 2.0 * a)
-    if z_corner != 0.0:  # XState derives no Q where both slots are active
+    if z_corner != 0.0:  # then z_inner is 0: XState holds one slot at most
         p0 = (b + a) * (c + a) - z_corner * z_corner
     else:
         p0 = 3.0 * a - z_inner * z_inner
@@ -124,10 +126,10 @@ def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
 
 
 def _is_finite(value) -> bool:
-    """``math.isfinite``, with an int beyond float range not finite."""
+    """``math.isfinite``, with an int beyond float range, or text, not finite."""
     try:
         return math.isfinite(value)
-    except OverflowError:  # int too large to convert to float
+    except (OverflowError, TypeError):
         return False
 
 
@@ -192,24 +194,26 @@ def to_density_matrix(state: XState) -> np.ndarray:
     return m / 3.0
 
 
-def require_hermitian(m: np.ndarray) -> np.ndarray:
-    """Return ``m`` as a complex 4x4 array, or raise if it is not Hermitian."""
+def _unit_trace_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m`` as a complex 4x4 array, checked Hermitian with unit trace, both
+    to 1e-12 (round-off, never a real violation)."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.abs(m - m.conj().T) <= HERMITIAN_ATOL):
+    if not np.all(np.abs(m - m.conj().T) <= 1e-12):
         raise ValueError("matrix is not Hermitian within tolerance")
+    trace = m.trace().real
+    if abs(trace - 1.0) > 1e-12:
+        raise ValueError(f"matrix trace must be 1, got {trace!r}")
     return m
 
 
 def validate_density_matrix(m: np.ndarray) -> np.ndarray:
-    """Check the density-matrix invariants: Hermitian, unit trace, PSD."""
-    m = require_hermitian(m)
-    trace = m.trace().real
-    if abs(trace - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace must be 1, got {trace!r}")
+    """Check the density-matrix invariants: Hermitian, unit trace, and no
+    eigenvalue below -1e-10."""
+    m = _unit_trace_hermitian(m)
     smallest = float(np.linalg.eigvalsh(m)[0])
-    if smallest < EIGENVALUE_FLOOR:
+    if smallest < -1e-10:
         raise ValueError(f"density matrix has negative eigenvalue {smallest!r}")
     return m
 
@@ -224,10 +228,7 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     with the corner pair.  Transposing Alice's qubit instead gives the
     transpose of this result, so the same spectrum.
     """
-    m = require_hermitian(m)
-    trace = m.trace().real
-    if abs(trace - 1.0) > TRACE_ATOL:
-        raise ValueError(f"matrix trace must be 1, got {trace!r}")
+    m = _unit_trace_hermitian(m)
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
@@ -327,7 +328,8 @@ def concurrence(m: np.ndarray) -> float:
     m = validate_density_matrix(m)
     w, v = np.linalg.eigh(m)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
+    sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    yy = np.kron(sigma_y, sigma_y)
     lam = np.linalg.svd(root @ yy @ root.conj() @ yy, compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 

@@ -19,10 +19,10 @@ from esdsim import (
     find_ad_crossing,
     find_aversion_threshold,
     find_end_time,
-    single_switch_curve,
     sweep_switch_times,
 )
 from esdsim.channel import evolve_kraus
+from esdsim.deathclock import single_switch_curve
 from esdsim.qstate import (
     concurrence,
     negativity,

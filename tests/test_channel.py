@@ -5,30 +5,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esdsim import Schedule, XState, evolve_xstate_closed, state_at
-from esdsim.channel import amplitude_damping_kraus, evolve_kraus, gamma_factor
+from esdsim.channel import evolve_kraus
 from esdsim.qstate import to_density_matrix, validate_density_matrix
 
-from conftest import random_xstate
+from conftest import random_density_matrix, random_xstate
 
 CANONICAL = XState(1.0, 1.0, 1.0, 0.0, z_inner=1.0)
 
 
 def test_gamma_factor_values():
-    assert gamma_factor(0.0) == 1.0
-    assert gamma_factor(math.log(4.0)) == pytest.approx(0.5, abs=1e-15)
+    # The survival factor gamma = exp(-tau/2), as evolve_kraus applies it:
+    # nothing moves at tau = 0; at tau = ln 4, gamma = 1/2, so |++> keeps
+    # gamma**4, feeds gamma**2 (1 - gamma**2) to each singly excited level
+    # and (1 - gamma**2)**2 to |-->, and the inner coherence keeps gamma**2.
+    m = to_density_matrix(CANONICAL)
+    assert np.array_equal(evolve_kraus(m, 0.0), m)
+    excited = evolve_kraus(np.diag([1.0, 0.0, 0.0, 0.0]), math.log(4.0))
+    assert np.allclose(excited, np.diag([1.0, 3.0, 3.0, 9.0]) / 16.0, rtol=0.0, atol=1e-15)
+    assert evolve_kraus(m, math.log(4.0))[1, 2] == pytest.approx(m[1, 2] / 4.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("tau", [-1e-9, math.inf, math.nan])
 def test_gamma_factor_rejects_bad_tau(tau):
-    with pytest.raises(ValueError):
-        gamma_factor(tau)
+    with pytest.raises(ValueError, match=r"^tau must be finite and non-negative, got "):
+        evolve_kraus(to_density_matrix(CANONICAL), tau)
 
 
 def test_an_int_beyond_float_range_is_not_a_finite_tau():
     # Each of these raised a bare OverflowError: int too large to convert to float.
     refused = r"^tau must be finite and non-negative, got -?1000"
     for huge in (10**400, -(10**400)):
-        for query in (lambda: gamma_factor(huge),
+        for query in (lambda: evolve_kraus(to_density_matrix(CANONICAL), huge),
                       lambda: evolve_xstate_closed(CANONICAL, huge),
                       lambda: state_at(CANONICAL, Schedule(), huge)):
             with pytest.raises(ValueError, match=refused):
@@ -36,16 +43,16 @@ def test_an_int_beyond_float_range_is_not_a_finite_tau():
 
 
 def test_kraus_pair_is_trace_preserving():
-    for gamma in (1.0, 0.7, 0.2, 1e-6):
-        k0, k1 = amplitude_damping_kraus(gamma)
-        total = k0.conj().T @ k0 + k1.conj().T @ k1
-        assert np.allclose(total, np.eye(2), atol=1e-15)
-
-
-@pytest.mark.parametrize("gamma", [0.0, -0.1, 1.1])
-def test_kraus_rejects_bad_gamma(gamma):
-    with pytest.raises(ValueError, match="gamma"):
-        amplitude_damping_kraus(gamma)
+    # At gamma = 1, 0.7, 0.2, 1e-6 and 0 (exp(-tau/2) underflows past tau
+    # ~ 1490), a density matrix stays one: its trace is 1 to round-off.
+    rng = np.random.default_rng(13)
+    for tau in (0.0, -2.0 * math.log(0.7), -2.0 * math.log(0.2), -2.0 * math.log(1e-6),
+                2000.0):
+        for _ in range(20):
+            out = validate_density_matrix(evolve_kraus(random_density_matrix(rng), tau))
+            assert abs(out.trace() - 1.0) <= 1e-15
+    ground = np.diag([0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(evolve_kraus(to_density_matrix(CANONICAL), 2000.0), ground)
 
 
 def test_closed_form_occupations_at_half_life():

@@ -30,7 +30,6 @@ from esdsim import (
     find_ad_crossing,
     find_aversion_threshold,
     find_end_time,
-    single_switch_curve,
     state_at,
     sweep_switch_times,
     trajectory,
@@ -48,7 +47,7 @@ from esdsim.qstate import (
 import esdsim.cli
 from esdsim import deathclock, qstate
 from esdsim.cli import main as cli_main
-from esdsim.deathclock import _quadratic
+from esdsim.deathclock import _quadratic, single_switch_curve
 
 from conftest import random_xstate
 
@@ -125,8 +124,14 @@ def test_discriminant_sign_matches_negativity():
 
 
 def test_discriminant_rejects_two_active_slots():
-    with pytest.raises(UnsupportedShapeError):
-        discriminant(XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=0.3))
+    # The discriminant reads one coherence slot, so a state with both active
+    # is refused when it is built; no query sees one.  -0.0 is no coherence.
+    with pytest.raises(UnsupportedShapeError, match=(
+            r"^XState needs at most one active coherence slot, "
+            r"got z_inner = 0\.3 and z_corner = 0\.3$")):
+        XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=0.3)
+    assert discriminant(XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=-0.0)) == (
+        0.75 * 0.75 - 0.3 * 0.3)
 
 
 @pytest.mark.parametrize("kind", list(Switch))
@@ -145,7 +150,7 @@ def test_segment_quadratic_reproduces_discriminant():
     for _ in range(200):
         slot = "inner" if rng.uniform() < 0.5 else "corner"
         s = random_xstate(rng, slot=slot)
-        p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(s))
+        p2, p1, p0 = _quadratic(s._coefficients)
         tau = rng.uniform(0.0, 4.0)
         u = math.exp(-tau)
         direct = discriminant(evolve_xstate_closed(s, tau))
@@ -242,9 +247,20 @@ def test_trajectory_matches_matrix_route():
 
 
 def test_trajectory_rejects_two_active_slots():
-    both = XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=0.3)
+    # No state with two active slots reaches trajectory, not even as a copy
+    # of one with the other slot filled, and none arises on the way: a flow
+    # keeps each coherence in its slot and a switch keeps it or moves it.
+    one = XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3)
     with pytest.raises(UnsupportedShapeError):
-        trajectory(both, Schedule(), [0.0, 1.0])
+        dataclasses.replace(one, z_corner=0.3)
+    rng = np.random.default_rng(239)
+    for _ in range(50):
+        state = random_xstate(rng, slot=rng.choice(["inner", "corner"]))
+        times = np.sort(rng.uniform(0.0, 2.0, size=2))
+        schedule = Schedule(tuple(SwitchEvent(float(t), kind)
+                                  for t, kind in zip(times, rng.choice(list(Switch), 2))))
+        traj = trajectory(state, schedule, np.linspace(0.0, 3.0, 31))
+        assert not np.any((traj.z_inner != 0.0) & (traj.z_corner != 0.0))
 
 
 def test_evolve_makes_no_eigen_call(monkeypatch, capsys):
@@ -543,7 +559,7 @@ def scalar_query_results():
         values.append(answer(find_ad_crossing, state))
         lines.append(" ".join(
             repr(v if v is None or isinstance(v, (int, str)) else float(v))
-            for v in [*qstate._COEFFICIENTS(state), *values]))
+            for v in [*state._coefficients, *values]))
     return "\n".join(lines)
 
 
@@ -621,7 +637,7 @@ def reference_end_time(state, schedule):
     if d0 >= 0.0:
         return DeathReport(Fate.NEVER_ENTANGLED, None, d0)
     for start, end, current in reference_stretches(state, schedule):
-        p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(current))
+        p2, p1, p0 = _quadratic(current._coefficients)
         if end != math.inf:
             u_end = float(np.exp(start - end))
         elif p0 <= 0.0:
@@ -774,6 +790,26 @@ def test_ints_beyond_float_range_are_refused_naming_the_field():
         single_switch_curve(huge)
 
 
+def test_text_none_and_complex_scalars_are_refused_naming_the_field():
+    # Each raised a bare TypeError, such as "must be real number, not str",
+    # that named no field.
+    m = to_density_matrix(CANONICAL)
+    for value, shown in (("1", "'1'"), (None, "None"), (1j, "1j")):
+        with pytest.raises(ValueError, match=rf"^XState\.a must be finite, got {shown}$"):
+            XState(value, 1, 1, 0)
+        with pytest.raises(ValueError, match=rf"^XState\.z_inner must be finite, got {shown}$"):
+            XState(1.0, 1.0, 1.0, 0.0, value)
+    for value, shown in (("0.1", "'0.1'"), (None, "None"), (0.1j, r"0\.1j")):
+        with pytest.raises(ValueError, match=rf"^SwitchEvent\.tau must be >= 0, got {shown}$"):
+            SwitchEvent(value, Switch.BOTH)
+        for query in (lambda: state_at(CANONICAL, Schedule(), value),
+                      lambda: evolve_xstate_closed(CANONICAL, value),
+                      lambda: evolve_kraus(m, value)):
+            with pytest.raises(ValueError,
+                               match=rf"^tau must be finite and non-negative, got {shown}$"):
+                query()
+
+
 def test_text_times_and_malformed_brackets_are_refused():
     # numpy parses text as floats: end_times took ["0.1", "0.2"] and [b"0.1"],
     # and find_aversion_threshold took the bracket "01" as (0, 1); (0.0,)
@@ -786,6 +822,10 @@ def test_text_times_and_malformed_brackets_are_refused():
     for bracket in ("01", (0.0,), (None, 1), (0.0, "1"), (0.0, 0.5, 1.0), 1.0):
         with pytest.raises(BracketError, match=r"^bad bracket "):
             find_aversion_threshold(CANONICAL, Switch.BOTH, bracket)
+    # single_switch_curve("0.5") gave 0.5285954792089683, and ["0.5"] an array.
+    for x in ("0.5", ["0.5"], [0.5, None], 0.5j, b"0.5"):
+        with pytest.raises(ValueError, match=r"^x = exp\(-tau_sw\) must lie in \(0, 1\], got "):
+            single_switch_curve(x)
     # Numbers of any real type still pass, as the same floats.
     assert find_aversion_threshold(CANONICAL, Switch.BOTH, (0, np.float32(1))) == (
         find_aversion_threshold(CANONICAL, Switch.BOTH, (0.0, 1.0)))
@@ -802,12 +842,16 @@ def test_text_times_and_malformed_brackets_are_refused():
     lambda s: find_aversion_threshold(s, Switch.ALICE, (0.0, 1.0)),
     lambda s: sweep_switch_times(s),
     lambda s: sweep_switch_times(s, grid=[0.1]),
+    lambda s: evolve_xstate_closed(s, 0.1),
+    lambda s: apply_xstate(s, Switch.BOTH),
 ], ids=["discriminant", "find_end_time", "state_at", "find_ad_crossing", "trajectory",
-        "end_times", "threshold", "threshold_bracket", "sweep", "sweep_grid"])
+        "end_times", "threshold", "threshold_bracket", "sweep", "sweep_grid",
+        "evolve_xstate_closed", "apply_xstate"])
 @pytest.mark.parametrize("state", [(1, 1, 1, 0, 1, 0), None, to_density_matrix(CANONICAL)],
                          ids=["tuple", "none", "matrix"])
 def test_a_state_that_is_not_an_xstate_is_refused_by_name(query, state):
-    # Each raised an AttributeError, such as "'tuple' object has no attribute 'a'".
+    # Each raised an AttributeError, such as "'tuple' object has no attribute
+    # 'a'" or "... no attribute '_coefficients'".
     with pytest.raises(TypeError, match=r"^state must be an XState, got "):
         query(state)
 
@@ -823,7 +867,7 @@ def test_fate_and_measures_agree_at_the_positivity_edge_exactly():
     assert discriminant(state) == 0.0
     assert find_end_time(state) == DeathReport(Fate.NEVER_ENTANGLED, None, 0.0)
     assert end_times(state, Switch.ALICE, [0.0, 0.5])[0].tolist() == [Fate.NEVER_ENTANGLED] * 2
-    negativity_, concurrence_, _ = qstate.xstate_measures(*qstate._COEFFICIENTS(state))
+    negativity_, concurrence_, _ = qstate.xstate_measures(*state._coefficients)
     assert negativity_ == concurrence_ == 0.0
 
 
@@ -946,39 +990,42 @@ def test_trajectory_matches_state_at_at_the_edges(state, events, times):
              max_size=2, unique_by=lambda event: event[0]),
 )
 def test_a_state_keeps_its_engine_constants_from_its_six_fields(state, other, events):
-    # The other coherence slot is filled to a fraction of its positivity edge,
-    # so two-slot states come too (the fraction may be 0).
+    # The other coherence slot filled to a fraction of its positivity edge
+    # is refused, unless the fraction (or the edge) is 0.
     a, b, c, d, z_inner, z_corner = (getattr(state, name) for name in COLUMNS[:6])
     if z_corner == 0.0:
         z_corner = other * math.sqrt(a * d)
     else:
         z_inner = other * math.sqrt(b * c)
+    if z_inner != 0.0 and z_corner != 0.0:
+        with pytest.raises(UnsupportedShapeError):
+            XState(a, b, c, d, z_inner, z_corner)
+        return
     state = XState(a, b, c, d, z_inner, z_corner)
     # What the engine reads equals a fresh computation from the six fields,
-    # bit for bit: the coefficient tuple, the discriminant at tau = 0 and the
-    # first stretch's Q, both None for two active slots.
-    if z_inner != 0.0 and z_corner != 0.0:
-        d0 = q = None
-    elif z_corner != 0.0:
+    # bit for bit: the coefficient tuple (of floats), the discriminant at
+    # tau = 0 and the first stretch's Q.
+    if z_corner != 0.0:
         d0 = b * c - z_corner * z_corner
         q = (a * a, -a * (b + c + 2.0 * a), (b + a) * (c + a) - z_corner * z_corner)
     else:
         d0 = a * d - z_inner * z_inner
         q = (a * a, -a * (b + c + 2.0 * a), 3.0 * a - z_inner * z_inner)
-    kept = (qstate._COEFFICIENTS(state), state._d0, state._q)
+    kept = qstate._constants(state)
     assert repr(kept) == repr(((a, b, c, d, z_inner, z_corner), d0, q))
+    assert all(type(v) is float for v in kept[0])
     # Copies, pickles and replace give states that answer as the original does.
     schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in sorted(events)))
     for twin in (dataclasses.replace(state), copy.copy(state), copy.deepcopy(state),
                  pickle.loads(pickle.dumps(state))):
         assert twin == state and hash(twin) == hash(state) and repr(twin) == repr(state)
-        assert repr((qstate._COEFFICIENTS(twin), twin._d0, twin._q)) == repr(kept)
+        assert repr(qstate._constants(twin)) == repr(kept)
         assert bits(find_end_time, twin, schedule) == bits(find_end_time, state, schedule)
     # The constants are no fields of the constructor, repr, == or match.
     assert [f.name for f in dataclasses.fields(XState) if f.init] == list(COLUMNS[:6])
     assert XState.__match_args__ == COLUMNS[:6]
     assert repr(state) == "XState(" + ", ".join(
-        f"{name}={value!r}" for name, value in zip(COLUMNS, kept[0])) + ")"
+        f"{name}={value!r}" for name, value in zip(COLUMNS, (a, b, c, d, z_inner, z_corner))) + ")"
 
 
 # Switch times where u = exp(-tau) underflows: around TAU_ZERO, and past it.
@@ -1028,7 +1075,7 @@ def test_search_probe_matches_end_times_at_the_edges(state, kind, switch_times):
     fate, tau_end = end_times(state, kind, switch_times)
     u = np.exp(-np.array(switch_times))
     first, (q2, q1, q0) = deathclock._single_switch(state, kind, u)
-    p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(state))
+    p2, p1, p0 = _quadratic(state._coefficients)
     q_end = (p2 * u + p1) * u + p0
     threshold = deathclock._probe(state, kind)
     minimum = deathclock._probe(state, kind, slope=True)
@@ -1091,11 +1138,10 @@ def test_sweep_minimum_end_time_is_end_times_at_it(monkeypatch):
 
 
 def test_end_times_validate_their_inputs():
-    both = XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=1e-320)
+    # A subnormal coherence is an active slot: the state with it in both is
+    # refused when it is built, before end_times or find_end_time sees it.
     with pytest.raises(UnsupportedShapeError):
-        end_times(both, Switch.BOTH, [0.1])
-    with pytest.raises(UnsupportedShapeError):
-        find_end_time(both, Schedule.single(0.1, Switch.BOTH))
+        XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=1e-320)
     with pytest.raises(ValueError, match="finite and >= 0, got -0.1"):
         end_times(CANONICAL, Switch.ALICE, [0.0, -0.1])
     with pytest.raises(TypeError):
@@ -1464,7 +1510,7 @@ def reference_probe(state, kind):
     """The fate after one switch, and max(Q(x), q0 / w), w = x (1 + (1 - x)/2)
     after a single flip where x > 0 and 1 otherwise."""
     entangled, single = discriminant(state) < 0.0, kind is not Switch.BOTH
-    p2, p1, p0 = _quadratic(qstate._COEFFICIENTS(state))
+    p2, p1, p0 = _quadratic(state._coefficients)
 
     def probe(tau_sw):
         x = float(np.exp(-tau_sw))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esdsim import Schedule, Switch, SwitchEvent, XState, apply_xstate
-from esdsim.intervention import apply_unitary, switch_coefficients, unitary_matrix
+from esdsim.intervention import apply_unitary, switch_coefficients
 from esdsim.qstate import concurrence, negativity, to_density_matrix
 
 from conftest import outcome, random_density_matrix, random_unitary2, random_xstate
@@ -15,9 +15,15 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_switch_matrices():
-    assert np.array_equal(unitary_matrix(Switch.BOTH), np.kron(PAULI_X, PAULI_X))
-    assert np.array_equal(unitary_matrix(Switch.ALICE), np.kron(PAULI_X, np.eye(2)))
-    assert np.array_equal(unitary_matrix(Switch.BOB), np.kron(np.eye(2), PAULI_X))
+    # Where each named flip sends each basis projector |k><k|, k indexing
+    # (|++>, |+->, |-+>, |-->): flipping both reverses the order, Alice's
+    # flip exchanges her level and Bob's his.
+    images = {Switch.BOTH: (3, 2, 1, 0), Switch.ALICE: (2, 3, 0, 1), Switch.BOB: (1, 0, 3, 2)}
+    basis = np.eye(4)
+    for op, image in images.items():
+        for k, j in enumerate(image):
+            projector = np.outer(basis[k], basis[k])
+            assert np.array_equal(apply_unitary(projector, op), np.outer(basis[j], basis[j]))
 
 
 def test_swap_both_reverses_occupations():
@@ -100,8 +106,6 @@ def test_switch_matrices_take_named_switches_only():
     # The matrix route knows the three named switches and nothing else.
     m = to_density_matrix(XState(1.0, 1.0, 1.0, 0.0, z_inner=1.0))
     for op in ("alice", types.SimpleNamespace(_value_="alice"), None, np.eye(4)):
-        with pytest.raises(TypeError, match="named Switch"):
-            unitary_matrix(op)
         with pytest.raises(TypeError, match="named Switch"):
             apply_unitary(m, op)
 

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, strategies as st
 
 from esdsim import UnsupportedShapeError, XState
 from esdsim.qstate import (
-    _COEFFICIENTS,
     _XSTATE_ATOL,
     check_coefficients,
     concurrence,
@@ -64,8 +63,10 @@ def test_xstate_rejects_nonfinite():
         XState(math.nan, 1.0, 1.0, 1.0)
 
 
-def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0):
-    """The field checks as loops over the field names: the reference."""
+def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0, one_slot=True):
+    """The field checks as loops over the field names: the reference.  With
+    ``one_slot``, the rule an ``XState`` adds to ``check_coefficients``: at
+    most one coherence slot active."""
     self = SimpleNamespace(a=a, b=b, c=c, d=d, z_inner=z_inner, z_corner=z_corner)
     for name in ("a", "b", "c", "d", "z_inner", "z_corner"):
         value = getattr(self, name)
@@ -88,6 +89,11 @@ def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0):
         raise ValueError(
             f"XState positivity violated: z_corner^2 = {self.z_corner**2!r} "
             f"exceeds a*d = {self.a * self.d!r}"
+        )
+    if one_slot and self.z_inner != 0.0 and self.z_corner != 0.0:
+        raise UnsupportedShapeError(
+            f"XState needs at most one active coherence slot, got "
+            f"z_inner = {float(self.z_inner)!r} and z_corner = {float(self.z_corner)!r}"
         )
 
 
@@ -141,9 +147,11 @@ def test_xstate_checks_are_the_loops(fields):
     # The one-pass test and the ordered checks behind it, on a state or on
     # a tuple, accept exactly what the field-name loops accept and reject
     # the rest with the same exception and message; a tuple that passes
-    # comes back as it went in.
-    expected = outcome(loop_checked_xstate, *fields)
-    assert outcome(XState, *fields) == outcome(check_coefficients, *fields) == expected
+    # comes back as it went in.  A state refuses two active coherence slots
+    # besides; a tuple need not, as a flow or a switch keeps one slot one.
+    assert outcome(XState, *fields) == outcome(loop_checked_xstate, *fields)
+    expected = outcome(loop_checked_xstate, *fields, False)
+    assert outcome(check_coefficients, *fields) == expected
     if expected == "ok":
         assert check_coefficients(*fields) == tuple(fields)
 
@@ -285,9 +293,13 @@ def test_negativity_closed_form_matches_matrix_corner(state):
 
 
 def test_negativity_closed_form_rejects_two_active_slots():
-    state = XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=0.3)
-    with pytest.raises(UnsupportedShapeError):
-        negativity_xstate(state)
+    # The closed form takes one active coherence slot: a state with two is
+    # refused when it is built, and an array element with two by the
+    # measures themselves.
+    with pytest.raises(UnsupportedShapeError, match=r"^XState needs at most one active"):
+        XState(0.75, 0.75, 0.75, 0.75, z_inner=0.3, z_corner=0.3)
+    with pytest.raises(UnsupportedShapeError, match="at most one active coherence slot"):
+        xstate_measures(0.75, 0.75, 0.75, 0.75, [0.3, 0.0], [0.3, 0.3])
 
 
 def test_negativity_invariant_under_local_unitaries():
@@ -341,7 +353,7 @@ def test_concurrence_keeps_its_digits_at_the_positivity_edge():
         sign = rng.choice([-1.0, 1.0])
         for slots in ((sign * math.sqrt(b * c), 0.0), (0.0, sign * math.sqrt(a * d))):
             state = XState(a, b, c, d, *slots)
-            expected = xstate_measures(*_COEFFICIENTS(state))[1]
+            expected = xstate_measures(*state._coefficients)[1]
             assert abs(concurrence(to_density_matrix(state)) - expected) <= 1e-12, state
 
 
@@ -383,7 +395,7 @@ def test_measures_at_the_occupation_edges_are_numbers(state):
     # underflows beside two zero occupations, or beside one a round-off
     # below 0; it reads as 0.  So no measure is NaN, and the concurrence
     # is the matrix route's.
-    measures = xstate_measures(*_COEFFICIENTS(state))
+    measures = xstate_measures(*state._coefficients)
     assert not any(np.isnan(m) for m in measures), (state, measures)
     assert measures[1] == pytest.approx(concurrence(to_density_matrix(state)), abs=1e-7)
 
