@@ -11,13 +11,14 @@ A scenario lives in a JSON config (see ``ScenarioConfig``); every flag
 overrides its config field, merged into the JSON object before one check per
 field, which names the field it rejects.  A bool is not a number there, and
 ``schedule`` must be a list.  The six coefficients are also checked as one
-state (``config state: ...``; a coherence whose square overflows names its
-field), a grid the sweep refuses, one that reaches the unswitched end time,
-names ``grid``, a nonzero time subnormal in tau names its field, and a
-subnormal ``gamma``, or one so small that a ``critical`` time overflows as
-tau / gamma, names ``gamma``: once the flags parse, every error on the
-config's values starts with ``config``, and an ``--out`` file that cannot
-be opened reads ``out file``.  Times in the
+state (``config state: ...`` and ``XState``'s message, which names what
+fails: a sum or a square past float range reads as inf, and two active
+coherences name both fields), a grid the sweep refuses, one that reaches
+the unswitched end time, names ``grid``, a nonzero time subnormal in tau
+names its field, and a subnormal ``gamma``, or one so small that a
+``critical`` time overflows as tau / gamma, names ``gamma``: once the flags
+parse, every error on the config's values starts with ``config``, and an
+``--out`` file that cannot be opened reads ``out file``.  Times in the
 config and flags are dimensionless (tau = gamma * t) unless ``time_unit`` is
 ``"physical"``; output time columns named ``tau`` are always dimensionless,
 and ``critical`` also reports physical times t = tau / gamma.
@@ -288,16 +289,10 @@ class ScenarioConfig:
         _require("gamma", self.gamma > 0.0, "must be positive", self.gamma)
         _require("gamma", self.gamma >= sys.float_info.min, "too small: a subnormal gamma "
                  "keeps few digits, and tau / gamma soon overflows", self.gamma)
-        _require("z_corner", self.z_inner == 0.0 or self.z_corner == 0.0,
-                 "must be 0 when z_inner is not: one coherence slot at most", self.z_corner)
         try:
             self.initial_state()
         except ValueError as exc:
             raise ValueError(f"config state: {exc}") from exc
-        except OverflowError as exc:  # z**2 of a huge z, in the one active slot
-            name = "z_inner" if self.z_inner != 0.0 else "z_corner"
-            raise ValueError(f"config field '{name}': must have a finite square, "
-                             f"got {getattr(self, name)!r}") from exc
         _require("time_unit", self.time_unit in ("tau", "physical"),
                  "must be 'tau' or 'physical'", self.time_unit)
         _require("switch", self.switch in _SWITCH_CHOICES,

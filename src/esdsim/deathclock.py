@@ -28,11 +28,12 @@ helpers' operations written out, so that its only Python-level calls are
 ``check_coefficients`` and ``DeathReport``.  ``state_at`` and
 ``trajectory`` walk the same stretches through ``_stretches``, and
 ``end_times`` decides a single switch at an array of switch times with the
-same arithmetic, which the sweep (``sweep_switch_times``) calls block by
-block on times it has checked once.  exp and log come from numpy on every
-path, floats and arrays alike, so all of them agree bit for bit.  Every
-public function here that takes a state raises TypeError for one that is
-not an ``XState``, and refuses times that are not real numbers.
+same arithmetic, ``BLOCK_ROWS`` rows at a time; the sweep
+(``sweep_switch_times``) calls it once, on times it has checked.  exp and
+log come from numpy on every path, floats and arrays alike, so all of them
+agree bit for bit.  Every public function here that takes a state raises
+TypeError for one that is not an ``XState``, and refuses times that are
+not real numbers.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .intervention import _SWITCHED, Schedule, Switch, switch_coefficients
 from .qstate import XState, _constants, _quadratic, check_coefficients, xstate_measures
 
 
-BLOCK_ROWS = 1 << 14  # rows per block of the sweep and of evolve: bounded temporaries
+BLOCK_ROWS = 1 << 14  # rows per block of end_times and of evolve: bounded temporaries
 _exp, _log = np.exp, np.log  # bound once: np's attribute lookup is a fifth of a float call
 
 
@@ -168,9 +169,9 @@ def _stretches(
     Yields (start, end, coefficients at start) for each stretch: from tau =
     0 to the first switch, between switches, and the open-ended tail last
     (end = inf).  A switch at ``start`` is already applied.  Lazy, so a walk
-    that stops early flows no later stretch.  The flow to u = e^-tau and the
-    switch are each checked as ``evolve_xstate_closed`` and ``apply_xstate``
-    check theirs, with no ``XState`` built.
+    that stops early flows no later stretch.  The flowed and the switched
+    coefficients are checked as ``evolve_xstate_closed`` and ``apply_xstate``
+    check theirs, with no ``XState`` built; the times, by ``Schedule``.
     """
     try:
         events = schedule.events
@@ -179,7 +180,7 @@ def _stretches(
     start, coefficients = 0.0, _constants(state)[0]
     for event in events:
         yield start, event.tau, coefficients
-        u = float(np.exp(-_check_tau(event.tau - start)))
+        u = float(np.exp(start - event.tau))
         coefficients = check_coefficients(*switch_coefficients(
             event.op, check_coefficients(*damped_coefficients(*coefficients, u))))
         start = event.tau
@@ -254,10 +255,10 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     stretch's state flowed to the end time.
 
     One loop over the schedule's events, with one ``np.exp`` per finite
-    stretch, and the tail after it: u_end = e^-(end - start) serves the
-    death test and, if the stretch lives, the checked flow and switch of
-    ``_stretches``; it has the bits of ``trajectory``'s
-    np.exp(start - end), as fl(s - e) = -fl(e - s).  The state's
+    stretch, and the tail after it: u_end = np.exp(start - end), as
+    ``_stretches`` and ``trajectory`` take it, serves the death test and, if
+    the stretch lives, the checked flow and switch of ``_stretches``.  The
+    schedule's times need no second check there.  The state's
     coefficients, its discriminant at tau = 0 and the first stretch's Q are
     the ones it keeps from when it was built; each later stretch's Q is
     computed right after its switch.  The helpers' operations are written
@@ -280,9 +281,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     p2, p1, p0 = state._q
     start = 0.0
     for event in events:
-        if not 0.0 <= (tau := event.tau - start) < math.inf:
-            _check_tau(tau)  # raises
-        u_end = float(_exp(-tau))
+        u_end = float(_exp(start - event.tau))
         q_end = (p2 * u_end + p1) * u_end + p0
         if q_end > 0.0 or q_end == 0.0 and u_end > 0.0:
             break
@@ -417,9 +416,10 @@ def _end_times(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``end_times`` on switch times already checked.
 
-    Every row computes its dying stretch's root, clamp and log, so no row is
-    gathered or scattered; a row that does not die computes a value (or
-    NaN) that is never kept.
+    Decided ``BLOCK_ROWS`` rows at a time, so that its temporaries stay
+    bounded whatever the number of rows.  Every row computes its dying
+    stretch's root, clamp and log, so no row is gathered or scattered; a
+    row that does not die computes a value (or NaN) that is never kept.
     """
     if not isinstance(kind, Switch):
         raise TypeError(f"expected a named Switch, got {kind!r}")
@@ -427,20 +427,22 @@ def _end_times(
         fate = np.full(tau_sw.size, Fate.NEVER_ENTANGLED, np.int8)
         return fate, np.full(tau_sw.size, np.nan)
 
-    u_sw = np.exp(-tau_sw)
-    first, (r2, r1, r0) = _single_switch(state, kind, u_sw)
-    dies = first | (r0 > 0.0)
-    fate = (~dies).view(np.int8)  # FINITE_END is 0, AVERTED 1
+    fate, tau_end = np.empty(tau_sw.size, np.int8), np.empty(tau_sw.size)
+    for rows in (slice(i, i + BLOCK_ROWS) for i in range(0, tau_sw.size, BLOCK_ROWS)):
+        u_sw = np.exp(-tau_sw[rows])
+        first, (r2, r1, r0) = _single_switch(state, kind, u_sw)
+        dies = first | (r0 > 0.0)
+        fate[rows] = ~dies  # FINITE_END is 0, AVERTED 1
 
-    # The dying stretch: the first, from u = 1 at tau = 0 down to u_sw, or
-    # the tail, from u = 1 at tau_sw down to u = 0.
-    for r, p in zip((r2, r1, r0), state._q):
-        np.copyto(r, p, where=first)
-    u_end, start = np.where(first, u_sw, 0.0), np.where(first, 0.0, tau_sw)
-    with np.errstate(all="ignore"):
-        u_root = np.minimum(np.maximum(_smaller_root(r2, r1, r0), u_end), 1.0)
-        u_root = np.where(r2 + r1 + r0 < 0.0, u_root, 1.0)  # else death at the stretch start
-        tau_end = np.where(dies, start - np.log(u_root), np.nan)
+        # The dying stretch: the first, from u = 1 at tau = 0 down to u_sw,
+        # or the tail, from u = 1 at tau_sw down to u = 0.
+        for r, p in zip((r2, r1, r0), state._q):
+            np.copyto(r, p, where=first)
+        u_end, start = np.where(first, u_sw, 0.0), np.where(first, 0.0, tau_sw[rows])
+        with np.errstate(all="ignore"):
+            u_root = np.minimum(np.maximum(_smaller_root(r2, r1, r0), u_end), 1.0)
+            u_root = np.where(r2 + r1 + r0 < 0.0, u_root, 1.0)  # else death at the start
+            tau_end[rows] = np.where(dies, start - np.log(u_root), np.nan)
     return fate, tau_end
 
 
@@ -655,8 +657,8 @@ def sweep_switch_times(
 
     The default grid is 400 evenly spaced switch times in [0, baseline end);
     an explicit grid must be strictly increasing and stay below the baseline
-    end time when that is finite.  ``end_times`` decides the rows,
-    ``BLOCK_ROWS`` per call; only the baseline calls ``find_end_time``.  If
+    end time when that is finite.  ``end_times`` decides the rows, in one
+    call; only the baseline calls ``find_end_time``.  If
     the end time falls at the lower and rises at the upper of the grid
     minimum's dying neighbours, the minimum is searched between them on the
     sign of its slope; otherwise it is the grid row itself.
@@ -688,9 +690,7 @@ def _sweep_switch_times(
         if baseline_end is not None and taus[-1] >= baseline_end:
             raise ValueError(f"switch times must precede the unswitched end time "
                              f"{baseline_end!r}, got {taus[-1].item()!r}")
-    fate, tau_end = np.empty(taus.size, np.int8), np.empty(taus.size)
-    for rows in (slice(i, i + BLOCK_ROWS) for i in range(0, taus.size, BLOCK_ROWS)):
-        fate[rows], tau_end[rows] = _end_times(state, kind, taus[rows])
+    fate, tau_end = _end_times(state, kind, taus)
 
     ad_crossing = threshold = None
     with contextlib.suppress(NoCrossingError):

@@ -15,8 +15,8 @@ z_corner) and the inner (b, c, z_inner), so ``xstate_measures`` gives
 negativity, concurrence and entropy in closed form, elementwise on whole
 coefficient arrays.  The generic matrix functions (``negativity``,
 ``concurrence``, ``von_neumann_entropy``) take any two-qubit density matrix
-through an eigensolve; they are the independent oracle the tests hold the
-closed forms to.
+through an eigensolve or a factorization; they are the independent oracle
+the tests hold the closed forms to.
 """
 
 from __future__ import annotations
@@ -139,47 +139,48 @@ def check_coefficients(a, b, c, d, z_inner, z_corner) -> tuple:
     One chained test first, which accepts only valid tuples: bounded
     occupations with a finite sum, and finite squares bounded by finite
     products, leave no field infinite or NaN.  Its bounds are literals
-    (``_XSTATE_ATOL`` and three of it), and it squares as ``z * z``, which
-    is correctly rounded and takes about 25 ns, where ``z**2`` calls libm's
-    ``pow`` (about 60 ns) and may be one ulp off; its strict ``<`` on the
-    squares keeps it from accepting a tuple whose ``z**2`` the ordered
-    checks refuse.  Where it fails or raises (an int beyond float range),
-    the ordered checks run, and a failing one walks the fields in order to
-    name the first offender; an int beyond float range is not finite.  They
-    keep ``z**2``, so their verdicts and messages are the ones the library
-    always gave, and a square past float range still raises OverflowError
-    (``z * z`` would be inf).  Every state and every coefficient tuple the
-    engine derives (a flow, a switch) runs these.
+    (``_XSTATE_ATOL`` and three of it).  Where it fails or raises (an int
+    beyond float range, or a sum of ints past it), the ordered checks run,
+    and a failing one walks the fields in order to name the first offender;
+    an int beyond float range is not finite.  Past the finiteness check
+    they decide in floats, on the six values converted once, and square as
+    ``z * z``, as the one-pass test, ``xstate_measures`` and the engine
+    square: so the two accept the same floats, and every refused tuple
+    raises ValueError, never OverflowError (a sum or a square past float
+    range is inf).  A tuple that passes comes back as it went in.  Every
+    state and every coefficient tuple the engine derives (a flow, a switch)
+    runs these.
     """
     try:
         if (-1e-12 <= a and -1e-12 <= b and -1e-12 <= c and -1e-12 <= d
                 and -3e-12 <= a + b + c + d - 3.0 <= 3e-12
-                and z_inner * z_inner < b * c + 1e-12
-                and z_corner * z_corner < a * d + 1e-12):
+                and z_inner * z_inner <= b * c + 1e-12
+                and z_corner * z_corner <= a * d + 1e-12):
             return a, b, c, d, z_inner, z_corner
     except (ArithmeticError, TypeError, ValueError):
         pass
-    atol = _XSTATE_ATOL
-    for name, value in zip(_FIELDS, (a, b, c, d, z_inner, z_corner)):
+    atol, fields = _XSTATE_ATOL, (a, b, c, d, z_inner, z_corner)
+    for name, value in zip(_FIELDS, fields):
         if not _is_finite(value):
             raise ValueError(f"XState.{name} must be finite, got {value!r}")
+    a, b, c, d, z_inner, z_corner = map(float, fields)  # finite, so each converts
     for name, value in zip(_FIELDS, (a, b, c, d)):
         if value < -atol:
             raise ValueError(f"XState.{name} must be non-negative, got {value!r}")
     total = a + b + c + d
     if abs(total - 3.0) > 3e-12:
         raise ValueError(f"XState occupations must sum to 3, got {total!r}")
-    if z_inner**2 > b * c + atol:
+    if z_inner * z_inner > b * c + atol:
         raise ValueError(
-            f"XState positivity violated: z_inner^2 = {z_inner**2!r} "
+            f"XState positivity violated: z_inner^2 = {z_inner * z_inner!r} "
             f"exceeds b*c = {b * c!r}"
         )
-    if z_corner**2 > a * d + atol:
+    if z_corner * z_corner > a * d + atol:
         raise ValueError(
-            f"XState positivity violated: z_corner^2 = {z_corner**2!r} "
+            f"XState positivity violated: z_corner^2 = {z_corner * z_corner!r} "
             f"exceeds a*d = {a * d!r}"
         )
-    return a, b, c, d, z_inner, z_corner
+    return fields
 
 
 def to_density_matrix(state: XState) -> np.ndarray:
@@ -250,7 +251,8 @@ def _block_entropy(p: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
     the plain difference cancels when the block is nearly singular; an
     eigenvalue that is zero or (by round-off) negative contributes nothing.
     """
-    larger = 0.5 * (p + q) + np.sqrt((0.5 * (p - q)) ** 2 + z * z)
+    half_gap = 0.5 * (p - q)
+    larger = 0.5 * (p + q) + np.sqrt(half_gap * half_gap + z * z)
     smaller = np.divide(p * q - z * z, larger, out=np.zeros_like(larger),
                         where=larger > 0.0)
     lam = np.stack((larger, smaller)) / 3.0
@@ -292,7 +294,8 @@ def xstate_measures(
         )
     p, q = np.where(corner, b, a), np.where(corner, c, d)
     z = np.where(corner, z_corner, z_inner)
-    span = np.sqrt((p - q) ** 2 + 4.0 * z * z) + p + q
+    gap = p - q
+    span = np.sqrt(gap * gap + 4.0 * z * z) + p + q
     negativity_ = np.maximum(0.0, np.divide(
         2.0 * (z * z - p * q), 3.0 * span,
         out=np.zeros_like(z), where=(z != 0.0) & (span != 0.0),
@@ -316,21 +319,30 @@ def negativity_xstate(state: XState) -> float:
 def concurrence(m: np.ndarray) -> float:
     """Concurrence of a two-qubit density matrix (spin-flip construction).
 
-    Wootters' lambdas are the singular values of sqrt(m) @ sqrt(flipped),
-    where sqrt(m) comes from ``eigh`` with the eigenvalues clipped at 0 and
-    sqrt(flipped) = yy @ sqrt(m).conj() @ yy (Wootters, PRL 80, 2245
-    (1998)).  No square root is taken of an eigenvalue of ``m @ flipped``,
-    so on X states at the positivity edge ``z**2 = b*c`` this route keeps
-    the digits of the closed form in ``xstate_measures``.  An eigenvalue of
-    ``m`` within round-off of 0 still costs digits: beside an occupation
-    near 1e-16, where sqrt(b*c) is that sensitive, it reads to about 1e-8.
+    With m = W @ W^dagger, Wootters' lambdas, the square roots of the
+    eigenvalues of m @ yy @ m.conj() @ yy, are the singular values of
+    W.T @ yy @ W (Wootters, PRL 80, 2245 (1998)), so no root is taken of a
+    computed eigenvalue.  W comes from a Cholesky factorization with
+    diagonal pivoting: each step pivots on the largest remaining diagonal
+    entry of the Schur complement, each index once, and stops where none is
+    positive.  An occupation near 1e-16 then enters W as its own square
+    root, and on X states, at the positivity edge ``z*z = b*c`` and beside
+    such an occupation alike, this route keeps the digits of the closed
+    form in ``xstate_measures``.
     """
-    m = validate_density_matrix(m)
-    w, v = np.linalg.eigh(m)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    rest = validate_density_matrix(m).copy()
+    w, free = np.zeros((4, 4), dtype=complex), [0, 1, 2, 3]
+    for k in range(4):
+        j = max(free, key=lambda i: rest[i, i].real)
+        pivot = rest[j, j].real
+        if not pivot > 0.0:
+            break
+        free.remove(j)
+        w[j, k] = root = math.sqrt(pivot)
+        w[free, k] = rest[free, j] / root
+        rest -= np.outer(w[:, k], w[:, k].conj())
     sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    yy = np.kron(sigma_y, sigma_y)
-    lam = np.linalg.svd(root @ yy @ root.conj() @ yy, compute_uv=False)
+    lam = np.linalg.svd(w.T @ np.kron(sigma_y, sigma_y) @ w, compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -42,7 +42,8 @@ def random_unitary2(rng: np.random.Generator) -> np.ndarray:
 def outcome(build, *args):
     """What ``build(*args)`` does: "ok", or the exception's type and text.
 
-    Overflow counts as an outcome too: ``XState`` squares its coherences.
+    Overflow counts as an outcome too, so that a test can assert that a
+    check never overflows.
     """
     try:
         build(*args)

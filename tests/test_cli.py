@@ -112,12 +112,19 @@ def test_bad_field_types_exit_with_an_error(tmp_path, data):
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
-@pytest.mark.parametrize("slot", ["z_inner", "z_corner"])
-def test_a_coherence_whose_square_overflows_names_its_field(tmp_path, capsys, slot):
-    # The state check squares the coherence; the overflow names the field,
-    # in the library and on the command line.
-    data = {"a": 1, "b": 1, "c": 1, "d": 0, "z_inner": 0, slot: 1e300}
-    message = f"config field '{slot}': must have a finite square, got 1e+300"
+@pytest.mark.parametrize("data,message", [
+    # The state check squares a coherence as z * z: past float range, inf.
+    ({"z_inner": 1e300}, "XState positivity violated: z_inner^2 = inf exceeds b*c = 1.0"),
+    ({"z_inner": 0, "z_corner": 1e300},
+     "XState positivity violated: z_corner^2 = inf exceeds a*d = 0.0"),
+    # 309-digit ints, each a float, whose sum is inf.
+    ({"a": 10**308, "b": 10**308}, "XState occupations must sum to 3, got inf"),
+    ({"a": 0.75, "b": 0.75, "c": 0.75, "d": 0.75, "z_inner": 0.3, "z_corner": 0.3},
+     "XState needs at most one active coherence slot, got z_inner = 0.3 and z_corner = 0.3"),
+], ids=["z_inner", "z_corner", "occupation_sum", "two_slots"])
+def test_a_state_the_checks_refuse_reports_xstates_message(tmp_path, capsys, data, message):
+    # XState names what fails, in the library and on the command line.
+    message = f"config state: {message}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         config_from_dict(data)
     path = tmp_path / "scenario.json"

@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -763,6 +764,17 @@ def test_find_end_time_calls_only_its_checks_and_its_report(state, events, fate,
     assert entered == [find_end_time.__code__, *[check] * checked, init]
 
 
+@pytest.mark.parametrize("second, third", list(itertools.product(Switch, repeat=2)))
+def test_int_switch_times_one_float_apart_need_no_second_check(second, third):
+    # 10**16 and 10**16 + 1 are one float, 1e16, but a Schedule compares the
+    # ints exactly and keeps both.  find_end_time takes each gap as it comes,
+    # with no check of its own: the switches after the averting one at 0.1
+    # land on a separable state, whose stretch dies at its start, 1e16.
+    schedule = Schedule((SwitchEvent(0.1, Switch.BOTH), SwitchEvent(10**16, second),
+                         SwitchEvent(10**16 + 1, third)))
+    assert find_end_time(CANONICAL, schedule) == DeathReport(Fate.FINITE_END, 1e16, 0.0)
+
+
 GRID_QUERIES = (
     (lambda g: end_times(CANONICAL, Switch.BOTH, g), "switch times"),
     (lambda g: sweep_switch_times(CANONICAL, grid=g), "switch-time grid"),
@@ -921,6 +933,29 @@ def test_end_times_match_find_end_time(kind):
                 assert_end_times_match(state, kind, part)
         fates.update(assert_end_times_match(state, kind, grid).tolist())
     assert fates == set(Fate)
+
+
+def test_end_times_decides_its_rows_block_by_block(monkeypatch):
+    # BLOCK_ROWS rows at a time: with blocks of 7, every row of a 30-row
+    # grid, both sides of each block boundary and the short last block, is
+    # find_end_time's, bit for bit, for a state that dies, one that averts
+    # and one never entangled.  Its temporaries stay within a block, so the
+    # peak is about the checked times and the two results: 17 bytes a row,
+    # against 113 when every temporary spans the whole grid.
+    monkeypatch.setattr(deathclock, "BLOCK_ROWS", 7)
+    grid = np.linspace(0.0, 1.0, 30)
+    for state in (CANONICAL, CORNER, XState(0.0, 1.2, 1.2, 0.6, z_inner=1.0),
+                  XState(1.0, 1.0, 1.0, 0.0)):
+        for kind in Switch:
+            assert_end_times_match(state, kind, grid)
+    rows = np.linspace(0.0, 1.0, 7000)
+    tracemalloc.start()
+    try:
+        end_times(CANONICAL, Switch.BOTH, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * rows.size, peak
 
 
 # Hypothesis batteries at the edges of the physical region: a coherence on

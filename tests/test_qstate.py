@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import esdsim
 from esdsim import UnsupportedShapeError, XState
 from esdsim.qstate import (
     _XSTATE_ATOL,
@@ -64,7 +67,8 @@ def test_xstate_rejects_nonfinite():
 
 
 def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0, one_slot=True):
-    """The field checks as loops over the field names: the reference.  With
+    """The field checks as loops over the field names: the reference.  Past
+    the finiteness loop they decide in floats, squaring as products.  With
     ``one_slot``, the rule an ``XState`` adds to ``check_coefficients``: at
     most one coherence slot active."""
     self = SimpleNamespace(a=a, b=b, c=c, d=d, z_inner=z_inner, z_corner=z_corner)
@@ -73,6 +77,8 @@ def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0, one_slot=True):
         # An int from 2**1024 - 2**970 up rounds past the largest float.
         if not (abs(value) < 2**1024 - 2**970 and math.isfinite(value)):
             raise ValueError(f"XState.{name} must be finite, got {value!r}")
+    for name in ("a", "b", "c", "d", "z_inner", "z_corner"):
+        setattr(self, name, float(getattr(self, name)))
     for name in ("a", "b", "c", "d"):
         value = getattr(self, name)
         if value < -_XSTATE_ATOL:
@@ -80,20 +86,21 @@ def loop_checked_xstate(a, b, c, d, z_inner=0.0, z_corner=0.0, one_slot=True):
     total = self.a + self.b + self.c + self.d
     if abs(total - 3.0) > 3e-12:
         raise ValueError(f"XState occupations must sum to 3, got {total!r}")
-    if self.z_inner**2 > self.b * self.c + _XSTATE_ATOL:
+    inner_square, corner_square = self.z_inner * self.z_inner, self.z_corner * self.z_corner
+    if inner_square > self.b * self.c + _XSTATE_ATOL:
         raise ValueError(
-            f"XState positivity violated: z_inner^2 = {self.z_inner**2!r} "
+            f"XState positivity violated: z_inner^2 = {inner_square!r} "
             f"exceeds b*c = {self.b * self.c!r}"
         )
-    if self.z_corner**2 > self.a * self.d + _XSTATE_ATOL:
+    if corner_square > self.a * self.d + _XSTATE_ATOL:
         raise ValueError(
-            f"XState positivity violated: z_corner^2 = {self.z_corner**2!r} "
+            f"XState positivity violated: z_corner^2 = {corner_square!r} "
             f"exceeds a*d = {self.a * self.d!r}"
         )
     if one_slot and self.z_inner != 0.0 and self.z_corner != 0.0:
         raise UnsupportedShapeError(
             f"XState needs at most one active coherence slot, got "
-            f"z_inner = {float(self.z_inner)!r} and z_corner = {float(self.z_corner)!r}"
+            f"z_inner = {self.z_inner!r} and z_corner = {self.z_corner!r}"
         )
 
 
@@ -109,9 +116,10 @@ def nudged(draw, x):
 
 # Where the checks turn: not finite, just past -atol, sums 3e-12 off; and
 # where a one-pass test can go wrong: ints beyond float range, alone or
-# cancelling, and floats whose sum or square overflows.
+# cancelling, an int in range whose sum overflows, and floats whose sum or
+# square overflows.
 EDGES = (math.nan, math.inf, -math.inf, -_XSTATE_ATOL, 0.0, -0.0, 3.0, 1e308,
-         10**400, -10**400)
+         1e200, 10**308, 10**400, -10**400)
 
 
 @st.composite
@@ -139,19 +147,24 @@ def xstate_fields(draw):
 @example([10**400, -10**400, 1.0, 2.0, 0.0, 0.0])  # a sum that cancels
 @example([1.0, 1.0, 1.0, 0.0, 10**400, -10**400])
 @example([1e308, 1e308, 1.0, 0.0, 0.0, 0.0])  # a float sum that overflows
-@example([1.0, 1.0, 1.0, 0.0, 1e308, math.nan])  # z_inner**2 overflows, then a NaN
-# z * z is b*c + atol to the bit, and z**2 is one ulp above it: accepted by
-# a test on z * z <= b*c + atol, refused by the loops.
+@example([10**308, 10**308, 0, 0, 0.0, 0.0])  # an int sum past float range
+@example([1.0, 1.0, 1.0, 0.0, 1e200, 0.0])  # a float square that overflows
+@example([1.0, 1.0, 1.0, 0.0, 1e308, math.nan])  # z_inner squared is inf, then a NaN
+# z * z is b*c + atol to the bit (and z**2, pow's square, one ulp above it):
+# at the bound, so accepted by the checks and the reference alike.
 @example([0.0, 1.0, 0.7739271793452859, 1.2260728206547142, 0.8797313108820703, 0.0])
 def test_xstate_checks_are_the_loops(fields):
     # The one-pass test and the ordered checks behind it, on a state or on
     # a tuple, accept exactly what the field-name loops accept and reject
-    # the rest with the same exception and message; a tuple that passes
-    # comes back as it went in.  A state refuses two active coherence slots
-    # besides; a tuple need not, as a flow or a switch keeps one slot one.
-    assert outcome(XState, *fields) == outcome(loop_checked_xstate, *fields)
+    # the rest with the same exception and message, a ValueError and never
+    # an OverflowError; a tuple that passes comes back as it went in.  A
+    # state refuses two active coherence slots besides; a tuple need not,
+    # as a flow or a switch keeps one slot one.
+    state = outcome(XState, *fields)
+    assert state == outcome(loop_checked_xstate, *fields)
     expected = outcome(loop_checked_xstate, *fields, False)
     assert outcome(check_coefficients, *fields) == expected
+    assert OverflowError not in (state[0], expected[0])  # "ok"[0] is "o"
     if expected == "ok":
         assert check_coefficients(*fields) == tuple(fields)
 
@@ -160,6 +173,20 @@ def test_the_accept_test_bounds_are_the_tolerance():
     # check_coefficients' one-pass test writes _XSTATE_ATOL, and three of
     # it for the sum, as literals.
     assert _XSTATE_ATOL == 1e-12
+
+
+def test_the_package_squares_only_as_products():
+    # One squaring rule, z * z: correctly rounded, where z ** 2 on a float
+    # calls pow, which may be one ulp off.  The encoder's powers of 10 and
+    # of 2 are no squares.
+    squares = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(esdsim.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant) and node.right.value == 2
+    ]
+    assert squares == []
 
 
 # -- density matrix construction -------------------------------------------
@@ -345,7 +372,7 @@ def test_concurrence_matches_sqrt_construction():
 def test_concurrence_keeps_its_digits_at_the_positivity_edge():
     # At z**2 = b*c (or a*d) an eigenvalue of m @ flipped is zero, and a
     # square root taken of its round-off read as ~3e-9.  The singular values
-    # of sqrt(m) @ sqrt(flipped) keep the closed form's digits.
+    # of W.T @ yy @ W, m = W @ W^dagger, keep the closed form's digits.
     rng = np.random.default_rng(53)
     for _ in range(200):
         a, b, c, d = 3.0 * rng.dirichlet(np.ones(4))
@@ -354,7 +381,38 @@ def test_concurrence_keeps_its_digits_at_the_positivity_edge():
         for slots in ((sign * math.sqrt(b * c), 0.0), (0.0, sign * math.sqrt(a * d))):
             state = XState(a, b, c, d, *slots)
             expected = xstate_measures(*state._coefficients)[1]
-            assert abs(concurrence(to_density_matrix(state)) - expected) <= 1e-12, state
+            assert abs(concurrence(to_density_matrix(state)) - expected) <= 1e-15, state
+
+
+def test_concurrence_keeps_its_digits_beside_a_tiny_occupation():
+    # An occupation of 1e-18 to 1e-10 under the root the closed form
+    # subtracts, sqrt(b*c) beside z_corner or sqrt(a*d) beside z_inner: an
+    # eigenvalue of m within round-off of 0 cost the eigensolver route up
+    # to 1e-8.  The pivoted factor takes the occupation's own root.  The
+    # coherence stays clear of 0, where the concurrence would be clamped.
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        tiny = 10.0 ** rng.uniform(-18.0, -10.0)
+        z = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+        p, q, r = (3.0 - tiny) * rng.dirichlet(np.ones(3))
+        r = 3.0 - tiny - p - q
+        for state in (XState(p, tiny, q, r, z_corner=z * math.sqrt(p * r)),
+                      XState(tiny, p, q, r, z_inner=z * math.sqrt(p * q))):
+            expected = xstate_measures(*state._coefficients)[1]
+            assert abs(concurrence(to_density_matrix(state)) - expected) <= 1e-15, state
+
+
+def test_concurrence_of_pure_states_is_the_overlap_with_their_flip():
+    # For a pure state |v>, the concurrence is |<v| yy |v*>| (Wootters); its
+    # density matrix has rank 1, so three pivots of the factor are round-off.
+    rng = np.random.default_rng(61)
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    yy = np.kron(sy, sy)
+    for _ in range(200):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        expected = abs(v.conj() @ yy @ v.conj())
+        assert abs(concurrence(np.outer(v, v.conj())) - expected) <= 1e-15, v
 
 
 def test_negativity_zero_iff_concurrence_zero():
