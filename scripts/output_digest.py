@@ -9,10 +9,13 @@ corner-coherence state with a negative ``z_corner`` (``corner.json``).  A
 physical-units scenario (``physical.json``: ``gamma`` 2, ``time_unit``
 "physical", a two-entry ``schedule`` and a ``grid``) runs ``evolve``, and
 ``sweep`` and ``critical`` for ``alice`` on that grid, so the conversion of
-times to tau is compared too.  The script writes both configs to a temporary
-directory and runs from there.  Each line is ``<md5>  esdsim <arguments>``;
-run it on two checkouts and diff the listings, or diff it with the committed
-listing ``output_digest.md5``, which ``tests/test_cli.py`` checks:
+times to tau is compared too.  Last, ``evolve`` runs a schedule whose switch
+times are JSON ints with gaps past int64 (``bigint.json``: 0.1, 10**30 and
+10**300), which the engine takes as floats.  The script writes the configs to
+a temporary directory and runs from there.  Each line is
+``<md5>  esdsim <arguments>``; run it on two checkouts and diff the listings,
+or diff it with the committed listing ``output_digest.md5``, which
+``tests/test_cli.py`` checks:
 
     PYTHONPATH=src python scripts/output_digest.py | diff scripts/output_digest.md5 -
 """
@@ -37,7 +40,9 @@ PHYSICAL = {
     "schedule": [{"time": 0.05, "switch": "both"}, {"time": 0.15, "switch": "alice"}],
     "grid": {"start": 0.0, "stop": 0.26, "count": 2001},
 }
-CONFIGS = {"corner.json": CORNER, "physical.json": PHYSICAL}
+BIGINT = {"schedule": [{"time": 0.1, "switch": "both"}, {"time": 10**30, "switch": "both"},
+                       {"time": 10**300, "switch": "alice"}]}
+CONFIGS = {"corner.json": CORNER, "physical.json": PHYSICAL, "bigint.json": BIGINT}
 
 
 def runs():
@@ -53,6 +58,7 @@ def runs():
     yield ("evolve", "--config", "physical.json")
     for command in ("sweep", "critical"):
         yield (command, "--config", "physical.json", "--switch", "alice")
+    yield ("evolve", "--config", "bigint.json")
 
 
 @contextlib.contextmanager

@@ -49,6 +49,7 @@ from .deathclock import (
     BLOCK_ROWS as CSV_BLOCK,
     Fate,
     NoCrossingError,
+    Trajectory,
     _sweep_switch_times,
     find_ad_crossing,
     find_end_time,
@@ -57,7 +58,10 @@ from .deathclock import (
 from .intervention import Schedule, Switch, SwitchEvent
 from .qstate import XState
 
-_SWITCH_CHOICES = ("both", "alice", "bob", "none")
+_KINDS = tuple(kind.value for kind in Switch)
+_SWITCH_CHOICES = (*_KINDS, "none")
+_ONE_OF_KINDS = f"{', '.join(map(repr, _KINDS[:-1]))} or {_KINDS[-1]!r}"
+_COMMANDS = ("evolve", "sweep", "critical")  # main runs cmd_<name>, looked up per call
 
 # An evolve grid holds ten float columns (80 bytes) per point, so a mistyped
 # count must not reach the allocation unbounded.
@@ -83,12 +87,12 @@ def _table(*codes):
 # The fields of "%.11e" after the sign, from the 12-digit mantissa m and exponent e:
 # "d.dd" (at m // 10**9), "dddd" twice, "d" (at m % 10), "e±XX" and the last digit
 # of a three-digit exponent (both at e itself, -324..309, and at 310 for a zero).
-# An integer v of w <= 4 digits is _INTS[w - 1][v].
+# The one-digit table also writes the integer cells, each a fate digit.
 _E = np.r_[:311, -324:0]
 _DIGITS = ord("0") + np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0 .. 9999, by place
 _HEAD = _table(_DIGITS[1, :1000], ord("."), *_DIGITS[2:, :1000])
 _QUAD = _table(*_DIGITS)
-_INTS = [_table(*_DIGITS[4 - w:, :10**w]) for w in range(1, 4)] + [_QUAD]
+_DIGIT = _table(_DIGITS[3, :10])
 _AE = np.abs(_E)
 _EXP = _table(ord("e"), np.where(_E < 0, ord("-"), ord("+")),
               *_DIGITS[2:, np.where(_AE < 100, _AE, _AE // 10)])
@@ -133,12 +137,13 @@ def _csv_chunks(columns: Sequence[np.ndarray]) -> Iterator[str]:
 
     A float column reads as ``"%.11e" % x`` would write each entry, byte for
     byte, except that NaN is written as a blank cell; an integer column
-    reads as ``"%d" % x``.  A sub-block of at most ``CSV_CELLS`` cells is one
-    record in a reused buffer, a slot per cell, each ending in the separator
-    and exactly as wide as its column's text: 17 bytes for a float, 18 in a
-    column of negative cells, w for integers of w <= 4 digits.  Such a
-    record is the text.  A column that holds NaN, inf, both signs, e outside
-    [-98, 98] or integers of other widths gets 20-byte slots instead, whose
+    holds one-digit values 0 to 9, each written as its digit (the sweep's
+    fates, 0, 1 or 2, are the only integers any command writes).  A sub-block
+    of at most ``CSV_CELLS`` cells is one record in a reused buffer, a slot
+    per cell, each ending in the separator and exactly as wide as its
+    column's text: 17 bytes for a float, 18 in a column of negative cells, 1
+    for a digit.  Such a record is the text.  A float column that holds NaN,
+    inf, both signs or e outside [-98, 98] gets 20-byte slots instead, whose
     null bytes in shorter cells ``_compact`` drops.
     Float columns with equal slots at evenly spaced offsets, such as a
     sweep's two float columns around its fates, are filled as one run; the
@@ -151,14 +156,13 @@ def _csv_chunks(columns: Sequence[np.ndarray]) -> Iterator[str]:
     rounds once more, so y is within 1e12 * (2**-52 + 2**-106) < 2**-12 of
     the exact value, and m is the correctly rounded mantissa unless y lies
     within 2**-11 of a half-way point.  Those cells, the cells below 1e-297
-    (subnormals included; ``_SCALE`` is NaN there), inf and integers in
-    20-byte slots are written by ``%``.
+    (subnormals included; ``_SCALE`` is NaN there) and inf are written by ``%``.
     """
     width, size = len(columns), len(columns[0])
     floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
     ints = [j for j in range(width) if j not in floats]
     rows = max(1, CSV_CELLS // width)
-    buf = np.empty(min(rows, size) * width * 21, np.uint8)  # an int64 slot is 21 bytes
+    buf = np.empty(min(rows, size) * width * 20, np.uint8)  # a padded slot is 20 bytes
     seps = np.where(np.arange(width) < width - 1, ord(","), ord("\n"))
     float_seps = seps[floats]
     for start in range(0, size, rows):
@@ -184,23 +188,16 @@ def _csv_chunks(columns: Sequence[np.ndarray]) -> Iterator[str]:
         lead, lo = hi // 10_000, m - 100_000 * hi
         quad = lo // 10
         fields = ((_HEAD, lead), (_QUAD, hi - 10_000 * lead), (_QUAD, quad),
-                  (_INTS[0], lo - 10 * quad), (_EXP, e), (_THIRD, e))
-        # Per column: slot width and padded.
-        slots = [None] * width
+                  (_DIGIT, lo - 10 * quad), (_EXP, e), (_THIRD, e))
+        # Per column: slot width and padded; an integer's slot is its digit and separator.
+        slots = [(2, False)] * width
         for j, pad, first_neg in zip(floats, padded.tolist(), neg[0].tolist()):
             slots[j] = (18 + pad + (pad | first_neg), pad)
-        for j in ints:
-            low, high = str(block[j].min()), str(block[j].max())
-            pad = low[0] == "-" or len(low) != len(high) or len(high) > 4
-            slots[j] = (1 + max(len(low), len(high)), pad)
         offsets = [0, *itertools.accumulate(slot[0] for slot in slots)]
         record = buf[:n_rows * offsets[-1]].reshape(n_rows, -1)
         for j in ints:
-            w, pad = slots[j]
-            record[:, offsets[j] + w - 1] = seps[j]
-            cells = record[:, offsets[j]:offsets[j] + w - 1].view(f"S{w - 1}")[:, 0]
-            v = block[j]
-            cells[:] = ["%d" % k for k in v.tolist()] if pad else _INTS[w - 2].take(v)
+            record[:, offsets[j]] = _DIGIT.take(block[j]).view(np.uint8)
+            record[:, offsets[j] + 1] = seps[j]
         has_nan, has_slow = nan.any(), slow.any()
         for f, n, step in _runs([slots[j] for j in floats], [offsets[j] for j in floats]):
             (w, pad), cols = slots[floats[f]], slice(f, f + n)
@@ -308,8 +305,8 @@ class ScenarioConfig:
         for i, entry in enumerate(self.schedule):
             _require(f"schedule[{i}]", isinstance(entry, dict)
                      and set(entry) == {"time", "switch"}, "must be {'time', 'switch'}")
-            _require(f"schedule[{i}].switch", entry["switch"] in ("both", "alice", "bob"),
-                     "must be 'both', 'alice' or 'bob'", entry["switch"])
+            _require(f"schedule[{i}].switch", entry["switch"] in _KINDS,
+                     f"must be {_ONE_OF_KINDS}", entry["switch"])
             _require(f"schedule[{i}].time", _is_number(entry["time"])
                      and entry["time"] >= 0.0, "must be finite and >= 0", entry["time"])
         _require("grid", self.grid is None or isinstance(self.grid, GridSpec),
@@ -428,12 +425,13 @@ def _grid_taus(cfg: ScenarioConfig, sweep: bool) -> np.ndarray | None:
 def cmd_evolve(cfg: ScenarioConfig, out_path: str | None) -> int:
     taus = _grid_taus(cfg, sweep=False)
     state, schedule = cfg.initial_state(), cfg.resolved_schedule()
+    names = [f.name for f in fields(Trajectory)]
 
     def block(start: int) -> Iterator[str]:
         traj = trajectory(state, schedule, taus[start:start + CSV_BLOCK])
-        return _csv_chunks([getattr(traj, f.name) for f in fields(traj)])
+        return _csv_chunks([getattr(traj, name) for name in names])
 
-    header = "tau,a,b,c,d,z_inner,z_corner,negativity,concurrence,entropy\n"
+    header = ",".join(names) + "\n"
     first = block(0)  # a state the measures reject fails before any output
     rest = (text for i in range(CSV_BLOCK, taus.size, CSV_BLOCK) for text in block(i))
     _emit(itertools.chain([header], first, rest), out_path)
@@ -455,7 +453,7 @@ def _sweep_grid():
 
 
 def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
-    _require("switch", cfg.switch != "none", "sweep needs 'both', 'alice' or 'bob'")
+    _require("switch", cfg.switch != "none", f"sweep needs {_ONE_OF_KINDS}")
     state = cfg.initial_state()
     kind = Switch(cfg.switch)
     taus = _grid_taus(cfg, sweep=True)
@@ -470,10 +468,10 @@ def cmd_sweep(cfg: ScenarioConfig, out_path: str | None) -> int:
             f"# min_end: tau_sw = {_FLOAT % curve.min_tau_sw}, "
             f"tau_end = {_FLOAT % curve.min_tau_end}"
         )
-    # tau_end is NaN, and blank, unless death is finite.
-    rows = _csv_chunks((curve.tau_sw, curve.fate, curve.tau_end))
+    names = ("tau_sw", "fate", "tau_end")  # tau_end is NaN, and blank, unless death is finite
+    rows = _csv_chunks([getattr(curve, name) for name in names])
     summary = [line + "\n" for line in lines]
-    _emit(itertools.chain(["tau_sw,fate,tau_end\n"], rows, summary), out_path)
+    _emit(itertools.chain([",".join(names) + "\n"], rows, summary), out_path)
     return 0
 
 
@@ -520,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two decaying qubits: negativity trajectories, switch "
         "sweeps and critical times of entanglement sudden death.",
     )
-    parser.add_argument("command", choices=("evolve", "sweep", "critical"),
+    parser.add_argument("command", choices=_COMMANDS,
                         help="evolve: trajectory of coefficients and measures on a time "
                         "grid; sweep: end time versus switch time for one switch kind; "
                         "critical: critical times of the scenario in one table")
@@ -545,8 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.dump_config:
             _emit([json.dumps(asdict(cfg), indent=2) + "\n"], args.out)
             return 0
-        handler = {"evolve": cmd_evolve, "sweep": cmd_sweep, "critical": cmd_critical}
-        return handler[args.command](cfg, args.out)
+        return globals()[f"cmd_{args.command}"](cfg, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

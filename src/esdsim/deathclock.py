@@ -180,7 +180,7 @@ def _stretches(
     start, coefficients = 0.0, _constants(state)[0]
     for event in events:
         yield start, event.tau, coefficients
-        u = float(np.exp(start - event.tau))
+        u = float(np.exp(float(start - event.tau)))
         coefficients = check_coefficients(*switch_coefficients(
             event.op, check_coefficients(*damped_coefficients(*coefficients, u))))
         start = event.tau
@@ -192,7 +192,7 @@ def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -
     _check_tau(tau)
     for start, end, current in _stretches(state, schedule):
         if tau < end:
-            return XState(*damped_coefficients(*current, float(_exp(start - tau))))
+            return XState(*damped_coefficients(*current, float(_exp(float(start - tau)))))
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def trajectory(
     taus = _times(grid, "trajectory grid", increasing=True)
     starts, _, initial = zip(*_stretches(state, schedule))
     stretch = np.searchsorted(starts[1:], taus, side="right")
-    u = np.exp(np.array(starts)[stretch] - taus)
+    u = np.exp(np.array(starts, float)[stretch] - taus)
     coefficients = damped_coefficients(*np.array(initial)[stretch].T, u)
     measures = xstate_measures(*coefficients)
     return Trajectory(taus, *coefficients, *measures)
@@ -252,13 +252,17 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     already non-negative at its start (a switch landing where the
     discriminant is zero to round-off) dies at its start.  A tail that does
     not die averts death.  The witness is the discriminant of the dying
-    stretch's state flowed to the end time.
+    stretch's state flowed to the end time.  The end time needs no check: a
+    root is taken only where p0 > 0 > Q(1), so -p1 > 0 is at most 6a or
+    2(b+a)(c+a) while p0 keeps half an ulp of 3a or (b+a)(c+a), and the root
+    is at least p0 / -p1 >= ~2**-55, so tau_end - start lies in [0, 38.2].
 
     One loop over the schedule's events, with one ``np.exp`` per finite
-    stretch, and the tail after it: u_end = np.exp(start - end), as
+    stretch, and the tail after it: u_end = np.exp(float(start - end)), as
     ``_stretches`` and ``trajectory`` take it, serves the death test and, if
-    the stretch lives, the checked flow and switch of ``_stretches``.  The
-    schedule's times need no second check there.  The state's
+    the stretch lives, the checked flow and switch of ``_stretches``.  Int
+    times differ exactly, and np.exp takes no int past int64, hence the
+    float.  The schedule's times need no second check there.  The state's
     coefficients, its discriminant at tau = 0 and the first stretch's Q are
     the ones it keeps from when it was built; each later stretch's Q is
     computed right after its switch.  The helpers' operations are written
@@ -281,7 +285,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     p2, p1, p0 = state._q
     start = 0.0
     for event in events:
-        u_end = float(_exp(start - event.tau))
+        u_end = float(_exp(float(start - event.tau)))
         q_end = (p2 * u_end + p1) * u_end + p0
         if q_end > 0.0 or q_end == 0.0 and u_end > 0.0:
             break
@@ -306,9 +310,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
         u_root = 2.0 * w / (1.0 + math.sqrt(0.0 if 0.0 > t else t))
         u_root = u_end if u_end > u_root else 1.0 if 1.0 < u_root else u_root
     tau_end = start - float(_log(u_root))
-    if not 0.0 <= (tau := tau_end - start) < math.inf:
-        _check_tau(tau)  # raises
-    u = float(_exp(-tau))  # the witness: the flow to tau_end and its discriminant
+    u = float(_exp(start - tau_end))  # the witness: the flow to tau_end and its discriminant
     feed, loss = a * (u - u * u), 1.0 - u
     a, b, c, d, z_inner, z_corner = check_coefficients(
         a * u * u, b * u + feed, c * u + feed, d + loss * (b + c + a * loss),

@@ -277,10 +277,10 @@ def xstate_measures(
       2 (z**2 - p q) / (sqrt((p-q)**2 + 4 z**2) + p + q); its sign
       therefore matches the sign of z**2 - p*q exactly.  Where that is 0/0
       (z**2 underflows beside p = q = 0), the negativity is 0.
-    * Concurrence: (2/3) max(0, |z_inner| - sqrt(a d), |z_corner| - sqrt(b c))
-      (Wootters, PRL 80, 2245 (1998); Yu and Eberly, QIC 7, 459 (2007)).
-      An occupation may sit a round-off below 0, and a d or b c with it, so
-      the roots are taken of the products clipped at 0.
+    * Concurrence: (2/3) max(0, |z| - sqrt(p q)) on the same block (Wootters,
+      PRL 80, 2245 (1998); Yu and Eberly, QIC 7, 459 (2007), whose term for
+      the inactive coherence, -sqrt of the other block's product, is never
+      positive).  p q may sit a round-off below 0, so its root is clipped.
     * Entropy: from the spectra of the outer and inner blocks, in natural-log
       units, with 0 ln 0 = 0.
     """
@@ -294,16 +294,13 @@ def xstate_measures(
         )
     p, q = np.where(corner, b, a), np.where(corner, c, d)
     z = np.where(corner, z_corner, z_inner)
-    gap = p - q
+    gap, pq = p - q, p * q
     span = np.sqrt(gap * gap + 4.0 * z * z) + p + q
     negativity_ = np.maximum(0.0, np.divide(
-        2.0 * (z * z - p * q), 3.0 * span,
+        2.0 * (z * z - pq), 3.0 * span,
         out=np.zeros_like(z), where=(z != 0.0) & (span != 0.0),
     ))
-    concurrence_ = (2.0 / 3.0) * np.maximum(0.0, np.maximum(
-        np.abs(z_inner) - np.sqrt(np.maximum(a * d, 0.0)),
-        np.abs(z_corner) - np.sqrt(np.maximum(b * c, 0.0)),
-    ))
+    concurrence_ = (2.0 / 3.0) * np.maximum(0.0, np.abs(z) - np.sqrt(np.maximum(pq, 0.0)))
     entropy = _block_entropy(a, d, z_corner) + _block_entropy(b, c, z_inner)
     return negativity_, concurrence_, entropy
 

@@ -429,9 +429,9 @@ def test_encoder_writes_integers_and_blank_nans():
     out = "".join(_csv_chunks([tau_sw, fate, tau_end]))
     assert out.splitlines()[1:3] == ["1.25000000000e-01,1,", "2.50000000000e-01,2,"]
     assert out == reference_csv([tau_sw, fate, tau_end])
-    ints = np.array([0, 7, 10, 99, 100, 999, 1000, -1, -(2**63), 2**63 - 1])
-    assert "".join(_csv_chunks([ints, ints.astype(float)])) == reference_csv(
-        [ints, ints.astype(float)]
+    digits = np.arange(10)  # an integer cell is one digit, as a fate is
+    assert "".join(_csv_chunks([digits, digits.astype(float)])) == reference_csv(
+        [digits, digits.astype(float)]
     )
 
 
@@ -447,12 +447,12 @@ def test_encoder_writes_nan_cells_blank():
 def fallback_columns(width):
     """40 rows of ``width`` columns whose first and last cells are mostly
     written by %: NaN, e > 33, e < -11, inf, half-way mantissas (one of them
-    the 1e12 carry), and -0; the second column holds integers up to 1499."""
+    the 1e12 carry), and -0; the second column holds fates, 0, 1 or 2."""
     rng = np.random.default_rng(9)
     x = rng.uniform(-3.0, 3.0, (40, width - 1))
     x[:, 0] = np.resize([math.nan, 2.5e40, 1.234567890125, -0.0], 40)
     x[:, -1] = np.resize([-3e-12, 9.999999999995, math.inf, 1e34], 40)
-    return [x[:, 0], rng.integers(0, 1500, 40), *x[:, 1:].T]
+    return [x[:, 0], rng.integers(0, 3, 40).astype(np.int8), *x[:, 1:].T]
 
 
 @pytest.mark.parametrize("cells", [2, 7])
@@ -481,11 +481,11 @@ def test_encoder_sub_blocks_give_the_one_block_text(monkeypatch, capsys, cells):
 
 
 # Columns as the exact-width slots see them: each is regular (all positive,
-# all negative, or integers of one width), and a few rows hold a cell that
+# all negative, or fates), and a few rows of a float column hold a cell that
 # sends its sub-block to padded slots: NaN, inf, -0.0 or a sign that is not
-# the column's, an exponent of three digits or next to them, an integer of
-# another width; or a cell that stays exact but is written by %, a half-way
-# mantissa.  With sub-blocks of one or a few rows, exact and padded ones
+# the column's, an exponent of three digits or next to them; or a cell that
+# stays exact but is written by %, a half-way mantissa.  A fate column never
+# pads.  With sub-blocks of one or a few rows, exact and padded ones
 # alternate.
 WIDE_EDGES = [1e99, 9.99999999999e98, 9.999999999995e98, 9.9999999999995e99, 1e100,
               1e-99, 1.00000000001e-99, 9.999999999995e-100, 1e-100, 1e-300, 5e-324]
@@ -506,9 +506,7 @@ def encoder_columns(draw):
     columns = []
     for kind in draw(st.lists(st.sampled_from(["pos", "neg", "int"]), min_size=1, max_size=5)):
         if kind == "int":
-            w = draw(st.integers(1, 4))
-            regular = st.integers(10 ** (w - 1) if w > 1 else 0, 10**w - 1)
-            odd = st.integers(-(2**63), 2**63 - 1) | st.integers(-99, 99999)
+            regular = odd = st.integers(0, 2)
         else:
             sign = 1.0 if kind == "pos" else -1.0
             regular = (REGULAR | st.just(0.0)).map(lambda x, sign=sign: sign * x)
@@ -519,7 +517,7 @@ def encoder_columns(draw):
         values = draw(st.lists(regular, min_size=rows, max_size=rows))
         for row, value in draw(st.lists(st.tuples(st.integers(0, rows - 1), odd), max_size=3)):
             values[row] = value
-        columns.append(np.array(values, dtype=np.int64 if kind == "int" else float))
+        columns.append(np.array(values, dtype=np.int8 if kind == "int" else float))
     return columns
 
 
@@ -530,6 +528,32 @@ def test_encoder_exact_and_padded_sub_blocks_match_percent_format(columns, cells
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(esdsim.cli, "CSV_CELLS", cells)
         assert "".join(_csv_chunks(columns)) == reference_csv(columns)
+
+
+# A sweep's three columns around its int8 fates.  Rows 1, 2, 5 and 7 hold a
+# blank tau_end and row 4 a tau_sw below 1e-297, so each pads its sub-block;
+# % writes row 3's half-way tau_end and row 4's tau_sw, and row 6 carries.
+FATE_ROWS = (
+    np.array([0.0, 0.125, 0.25, 0.375, 1e-300, 0.5, 0.625, 0.75]),
+    np.array([0, 1, 2, 0, 0, 2, 1, 0], np.int8),
+    np.array([0.5, math.nan, math.nan, 1.234567890125, 0.75, math.nan, 9.999999999995,
+              math.nan]),
+)
+
+
+@pytest.mark.parametrize("cells, chunks, padded", [(3, 8, 5), (6, 4, 4), (4096, 1, 1)])
+def test_encoder_writes_fates_in_exact_and_padded_sub_blocks(monkeypatch, cells, chunks,
+                                                             padded):
+    # A fate takes a two-byte slot, its digit and the separator, in a
+    # sub-block of exact slots and in a padded one alike.
+    compacted = []
+    compact = esdsim.cli._compact
+    monkeypatch.setattr(esdsim.cli, "_compact", lambda text: compacted.append(1) or compact(text))
+    monkeypatch.setattr(esdsim.cli, "CSV_CELLS", cells)
+    texts = list(_csv_chunks(FATE_ROWS))
+    assert "".join(texts) == reference_csv(FATE_ROWS)
+    assert (len(texts), len(compacted)) == (chunks, padded)
+    assert [line.split(",")[1] for line in "".join(texts).splitlines()] == list("01200210")
 
 
 def test_canonical_evolve_takes_the_exact_width_path(monkeypatch, capsys):
@@ -886,6 +910,9 @@ def cli_configs(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["evolve", "sweep", "critical"]), cli_configs())
 @example("evolve", {"a": 1, "b": 1, "c": 1, "d": 0, "z_inner": 1e300})
+@example("evolve", {"schedule": [{"time": 0.1, "switch": "both"},
+                                 {"time": 10**30, "switch": "both"},
+                                 {"time": 10**300, "switch": "alice"}]})
 def test_any_config_exits_cleanly_and_sweeps_as_end_times(command, data):
     # Every run either succeeds or exits 2 with an error that names the
     # config; none ends in a traceback.  A sweep that succeeds writes each
@@ -951,5 +978,5 @@ def test_standard_outputs_keep_their_committed_digests():
     spec.loader.exec_module(digest)
     with digest.scenario_dir():
         lines = [f"{digest.digest(argv)}  esdsim {' '.join(argv)}" for argv in digest.runs()]
-    assert len(lines) == 21
+    assert len(lines) == 22
     assert lines == (SCRIPTS / "output_digest.md5").read_text().splitlines()

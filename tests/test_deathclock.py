@@ -1096,6 +1096,52 @@ def test_tuple_walk_matches_the_object_walk(state, events, tau, kind):
                 reference_state_at, state, schedule, at)
 
 
+# Gaps between switches, the first from tau = 0: short, around TAU_ZERO, and far past it.
+GAPS = st.one_of(st.floats(0.0, 3.0), st.floats(740.0, 800.0), st.floats(800.0, 1e300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_xstates(), st.lists(st.tuples(GAPS, st.sampled_from(list(Switch))), max_size=2))
+def test_an_end_time_lies_within_39_of_its_stretch_start(state, steps):
+    # A dying stretch's root is taken only where p0 > 0 > Q(1), so it is at
+    # least p0 / -p1, about 2**-55 at the smallest, and the end time lies
+    # at most -ln(2**-55) = 38.1 past the stretch's start: find_end_time
+    # needs no check that it is finite and >= 0.
+    times = list(itertools.accumulate(gap for gap, _ in steps))
+    assume(all(later > earlier for earlier, later in zip(times, times[1:])))
+    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, (_, kind) in zip(times, steps)))
+    report = find_end_time(state, schedule)
+    if report.fate is Fate.FINITE_END:
+        start = max((t for t in times if t <= report.tau_end), default=0.0)
+        assert 0.0 <= report.tau_end - start <= 39.0, (state, schedule, report)
+
+
+BIG_GAPS = Schedule((SwitchEvent(0.1, Switch.BOTH), SwitchEvent(10**30, Switch.BOTH),
+                     SwitchEvent(10**300, Switch.ALICE)))
+
+
+def test_switch_gaps_past_int64_are_taken_as_floats():
+    # Int switch times differ exactly, and 10**300 - 10**30 is past int64,
+    # where np.exp takes no int; each gap goes to np.exp as a float.  The
+    # switch at 0.1 averts death, the one at 10**30 meets the ground state
+    # and flips it to a separable state, whose stretch dies at its start.
+    assert find_end_time(CANONICAL, BIG_GAPS) == DeathReport(Fate.FINITE_END, 1e30, 0.0)
+    as_floats = Schedule(tuple(SwitchEvent(float(e.tau), e.op) for e in BIG_GAPS.events))
+    assert find_end_time(CANONICAL, as_floats) == find_end_time(CANONICAL, BIG_GAPS)
+    grid = [0.0, 0.1, 1.0, 1e30, 5e299, 1e300, 2e300]
+    states = [state_at(CANONICAL, BIG_GAPS, tau) for tau in grid]
+    assert states == [state_at(CANONICAL, as_floats, tau) for tau in grid]
+    assert states[3:] == [XState(3.0, 0.0, 0.0, 0.0), XState(0.0, 0.0, 0.0, 3.0),
+                          XState(0.0, 3.0, 0.0, 0.0), XState(0.0, 0.0, 0.0, 3.0)]
+    traj = trajectory(CANONICAL, BIG_GAPS, grid)
+    again = trajectory(CANONICAL, as_floats, grid)
+    for name in COLUMNS:
+        assert getattr(traj, name).tobytes() == getattr(again, name).tobytes(), name
+    for k, s in enumerate(states):
+        got = tuple(float(getattr(traj, name)[k]) for name in COLUMNS[:6])
+        assert got == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), grid[k]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     edge_xstates(),

@@ -458,6 +458,48 @@ def test_measures_at_the_occupation_edges_are_numbers(state):
     assert measures[1] == pytest.approx(concurrence(to_density_matrix(state)), abs=1e-7)
 
 
+def two_term_concurrence(a, b, c, d, z_inner, z_corner):
+    """Yu and Eberly's concurrence with a term per coherence, as the measures
+    took it while a state could hold both."""
+    return (2.0 / 3.0) * np.maximum(0.0, np.maximum(
+        np.abs(z_inner) - np.sqrt(np.maximum(a * d, 0.0)),
+        np.abs(z_corner) - np.sqrt(np.maximum(b * c, 0.0)),
+    ))
+
+
+def edge_rows(rng, n):
+    """n one-slot coefficient rows at the edges: occupations exactly 0, a
+    round-off below it, subnormal, tiny or of order 1, and a coherence of 0,
+    subnormal, on either block's edge (z**2 = b*c or a*d) or inside it."""
+    pick = rng.integers(0, 5, (4, n))
+    occupations = np.choose(pick, [
+        np.zeros(n), -1e-13 * rng.random(n), 5e-324 * rng.integers(1, 1000, n),
+        1e-300 * rng.random(n), 3.0 * rng.random(n)])
+    a, b, c, d = occupations
+    inner = rng.random(n) < 0.5
+    edge = np.sqrt(np.maximum(np.where(inner, b * c, a * d), 0.0))
+    other = np.sqrt(np.maximum(np.where(inner, a * d, b * c), 0.0))
+    z = rng.choice([-1.0, 1.0], n) * np.choose(rng.integers(0, 5, n), [
+        np.zeros(n), 5e-324 * rng.integers(1, 1000, n), edge, other, rng.random(n) * edge])
+    return a, b, c, d, np.where(inner, z, 0.0), np.where(inner, 0.0, z)
+
+
+def test_concurrence_from_one_block_is_the_two_term_form_bit_for_bit():
+    # On a one-slot state the inactive coherence's term, -sqrt of the other
+    # block's product, is never positive, so the concurrence from the block
+    # the negativity reads gives the two-term form's bits.
+    rows = edge_rows(np.random.default_rng(29), 200_000)
+    with np.errstate(all="ignore"):
+        expected = two_term_concurrence(*rows)
+        got = xstate_measures(*rows)[1]
+    assert got.tobytes() == expected.tobytes()
+    assert (expected > 0.0).sum() > 10_000 and (expected == 0.0).sum() > 10_000
+    for state in (CANONICAL, BELL_INNER, XState(1.5, 0.0, 0.0, 1.5, z_corner=-1e-170),
+                  XState(1.0, 0.25, 0.75, 1.0, z_corner=1.0)):
+        fields = state._coefficients
+        assert xstate_measures(*fields)[1].tobytes() == two_term_concurrence(*fields).tobytes()
+
+
 # -- entropy ----------------------------------------------------------------
 
 def test_entropy_of_pure_state_is_zero():
