@@ -11,8 +11,8 @@ physical-units scenario (``physical.json``: ``gamma`` 2, ``time_unit``
 ``sweep`` and ``critical`` for ``alice`` on that grid, so the conversion of
 times to tau is compared too.  Last, ``evolve`` runs a schedule whose switch
 times are JSON ints with gaps past int64 (``bigint.json``: 0.1, 10**30 and
-10**300), which the engine takes as floats.  The script writes the configs to
-a temporary directory and runs from there.  Each line is
+10**300), which ``SwitchEvent`` stores as floats.  The script writes the
+configs to a temporary directory and runs from there.  Each line is
 ``<md5>  esdsim <arguments>``; run it on two checkouts and diff the listings,
 or diff it with the committed listing ``output_digest.md5``, which
 ``tests/test_cli.py`` checks:

@@ -19,11 +19,11 @@ from .qstate import XState, _constants, _is_finite, validate_density_matrix
 
 
 def _check_tau(tau: float) -> float:
-    """tau, checked to be finite and non-negative: the one time check.  An
-    int beyond float range, or text, is not finite."""
+    """tau as a float, checked to be finite and non-negative: the one time
+    check.  An int beyond float range, or text, is not finite."""
     if not (_is_finite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be finite and non-negative, got {tau!r}")
-    return tau
+    return float(tau)
 
 
 def evolve_xstate_closed(state: XState, tau: float) -> XState:

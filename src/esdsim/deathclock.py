@@ -180,7 +180,7 @@ def _stretches(
     start, coefficients = 0.0, _constants(state)[0]
     for event in events:
         yield start, event.tau, coefficients
-        u = float(np.exp(float(start - event.tau)))
+        u = float(np.exp(start - event.tau))
         coefficients = check_coefficients(*switch_coefficients(
             event.op, check_coefficients(*damped_coefficients(*coefficients, u))))
         start = event.tau
@@ -189,10 +189,10 @@ def _stretches(
 
 def state_at(state: XState, schedule: Schedule = Schedule(), tau: float = 0.0) -> XState:
     """State at time tau under the schedule (switches at tau already applied)."""
-    _check_tau(tau)
+    tau = _check_tau(tau)
     for start, end, current in _stretches(state, schedule):
         if tau < end:
-            return XState(*damped_coefficients(*current, float(_exp(float(start - tau)))))
+            return XState(*damped_coefficients(*current, float(_exp(start - tau))))
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def trajectory(
     taus = _times(grid, "trajectory grid", increasing=True)
     starts, _, initial = zip(*_stretches(state, schedule))
     stretch = np.searchsorted(starts[1:], taus, side="right")
-    u = np.exp(np.array(starts, float)[stretch] - taus)
+    u = np.exp(np.array(starts)[stretch] - taus)
     coefficients = damped_coefficients(*np.array(initial)[stretch].T, u)
     measures = xstate_measures(*coefficients)
     return Trajectory(taus, *coefficients, *measures)
@@ -258,11 +258,10 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     is at least p0 / -p1 >= ~2**-55, so tau_end - start lies in [0, 38.2].
 
     One loop over the schedule's events, with one ``np.exp`` per finite
-    stretch, and the tail after it: u_end = np.exp(float(start - end)), as
+    stretch, and the tail after it: u_end = np.exp(start - end), as
     ``_stretches`` and ``trajectory`` take it, serves the death test and, if
-    the stretch lives, the checked flow and switch of ``_stretches``.  Int
-    times differ exactly, and np.exp takes no int past int64, hence the
-    float.  The schedule's times need no second check there.  The state's
+    the stretch lives, the checked flow and switch of ``_stretches``.  The
+    schedule's times are the floats ``SwitchEvent`` checked.  The state's
     coefficients, its discriminant at tau = 0 and the first stretch's Q are
     the ones it keeps from when it was built; each later stretch's Q is
     computed right after its switch.  The helpers' operations are written
@@ -285,7 +284,7 @@ def find_end_time(state: XState, schedule: Schedule = Schedule()) -> DeathReport
     p2, p1, p0 = state._q
     start = 0.0
     for event in events:
-        u_end = float(_exp(float(start - event.tau)))
+        u_end = float(_exp(start - event.tau))
         q_end = (p2 * u_end + p1) * u_end + p0
         if q_end > 0.0 or q_end == 0.0 and u_end > 0.0:
             break

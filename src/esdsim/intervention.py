@@ -71,7 +71,7 @@ def apply_xstate(state: XState, switch: Switch) -> XState:
 
 @dataclass(frozen=True, slots=True)
 class SwitchEvent:
-    """One intervention: the named switch ``op`` at dimensionless time ``tau``."""
+    """One intervention: switch ``op`` at dimensionless time ``tau``, stored as a float."""
 
     tau: float
     op: Switch
@@ -84,7 +84,7 @@ class SwitchEvent:
             raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}") from None
         if not isinstance(op, Switch):
             raise TypeError(f"SwitchEvent.op must be a named Switch, got {op!r}")
-        _SET_TAU(self, tau)
+        _SET_TAU(self, float(tau))
         _SET_OP(self, op)
 
 

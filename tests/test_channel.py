@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +42,18 @@ def test_an_int_beyond_float_range_is_not_a_finite_tau():
                       lambda: state_at(CANONICAL, Schedule(), huge)):
             with pytest.raises(ValueError, match=refused):
                 query()
+
+
+@pytest.mark.parametrize("tau", [np.float32(0.2), Decimal("0.2"), Fraction(1, 5), 10**19],
+                         ids=repr)
+def test_a_tau_of_any_real_type_is_taken_as_its_float(tau):
+    # evolve_xstate_closed flowed a float32 tau in float32, and sent a
+    # Fraction or an int past int64 to np.exp as an object, which raised
+    # numpy's bare TypeError; evolve_kraus raised TypeError on a Decimal.
+    assert repr(evolve_xstate_closed(CANONICAL, tau)) == repr(
+        evolve_xstate_closed(CANONICAL, float(tau)))
+    m = to_density_matrix(CANONICAL)
+    assert evolve_kraus(m, tau).tobytes() == evolve_kraus(m, float(tau)).tobytes()
 
 
 def test_kraus_pair_is_trace_preserving():

@@ -321,6 +321,17 @@ def test_evolve_schedule_from_config(tmp_path):
     assert from_config.stdout == from_flags.stdout
 
 
+def test_schedule_times_that_round_to_one_float_are_refused(tmp_path):
+    # 10**16 and 10**16 + 1 are one float, 1e16, as which SwitchEvent stores both.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schedule": [{"time": 10**16, "switch": "both"},
+                                             {"time": 10**16 + 1, "switch": "alice"}]}))
+    result = run_cli("evolve", "--config", str(path), expect_code=2)
+    assert result.stderr == ("error: config field 'schedule': schedule times must strictly "
+                             "increase, got 1e+16 then 1e+16\n")
+    assert result.stdout == ""
+
+
 # -- sweep ---------------------------------------------------------------------
 
 def test_sweep_requires_switch_kind():

@@ -9,10 +9,12 @@ import random
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from esdsim import (
     BracketError,
@@ -585,6 +587,8 @@ def test_value_types_are_slotted_and_frozen(monkeypatch):
         assert twin == value and twin is not value and hash(twin) == hash(value)
     assert type(schedule.events) is tuple and schedule.events[0] is event
     assert repr(event) == "SwitchEvent(tau=0.2, op=<Switch.ALICE: 'alice'>)"
+    assert type(SwitchEvent(1, Switch.ALICE).tau) is float
+    assert repr(SwitchEvent(1, Switch.BOTH)) == "SwitchEvent(tau=1.0, op=<Switch.BOTH: 'both'>)"
     assert repr(Schedule((event,))) == f"Schedule(events=({event!r},))"
     assert repr(DeathReport(Fate.FINITE_END, 0.75, -0.0)) == (
         "DeathReport(fate=<Fate.FINITE_END: 0>, tau_end=0.75, witness=-0.0)")
@@ -764,15 +768,34 @@ def test_find_end_time_calls_only_its_checks_and_its_report(state, events, fate,
     assert entered == [find_end_time.__code__, *[check] * checked, init]
 
 
-@pytest.mark.parametrize("second, third", list(itertools.product(Switch, repeat=2)))
-def test_int_switch_times_one_float_apart_need_no_second_check(second, third):
-    # 10**16 and 10**16 + 1 are one float, 1e16, but a Schedule compares the
-    # ints exactly and keeps both.  find_end_time takes each gap as it comes,
-    # with no check of its own: the switches after the averting one at 0.1
-    # land on a separable state, whose stretch dies at its start, 1e16.
-    schedule = Schedule((SwitchEvent(0.1, Switch.BOTH), SwitchEvent(10**16, second),
-                         SwitchEvent(10**16 + 1, third)))
-    assert find_end_time(CANONICAL, schedule) == DeathReport(Fate.FINITE_END, 1e16, 0.0)
+def test_int_switch_times_that_round_to_one_float_are_refused():
+    # SwitchEvent stores 10**16 and 10**16 + 1 as one float, 1e16, so a
+    # Schedule refuses the pair as it refuses two equal float times.
+    with pytest.raises(ValueError, match=r"^schedule times must strictly increase, "
+                                         r"got 1e\+16 then 1e\+16$"):
+        Schedule((SwitchEvent(0.1, Switch.BOTH), SwitchEvent(10**16, Switch.BOTH),
+                  SwitchEvent(10**16 + 1, Switch.ALICE)))
+
+
+@pytest.mark.parametrize("t", [np.float32(0.2), Decimal("0.2"), Fraction(1, 5), 10**19],
+                         ids=repr)
+def test_a_time_of_any_real_type_is_taken_as_its_float(t):
+    # A float32 switch time ran the walk in float32, and a Decimal one raised
+    # TypeError.  Each now gives the bits of its float.
+    def schedule(x):
+        return Schedule((SwitchEvent(0.1, Switch.BOTH), SwitchEvent(x, Switch.BOTH)))
+
+    x = float(t)
+    assert bits(find_end_time, CANONICAL, schedule(t)) == bits(
+        find_end_time, CANONICAL, schedule(x))
+    assert type(find_end_time(CANONICAL, schedule(t)).tau_end) is float
+    for at, as_float in ((t, x), (x, x), (2 * x, 2 * x)):
+        assert bits(state_at, CANONICAL, schedule(t), at) == bits(
+            state_at, CANONICAL, schedule(x), as_float)
+    grid = [0.0, x, 2 * x]
+    traj, again = trajectory(CANONICAL, schedule(t), grid), trajectory(CANONICAL, schedule(x), grid)
+    for name in COLUMNS:
+        assert getattr(traj, name).tobytes() == getattr(again, name).tobytes(), name
 
 
 GRID_QUERIES = (
@@ -1000,21 +1023,35 @@ def test_end_times_match_find_end_time_at_the_edges(state, kind, switch_times):
     assert_end_times_match(state, kind, switch_times)
 
 
+# Switch times as a caller may pass them: floats, float32s, and ints at and
+# above 2**53, where an odd int lies between two floats.
+REAL_SWITCH_TIMES = st.one_of(
+    SWITCH_TIMES, SWITCH_TIMES.map(np.float32), st.integers(2**53, 2**60))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     edge_xstates(),
-    st.lists(st.tuples(SWITCH_TIMES, st.sampled_from(list(Switch))),
-             max_size=2, unique_by=lambda event: event[0]),
+    st.lists(st.tuples(REAL_SWITCH_TIMES, st.sampled_from(list(Switch))), max_size=3),
     st.lists(SWITCH_TIMES, min_size=1, max_size=6),
 )
+@example(CANONICAL, [(10**16 + 1, Switch.BOTH)], [0.5])
+@example(CANONICAL, [(np.float32(0.1), Switch.ALICE)], [0.5])
 def test_trajectory_matches_state_at_at_the_edges(state, events, times):
-    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in sorted(events)))
-    grid = sorted({*times, *(t for t, _ in events)})
+    # state_at compared a grid time with an int switch time exactly, where
+    # trajectory took its float (at 1e16, after a switch at 10**16 + 1, one
+    # read d = 3 and the other a = 3), and ran its flow in float32 after a
+    # float32 switch time.  Both now read the float SwitchEvent stores.
+    events = sorted(events, key=lambda event: float(event[0]))
+    taus = [float(t) for t, _ in events]
+    assume(all(later > earlier for earlier, later in zip(taus, taus[1:])))
+    schedule = Schedule(tuple(SwitchEvent(t, kind) for t, kind in events))
+    grid = sorted({*times, *taus})
     traj = trajectory(state, schedule, grid)
     for k, tau in enumerate(grid):
         s = state_at(state, schedule, tau)
-        got = tuple(float(getattr(traj, name)[k]) for name in COLUMNS[:6])
-        assert got == (s.a, s.b, s.c, s.d, s.z_inner, s.z_corner), (state, tau)
+        row = np.array([getattr(traj, name)[k] for name in COLUMNS[:6]])
+        assert row.tobytes() == np.array(s._coefficients).tobytes(), (state, tau)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1121,10 +1158,10 @@ BIG_GAPS = Schedule((SwitchEvent(0.1, Switch.BOTH), SwitchEvent(10**30, Switch.B
 
 
 def test_switch_gaps_past_int64_are_taken_as_floats():
-    # Int switch times differ exactly, and 10**300 - 10**30 is past int64,
-    # where np.exp takes no int; each gap goes to np.exp as a float.  The
-    # switch at 0.1 averts death, the one at 10**30 meets the ground state
-    # and flips it to a separable state, whose stretch dies at its start.
+    # SwitchEvent stores each int switch time as a float, so a gap past
+    # int64, 10**300 - 10**30, reaches np.exp as a float.  The switch at 0.1
+    # averts death, the one at 10**30 meets the ground state and flips it
+    # to a separable state, whose stretch dies at its start.
     assert find_end_time(CANONICAL, BIG_GAPS) == DeathReport(Fate.FINITE_END, 1e30, 0.0)
     as_floats = Schedule(tuple(SwitchEvent(float(e.tau), e.op) for e in BIG_GAPS.events))
     assert find_end_time(CANONICAL, as_floats) == find_end_time(CANONICAL, BIG_GAPS)
