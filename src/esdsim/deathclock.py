@@ -14,10 +14,10 @@ never return below zero (the named swaps preserve its value at the switch
 instant).  Death times therefore come in closed form: the first stretch
 whose ``Q`` turns non-negative dies at the smaller root of ``Q``, and the
 open-ended tail dies iff its ``u -> 0`` limit ``Q(0)`` is positive.  The
-aversion threshold and the sweep minimum come from one bracketed secant
-search (``_search``) down to neighbouring floats, on the exact fate test and
-on the sign of the end time's slope; neither has a tolerance, and the
-threshold's starts at a closed-form root (``_threshold_root``).
+aversion threshold and the sweep minimum come from one bisection (``_turn``)
+on x = e^-tau_sw's bit patterns down to neighbouring floats, on the exact
+fate test and on the sign of the end time's slope, in a fixed band around
+a closed-form root; neither has a tolerance.
 
 An ``XState`` keeps, from when it was built, its coefficients as floats, its
 discriminant at tau = 0 and its first stretch's Q (``qstate._constants``
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -51,7 +50,8 @@ import numpy as np
 
 from .channel import _check_tau, damped_coefficients
 from .intervention import _SWITCHED, Schedule, Switch, switch_coefficients
-from .qstate import XState, _constants, _quadratic, check_coefficients, xstate_measures
+from .qstate import (XState, _constants, _is_finite, _quadratic, check_coefficients,
+                     xstate_measures)
 
 
 BLOCK_ROWS = 1 << 14  # rows per block of end_times and of evolve: bounded temporaries
@@ -119,10 +119,10 @@ class SweepCurve:
     the largest switch time below which death is averted (None when the
     sweep's switch kind never averts); ``min_tau_sw``/``min_tau_end`` locate
     the sweep minimum of the end time, refined between the grid rows by the
-    sign of its slope, and never above the grid's own lowest row.  Where
-    round-off turns the computed fate, or the slope's sign, back and forth
-    over a few floats, the threshold and the minimum are the turn the
-    search's path meets, which need not be the first in the bracket.
+    sign of its slope, and never above the grid's own lowest row.  Each is
+    where ``_turn`` finds the fate or the slope's sign turn from a closed-form
+    root: a function of the state and the kind wherever the bracket holds
+    the band, also where round-off turns either back and forth.
     """
 
     kind: Switch
@@ -322,14 +322,14 @@ def _times(grid: Sequence[float], name: str, increasing: bool = False) -> np.nda
     values = np.asarray(grid)
     if values.ndim != 1:
         raise ValueError(f"{name} must be a flat sequence of times")
-    if values.dtype.kind not in "biuf":  # text, bytes, None and complex are no time
-        for value in values.tolist():
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be real numbers, got {value!r}")
-    try:
-        taus = np.array(values, dtype=float)
-    except OverflowError as exc:  # an int beyond float range
-        raise ValueError(f"{name} must be finite and >= 0: {exc}") from None
+    for value in values.tolist() if values.dtype.kind not in "biuf" else ():
+        try:  # each time as _is_finite takes it: what float() takes, bar text
+            math.isfinite(value)
+        except TypeError:  # text, bytes, None and complex are no time
+            raise ValueError(f"{name} must be real numbers, got {value!r}") from None
+        except (OverflowError, ValueError) as exc:  # an int beyond float range, an sNaN
+            raise ValueError(f"{name} must be finite and >= 0: {exc}") from None
+    taus = np.array(values, dtype=float)
     bad = ~(np.isfinite(taus) & (taus >= 0.0))
     if bad.any():
         raise ValueError(f"{name} must be finite and >= 0, got {taus[bad][0].item()!r}")
@@ -358,11 +358,10 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
 
     Float arithmetic on x = e^-tau_sw from ``np.exp``, with the tail's root
     from ``_smaller_root``, so it agrees with ``end_times`` bit for bit.
-    Gives the threshold's (dies, max(Q(x), q0), x), positive where the
-    switch ends in death.  With ``slope``, the minimum's (rising, g, v, x):
-    the end time -ln(x v), v the tail's root, falls iff g = x Q_x - v Q_v
-    < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
-    Deaths before the tail or at its start do not fall (g NaN, v None).
+    Gives the threshold's (dies, x).  With ``slope``, the minimum's
+    (rising, v, x): the end time -ln(x v), v the tail's root, falls iff
+    x Q_x - v Q_v < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
+    Deaths before the tail or at its start do not fall (v None).
     """
     s, d0, (p2, p1, p0) = _constants(state)
     entangled = d0 < 0.0
@@ -375,9 +374,9 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
         q_end = (p2 * x + p1) * x + p0
         first = q_end > 0.0 or q_end == 0.0 and x > 0.0
         if not slope:
-            return entangled and (first or q0 > 0.0), max(q_end, q0), x
+            return entangled and (first or q0 > 0.0), x
         if first or not q2 + q1 + q0 < 0.0 < q0:
-            return True, math.nan, None, x
+            return True, None, x
         v = min(float(_smaller_root(q2, q1, q0)), 1.0)
         a, b, c, _, z_inner, z_corner = tail
         ramp = s[0] * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
@@ -388,7 +387,7 @@ def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
               if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
         d2, d1 = 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da)
         falls, flat = x * ((d2 * v + d1) * v + d0), v * (2.0 * q2 * v + q1)
-        return falls >= flat, falls - flat, v, x
+        return falls >= flat, v, x
 
     return probe
 
@@ -462,7 +461,6 @@ def find_ad_crossing(state: XState) -> float:
 
 
 _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")  # a float's bit pattern
-SLACK = 8  # probes a search may spend beyond bisection's
 TAU_ZERO = 745.1332191019412  # the first tau where u = np.exp(-tau) is 0
 
 
@@ -476,50 +474,40 @@ def _tau_of(j: int) -> float:
     return -math.log(u) + 0.0 if u else math.inf
 
 
-def _search(probe: Callable, lo: float, hi: float, at_lo: tuple, at_hi: tuple):
+def _turn(probe: Callable, lo: float, hi: float, at_lo: tuple, at_hi: tuple, x0: float):
     """Neighbouring floats where ``probe``'s flag turns from at_lo's to at_hi's.
 
-    ``probe(t)`` gives (flag, value, ..., u), at_lo and at_hi at 0 <= lo < hi,
-    and reads t only through u = np.exp(-t), kept with each end.  Each
-    probe lands inside the bracket and replaces the end its flag matches:
-    at the secant root in u of the two latest values, 1, 2, 4, ... floats
-    of t or of u on (the further) where that stalls, and at the t of the
-    ends' u bit patterns' midpoint once those are a few apart.  Ends whose
-    u are neighbouring floats need no probe: the flag turns at the first t
-    where np.exp(-t) is at most the lower u (``_first_tau_at_most``).  As
-    in ITP, the j-th probe stays within 2**(n - j) bit patterns of both
-    ends, so they meet within n = SLACK + log2(their distance) probes.
-    Returns them as (t, probe(t)).
+    ``probe(t)`` gives (flag, ..., x), at_lo and at_hi at 0 <= lo < hi, and
+    reads t only through x = np.exp(-t); a bracket past TAU_ZERO ends there.
+    Around the closed-form start x0 in [0, 1] a band of m = 2, 32, ..., 2**17
+    ulps of x either way (then the whole bracket), mapped to t by ``_tau_of``
+    and clamped to the bracket, grows until its ends carry the flags of lo
+    and hi.  Each later probe halves the ends' x bit patterns, at the t of their
+    midpoint, or of the ends' t bit patterns where that t is no inner point,
+    so every probe shrinks the bracket; ends whose x are neighbouring floats
+    need no probe: the flag turns at the first t where np.exp(-t) is at most
+    the lower x.  Returns the ends as (t, probe(t)).
     """
-    ends, steer = [(lo, at_lo), (hi, at_hi)], [(at_lo[1], at_lo[-1]), (at_hi[1], at_hi[-1])]
-    k = [_bits(t + 0.0) for t in (lo, hi)]  # the ends' bit patterns, -0.0 as 0.0
-    j = [_bits(at_lo[-1]), _bits(at_hi[-1])]  # and those of their u
-    cap, side, stride = 1 << ((k[1] - k[0] - 1).bit_length() + SLACK - 1), 1, 1
-    while k[1] - k[0] > 1:
-        if j[0] - j[1] == 1:
-            t = _first_tau_at_most(ends[1][1][-1], ends[0][0], ends[1][0])
-            return [(math.nextafter(t, 0.0), ends[0][1]), (t, ends[1][1])]
-        at, ((g0, u0), (g1, u1)) = (k[0] + k[1]) // 2, steer
-        if 1 < j[0] - j[1] <= 4:  # a few floats of u apart
-            at = _bits(_tau_of((j[0] + j[1]) // 2))
-        else:
-            r = g1 / (g1 - g0) if g0 != g1 else 0.0  # equal values stall at u1
-            if (root := u1 + r * (u0 - u1)) > 0.0 and lo < (s := -math.log(root)) < hi:
-                way = 1 - 2 * side  # from the latest probe toward the other end
-                ahead = (_bits(s) - k[side]) * way
-                if ahead > stride:
-                    stride = 1
-                else:  # stalled: stride floats of t or of u on, the further
-                    s = _tau_of(j[side] - stride * way)
-                    ahead, stride = max(stride, (_bits(s) - k[side]) * way), 2 * stride
-                at = k[side] + ahead * way
-        at = min(max(at, k[0] + 1, k[1] - cap), k[1] - 1, k[0] + cap)
-        cap //= 2
-        result = probe(t := _F64.unpack(_I64.pack(at))[0])
-        if side != (side := int(result[0] != at_lo[0])):
-            stride = 1
-        ends[side], k[side], j[side] = (t, result), at, _bits(result[-1])
-        steer = [steer[1], (result[1], result[-1])]
+    ends, m, x = [(lo, at_lo), (min(hi, TAU_ZERO), at_hi)], 2, _bits(x0 + 0.0)
+    while True:
+        near, far = (min(max(lo, _tau_of(j)), hi) for j in (x + m, x - m))
+        for t in (near, far):
+            if ends[0][0] < t < ends[1][0]:
+                result = probe(t)
+                ends[result[0] != at_lo[0]] = (t, result)
+        if ends[0][0] >= near and ends[1][0] <= far:
+            break
+        m = m * 16 if m < 1 << 17 else 1 << 62  # then the whole bracket
+    while (k := _bits(ends[1][0]) - _bits(ends[0][0] + 0.0)) > 1:
+        (t0, r0), (t1, r1) = ends
+        j0, j1 = _bits(r0[-1]), _bits(r1[-1])
+        if j0 - j1 == 1:
+            t = _first_tau_at_most(r1[-1], t0, t1)
+            return [(math.nextafter(t, 0.0), r0), (t, r1)]
+        if not t0 < (t := _tau_of((j0 + j1) // 2)) < t1:
+            t = _F64.unpack(_I64.pack(_bits(t0 + 0.0) + k // 2))[0]
+        result = probe(t)
+        ends[result[0] != at_lo[0]] = (t, result)
     return ends
 
 
@@ -533,32 +521,59 @@ def _first_tau_at_most(u: float, lo: float, hi: float) -> float:
     return _F64.unpack(_I64.pack(k[1]))[0]
 
 
-def _tail_q0(state: XState, kind: Switch) -> tuple[float, float, float]:
-    """(g2, g1, g0): the tail's q0 = g2 x**2 + g1 x + g0 after one ``kind``
-    switch at x = e^-tau_sw, S = a + b + c + d.  A single flip moves the
-    coherence to the other slot; Bob's forms are Alice's, b and c swapped."""
+def _roots(r2: float, r1: float, r0: float) -> list[float]:
+    """The real roots of r2 t**2 + r1 t + r0, in the cancellation-free form."""
+    disc = r1 * r1 - 4.0 * r2 * r0
+    if disc >= 0.0 and (q := -0.5 * (r1 + math.copysign(math.sqrt(disc), r1))):
+        return [r0 / q, q / r2] if r2 else [r0 / q]
+    return []
+
+
+def _tail_q0_roots(state: XState, kind: Switch) -> list[float]:
+    """The x = e^-tau_sw where the tail's q0 turns 0 after one ``kind``
+    switch (README's table): after both in l = 1 - x, as the engine forms q0
+    from A = d + l (b + c + a l) and B + A = c + d + (a + b) l; after a
+    single flip in x.  Bob's forms are Alice's, b and c swapped."""
     a, b, c, d, z_inner, z_corner = state._coefficients
-    s = a + b + c + d
     if kind is Switch.BOB:
         b, c = c, b
+    z = z_inner or z_corner
+    w = z * z
     if kind is Switch.BOTH:
-        if z_corner != 0.0:
-            return (a + b) * (a + c) - z_corner * z_corner, -s * (2.0 * a + b + c), s * s
-        return 3.0 * a - z_inner * z_inner, -3.0 * (2.0 * a + b + c), 3.0 * s
+        return [1.0 - l for l in _roots(*(
+            ((a + b) * (a + c) - w, (c + d) * (a + c) + (b + d) * (a + b) + 2.0 * w,
+             (c + d) * (b + d) - w) if z_corner != 0.0
+            else (3.0 * a - w, 3.0 * (b + c) + 2.0 * w, 3.0 * d - w)))]
     if z_corner != 0.0:
-        return -(3.0 * a + z_corner * z_corner), 3.0 * (a + c), 0.0
-    return -((a + c) * (a + b) + z_inner * z_inner), (a + c) * s, 0.0
+        return _roots(-(3.0 * a + w), 3.0 * (a + c), 0.0)
+    return _roots(-((a + c) * (a + b) + w), (a + c) * (a + b + c + d), 0.0)
 
 
-def _threshold_root(state: XState, kind: Switch, x_hi: float, x_lo: float) -> float:
-    """The closed-form x = e^-tau_sw in [x_hi, x_lo] where a ``kind`` switch
-    first turns its fate: the largest root there of the tail's q0 or of the
-    first stretch's Q (it dies below its smaller root), else the nearest."""
-    roots = []
-    for r2, r1, r0 in (_tail_q0(state, kind), state._q):
-        disc = r1 * r1 - 4.0 * r2 * r0  # the roots in the cancellation-free form
-        if disc >= 0.0 and (q := -0.5 * (r1 + math.copysign(math.sqrt(disc), r1))):
-            roots += [r0 / q, q / r2] if r2 else [r0 / q]
+def _stationary(state: XState, kind: Switch) -> list[float]:
+    """The x = e^-tau_sw where the end time after one ``kind`` switch is
+    stationary (README's table): the root of a factor of the resultant in v
+    of the tail's Q(v; x) = 0 and x Q_x - v Q_v = 0 at which v is the tail's
+    smaller root, the one it dies at; NaN where that root is not real."""
+    a, b, c, d, z_inner, z_corner = state._coefficients
+    if kind is Switch.BOB:
+        b, c = c, b
+    z = abs(z_inner or z_corner)
+    w, e, p = z * z, b * c - a * d, a + c
+    root = (lambda v: math.sqrt(v) if v >= 0.0 else math.nan)
+    if kind is Switch.BOTH:
+        den = 2.0 * a + b + c + (root((b - c) * (b - c) + 4.0 * w) + 2.0 * root(w - e)
+                                 if z_corner != 0.0
+                                 else 2.0 * z + root((b - c) * (b - c) + 4.0 * (e + w)))
+        return [6.0 / den] if den else []
+    den = ((p * p + e) * w + (3.0 * a * e if z_corner != 0.0 else e * p * (p + a + b))
+           - (p * p - e) * z * root(w - e if z_corner != 0.0 else w + e))
+    return [3.0 * p * e / den] if den else []
+
+
+def _root_in(roots: list[float], x_hi: float, x_lo: float) -> float:
+    """The largest of the roots in [x_hi, x_lo], else the nearest, clamped
+    into it: a search's closed-form start."""
+    roots = [x for x in roots if x == x]  # a NaN is no root
     if inside := [x for x in roots if x_hi <= x <= x_lo]:
         return max(inside)
     nearest = min(roots, key=lambda x: max(x_hi - x, x - x_lo), default=x_hi)
@@ -579,16 +594,15 @@ def find_aversion_threshold(
     alike as non-finite, and NoCrossingError when death is finite across
     the whole bracket (the switch kind never averts it there).  A bracket
     past TAU_ZERO ends there, where u = e^-tau turns 0, and one that is not
-    a pair of real numbers raises BracketError too.  The search starts
-    at the closed-form root (``_threshold_root``) of x = e^-tau_sw.  Around
-    it a bracket of m = 2, 32, 512, ... ulps of x either way, mapped to tau
-    by -ln and clamped to the bracket, grows until its ends have the fates
-    of the bracket's ends, and ``_search`` finds the float where the
-    computed fate turns inside it: a median of 6 probes, ends included.
-    Where round-off turns the computed fate back and forth over a few
-    floats (single flips of states with a or d near 0), the result is the
-    turn the search's path meets, which need not be the first turn in the
-    bracket.
+    a pair of finite real numbers raises BracketError too; each end is
+    taken as its float.  ``_turn`` searches from the closed-form start: the
+    largest root in the bracket of x = e^-tau_sw of the tail's q0 or of the
+    first stretch's Q (it dies below its smaller root), else the nearest; a
+    median of 6 probes, ends included.  Where round-off turns the computed
+    fate back and forth over a few floats (single flips of states with a
+    or d near 0), the result is the turn that bisection from the start's
+    band finds: a function of the state and the kind wherever the bracket
+    holds the band.
     """
     if bracket is None:
         baseline = find_end_time(state)
@@ -598,13 +612,11 @@ def find_aversion_threshold(
     else:
         try:
             lo, hi = bracket
-            if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
-                raise TypeError
-            lo, hi = float(lo), float(hi)
-        except (ArithmeticError, TypeError, ValueError):  # not a pair of reals, or
-            lo = hi = math.nan  # an int beyond float range
-        if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi):
+        except (TypeError, ValueError):  # not a pair
+            lo = hi = None
+        if not (_is_finite(lo) and _is_finite(hi) and 0.0 <= float(lo) < float(hi)):
             raise BracketError(f"bad bracket {bracket!r}")
+        lo, hi = float(lo), float(hi)
     probe = _probe(state, kind)
     at_lo, at_hi = probe(lo), probe(hi)
     if at_lo[0] == at_hi[0]:
@@ -612,18 +624,8 @@ def find_aversion_threshold(
             raise NoCrossingError(f"death is finite at both bracket ends; a "
                                   f"{kind.value} switch never averts it there")
         raise BracketError("death averted at both bracket ends; widen the bracket")
-    ends, m = [(lo, at_lo), (min(hi, TAU_ZERO), at_hi)], 2
-    x = _bits(_threshold_root(state, kind, float(np.exp(-hi)), float(np.exp(-lo))) + 0.0)
-    while True:
-        near, far = (min(max(lo, _tau_of(j)), hi) for j in (x + m, x - m))
-        for t in (near, far):
-            if ends[0][0] < t < ends[1][0]:
-                result = probe(t)
-                ends[result[0] != at_lo[0]] = (t, result)
-        if ends[0][0] >= near and ends[1][0] <= far:
-            break
-        m *= 16
-    return _search(probe, ends[0][0], ends[1][0], ends[0][1], ends[1][1])[1][0]
+    start = _root_in(_tail_q0_roots(state, kind) + _roots(*state._q), at_hi[-1], at_lo[-1])
+    return _turn(probe, lo, hi, at_lo, at_hi, start)[1][0]
 
 
 def single_switch_curve(x):
@@ -662,7 +664,8 @@ def sweep_switch_times(
     call; only the baseline calls ``find_end_time``.  If
     the end time falls at the lower and rises at the upper of the grid
     minimum's dying neighbours, the minimum is searched between them on the
-    sign of its slope; otherwise it is the grid row itself.
+    sign of its slope, from the closed-form root of its stationarity
+    (``_stationary``); otherwise it is the grid row itself.
     """
     baseline = find_end_time(state)
     taus = None if grid is None else _times(grid, "switch-time grid", increasing=True)
@@ -676,8 +679,8 @@ def _sweep_switch_times(
     >= 0 and strictly increasing (None for the default grid), given the
     state's unswitched ``find_end_time`` report.  The threshold and the
     minimum are each the turn, of the fate or of the slope's sign, that
-    ``_search``'s path meets; where round-off makes either turn back and
-    forth over a few floats, that need not be the first turn in the bracket.
+    ``_turn`` finds; the minimum is the lower end time of the turn's two
+    floats, where that is below every row.
     """
     baseline_end = baseline.tau_end if baseline.fate is Fate.FINITE_END else None
     if taus is None:
@@ -709,7 +712,8 @@ def _sweep_switch_times(
         min_tau_sw, min_tau_end = float(taus[i]), float(tau_end[i])
         probe = _probe(state, kind, slope=True)
         if lo < hi and not (at_lo := probe(lo))[0] and (at_hi := probe(hi))[0]:
-            for tau_sw, (_, _, v, _) in _search(probe, lo, hi, at_lo, at_hi):
+            start = _root_in(_stationary(state, kind), at_hi[-1], at_lo[-1])
+            for tau_sw, (_, v, _) in _turn(probe, lo, hi, at_lo, at_hi, start):
                 # A tail death's end time as end_times has it; NaN never wins.
                 end = (tau_sw - float(np.log(v)) if v is not None
                        else end_times(state, kind, [tau_sw])[1].item())

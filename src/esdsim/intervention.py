@@ -10,14 +10,13 @@ route the tests check it against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
 import numpy as np
 
-from .qstate import XState, _constants, validate_density_matrix
+from .qstate import XState, _constants, _is_finite, validate_density_matrix
 
 
 class Switch(Enum):
@@ -77,11 +76,8 @@ class SwitchEvent:
     op: Switch
 
     def __init__(self, tau: float, op: Switch) -> None:
-        try:  # isfinite raises OverflowError for an int beyond float range,
-            if not (math.isfinite(tau) and tau >= 0.0):  # TypeError for text
-                raise OverflowError
-        except (OverflowError, TypeError):
-            raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}") from None
+        if not (_is_finite(tau) and tau >= 0.0):
+            raise ValueError(f"SwitchEvent.tau must be >= 0, got {tau!r}")
         if not isinstance(op, Switch):
             raise TypeError(f"SwitchEvent.op must be a named Switch, got {op!r}")
         _SET_TAU(self, float(tau))

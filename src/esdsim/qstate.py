@@ -126,10 +126,10 @@ def _quadratic(coefficients: tuple) -> tuple[float, float, float]:
 
 
 def _is_finite(value) -> bool:
-    """``math.isfinite``, with an int beyond float range, or text, not finite."""
+    """``math.isfinite``, with an int past float range, text or a signalling NaN not finite."""
     try:
         return math.isfinite(value)
-    except (OverflowError, TypeError):
+    except (OverflowError, TypeError, ValueError):
         return False
 
 

@@ -685,6 +685,18 @@ def test_searches_have_no_tolerance_option():
     assert "tol" not in json.loads(run_cli("critical", "--dump-config").stdout)
 
 
+def test_the_closed_forms_need_no_computer_algebra():
+    # The searches' closed-form starts are written out by hand; importing the
+    # command line loads no computer-algebra package.
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC if not path else SRC + os.pathsep + path}
+    code = "import sys, esdsim.cli; print(sorted(m for m in sys.modules if 'sympy' in m))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("kind,grid", [("alice", "0:0.2:3"), ("both", "0:0.5:101")])
 def test_critical_sweeps_the_given_grid(capsys, kind, grid):
     assert esdsim.cli.main(["sweep", "--switch", kind, "--grid", grid]) == 0

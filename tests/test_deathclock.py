@@ -861,12 +861,31 @@ def test_text_times_and_malformed_brackets_are_refused():
     for x in ("0.5", ["0.5"], [0.5, None], 0.5j, b"0.5"):
         with pytest.raises(ValueError, match=r"^x = exp\(-tau_sw\) must lie in \(0, 1\], got "):
             single_switch_curve(x)
-    # Numbers of any real type still pass, as the same floats.
-    assert find_aversion_threshold(CANONICAL, Switch.BOTH, (0, np.float32(1))) == (
-        find_aversion_threshold(CANONICAL, Switch.BOTH, (0.0, 1.0)))
-    rows = [end_times(CANONICAL, Switch.BOTH, grid)
-            for grid in ([0, np.int8(1) / 4, True], [0.0, 0.25, 1.0])]
-    assert [repr(a.tolist()) for a in rows[0]] == [repr(a.tolist()) for a in rows[1]]
+    # Numbers of any real type still pass, as the same floats: Decimal grids
+    # and brackets too, which raised "must be real numbers" and "bad
+    # bracket" while state_at and SwitchEvent took a Decimal time.
+    for bracket in ((0, np.float32(1)), (Decimal(0), Fraction(1)), (Fraction(0), Decimal("1"))):
+        assert find_aversion_threshold(CANONICAL, Switch.BOTH, bracket) == (
+            find_aversion_threshold(CANONICAL, Switch.BOTH, (0.0, 1.0)))
+    for grids in (([0, np.int8(1) / 4, True], [0.0, 0.25, 1.0]),
+                  ([Decimal(0), Fraction(1, 5), Decimal("0.3")], [0.0, 0.2, 0.3])):
+        rows = [end_times(CANONICAL, Switch.BOTH, grid) for grid in grids]
+        assert [a.tobytes() for a in rows[0]] == [a.tobytes() for a in rows[1]]
+        runs = [trajectory(CANONICAL, grid=grid) for grid in grids]
+        assert all(getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+                   for name in ("tau", *COLUMNS))
+    # A signalling NaN is no finite time; float() raised a bare ValueError.
+    nan = Decimal("sNaN")
+    with pytest.raises(ValueError, match=r"^switch times must be finite and >= 0: cannot"):
+        end_times(CANONICAL, Switch.BOTH, [0.0, nan])
+    with pytest.raises(BracketError, match=r"^bad bracket "):
+        find_aversion_threshold(CANONICAL, Switch.BOTH, (0.0, nan))
+    with pytest.raises(ValueError, match=r"^tau must be finite and non-negative, got "):
+        state_at(CANONICAL, Schedule(), nan)
+    with pytest.raises(ValueError, match=r"^SwitchEvent\.tau must be >= 0, got "):
+        SwitchEvent(nan, Switch.BOTH)
+    with pytest.raises(ValueError, match=r"^XState\.a must be finite, got "):
+        XState(nan, 1, 1, 0)
 
 
 @pytest.mark.parametrize("query", [
@@ -1187,25 +1206,22 @@ def test_switch_gaps_past_int64_are_taken_as_floats():
 )
 def test_search_probe_matches_end_times_at_the_edges(state, kind, switch_times):
     # The searches' probe is _single_switch's arithmetic at one float switch
-    # time: its fate, its threshold value max(Q(u), q0), its tail's end time
-    # and the u it reads the switch time through are those of the arrays,
-    # bit for bit.
+    # time: its fate, its tail's end time and the u it reads the switch time
+    # through are those of the arrays, bit for bit.
     fate, tau_end = end_times(state, kind, switch_times)
     u = np.exp(-np.array(switch_times))
     first, (q2, q1, q0) = deathclock._single_switch(state, kind, u)
-    p2, p1, p0 = _quadratic(state._coefficients)
-    q_end = (p2 * u + p1) * u + p0
     threshold = deathclock._probe(state, kind)
     minimum = deathclock._probe(state, kind, slope=True)
     for i, tau_sw in enumerate(switch_times):
-        assert threshold(tau_sw) == (fate[i] == Fate.FINITE_END, max(q_end[i], q0[i]), u[i])
-        rising, g, v, x = minimum(tau_sw)
+        assert threshold(tau_sw) == (fate[i] == Fate.FINITE_END, u[i])
+        rising, v, x = minimum(tau_sw)
         assert x == u[i]
         if not first[i] and q2[i] + q1[i] + q0[i] < 0.0 < q0[i]:
             if discriminant(state) < 0.0:  # else end_times has no end time
                 assert tau_sw - float(np.log(v)) == tau_end[i], (state, kind, tau_sw)
         else:
-            assert rising and math.isnan(g) and v is None
+            assert rising and v is None
 
 
 def test_search_probe_slope_sign_matches_the_end_times():
@@ -1218,7 +1234,7 @@ def test_search_probe_slope_sign_matches_the_end_times():
             probe = deathclock._probe(state, kind, slope=True)
             for tau_sw in rng.uniform(h, 1.0, 10).tolist():
                 fate, ends = end_times(state, kind, [tau_sw - h, tau_sw + h])
-                rising, _, v, _ = probe(tau_sw)
+                rising, v, _ = probe(tau_sw)
                 slope = (ends[1] - ends[0]) / (2.0 * h)
                 if v is not None and np.all(fate == Fate.FINITE_END) and abs(slope) > 1e-3:
                     assert rising == (slope > 0.0), (state, kind, tau_sw)
@@ -1468,13 +1484,14 @@ FEW_QUANTA_FLIPS = [  # (a, b, c, d, z_inner, z_corner), kind, quanta k at the t
 
 def test_searches_take_a_bounded_number_of_probes(bench, monkeypatch):
     # Each search ends on adjacent floats whose flags straddle, those of its
-    # bracket ends.  Counting those ends, a canonical search takes at most 16
-    # probes, and one on any finite bracket at most 2 + SLACK + 63 <= 128;
-    # a canonical threshold, from its closed-form start, takes 6.
-    search, probe = deathclock._search, deathclock._probe
+    # bracket ends.  Counting those ends, a canonical search takes at most 8
+    # probes, and one on any finite bracket at most 2 + 6 + 62: its band's
+    # rounds, then halvings over x's under 2**62 bit patterns in [0, 1] (the
+    # secant search took up to 2 + 8 + 63); a canonical threshold takes 6.
+    turn, probe = deathclock._turn, deathclock._probe
     one_ulp = (0.3, math.nextafter(0.3, 1.0))
-    ends = ((False, -1.0), (True, 1.0))
-    assert search(lambda t: pytest.fail("probed"), *one_ulp, *ends) == list(zip(one_ulp, ends))
+    ends = ((False, 0.75), (True, 0.5))
+    assert turn(lambda t: pytest.fail("probed"), *one_ulp, *ends, 0.6) == list(zip(one_ulp, ends))
 
     calls, searches = [], []
 
@@ -1482,9 +1499,9 @@ def test_searches_take_a_bounded_number_of_probes(bench, monkeypatch):
         inner = probe(*args, **kwargs)
         return lambda t: calls.append(t) or inner(t)
 
-    def recorded(probe, lo, hi, at_lo, at_hi):
+    def recorded(probe, lo, hi, at_lo, at_hi, x0):
         start = len(calls)
-        found = search(probe, lo, hi, at_lo, at_hi)
+        found = turn(probe, lo, hi, at_lo, at_hi, x0)
         (t_lo, r_lo), (t_hi, r_hi) = found
         assert lo <= t_lo and math.nextafter(t_lo, math.inf) == t_hi <= hi
         assert r_lo[0] == at_lo[0] != at_hi[0] == r_hi[0]
@@ -1492,8 +1509,8 @@ def test_searches_take_a_bounded_number_of_probes(bench, monkeypatch):
         return found
 
     monkeypatch.setattr(deathclock, "_probe", counted)
-    monkeypatch.setattr(deathclock, "_search", recorded)
-    bound = 2 + deathclock.SLACK + 63
+    monkeypatch.setattr(deathclock, "_turn", recorded)
+    bound = 2 + 6 + 62
     for bracket in (None, (0.0, 0.2), (0.0, 800.0), (0.0, 1e308)):
         searches.clear()
         calls.clear()
@@ -1505,13 +1522,13 @@ def test_searches_take_a_bounded_number_of_probes(bench, monkeypatch):
         searches.clear()
         sweep_switch_times(CANONICAL, kind, np.linspace(0.0, 0.53, 4001))
         assert len(searches) == (2 if kind is Switch.BOTH else 1)
-        assert max(searches) <= 16, (kind, searches)
+        assert max(searches) <= 8, (kind, searches)
     # A sweep minimum searched up from tau_sw = 0, whose bit pattern lies
     # some 2**62 below the minimum's: one x = e^-tau_sw spans many floats of
-    # tau_sw there, which the search on u does not walk.
+    # tau_sw there, which the halving on x does not walk.
     searches.clear()
     curve = sweep_switch_times(CANONICAL, Switch.ALICE, [0.0, 0.5])
-    assert len(searches) == 1 and searches[0] <= 16, searches
+    assert len(searches) == 1 and searches[0] <= 8, searches
     assert curve.min_tau_sw == sweep_switch_times(CANONICAL, Switch.ALICE).min_tau_sw
     # A threshold near tau_sw = 0 (seed-3 draw_entangled state 134): with a
     # threshold value linear in x, a search from the bracket's ends stalled
@@ -1733,62 +1750,174 @@ def test_threshold_keeps_the_bits_of_the_search_from_the_ends(state, kind, lo, h
     assert abs(x_new - x_old) <= 16, (state, kind, lo, hi, new, old)
 
 
+# States where round-off turns the computed fate (after Bob's flip) or the
+# slope's sign back and forth over a few floats near the search's result.
+FLICKER_THRESHOLD = XState(0.0, 1.4296783757716618, 1.5682385688870906,
+                           0.002083055341247906, z_inner=-1.4973565941314617)
+FLICKER_MINIMA = (
+    (XState(0.6222004018542204, 1.8891440632628727, 0.4866684601883191,
+            0.0019870746945878093, z_inner=-0.7852293446276496), Switch.BOB),
+    (XState(0.2525148701748978, 0.6487689094870099, 2.0348841997739164,
+            0.0638320205641758, z_inner=0.8040735548317873), Switch.ALICE),
+)
+
+
 def test_threshold_is_a_turn_of_the_fate_not_always_the_first():
     # After Bob's flip of this state (a = 0), round-off turns the computed
-    # fate three times within 33 floats of tau_sw.  The threshold is a float
-    # where end_times' fate turns: the turn the search's path meets.
-    state = XState(0.0, 1.4296783757716618, 1.5682385688870906, 0.002083055341247906,
-                   z_inner=-1.4973565941314617)
-    t = find_aversion_threshold(state, Switch.BOB, (0.0, 1.0))
-    fate = end_times(state, Switch.BOB, [math.nextafter(t, 0.0), t])[0]
+    # fate three times within 33 floats of tau_sw.  The threshold is the
+    # turn that halving finds inside the band around the closed-form start,
+    # whatever the bracket around that band, which need not be the first in
+    # the bracket: here it is the first of the three, where the secant
+    # search from the ends of (0, 1) stopped at the third.
+    t = find_aversion_threshold(FLICKER_THRESHOLD, Switch.BOB, (0.0, 1.0))
+    assert t == float.fromhex("0x1.6c71feb42884bp-5")
+    for bracket in ((0.0, 0.5), (0.01, 3.0), (0.0, 744.5)):
+        assert find_aversion_threshold(FLICKER_THRESHOLD, Switch.BOB, bracket) == t
+    fate = end_times(FLICKER_THRESHOLD, Switch.BOB, [math.nextafter(t, 0.0), t])[0]
     assert fate[0] != fate[1]
     taus = [t]
     for _ in range(40):
         taus.append(math.nextafter(taus[-1], math.inf))
-    fate = end_times(state, Switch.BOB, taus)[0]
+    fate = end_times(FLICKER_THRESHOLD, Switch.BOB, taus)[0]
     assert np.count_nonzero(fate[1:] != fate[:-1]) == 2
+
+
+def test_sweep_minimum_is_the_same_on_every_grid_that_holds_its_band():
+    # Round-off turns the slope's sign back and forth near these minima, and
+    # the secant search's turn moved with its path (3 of 348 two-row grids
+    # from tau_sw = 0 moved).  From the closed-form start the minimum keeps
+    # its bits on grids of 2, 3, 37, 400 and 4001 rows.
+    for state, kind in FLICKER_MINIMA:
+        end = find_end_time(state).tau_end
+        grids = (None, np.linspace(0.0, end, 4001, endpoint=False),
+                 np.linspace(0.0, end, 37, endpoint=False), [0.0, 0.5 * end],
+                 [0.0, 0.3 * end, 0.9 * end])
+        curves = [sweep_switch_times(state, kind, grid) for grid in grids]
+        assert len({(c.min_tau_sw, c.min_tau_end) for c in curves}) == 1, (state, kind)
+        assert curves[0].min_tau_sw not in curves[0].tau_sw
+
+
+def search_start(state, kind, slope, x_hi, x_lo):
+    """The closed-form start of the minimum's (slope) or the threshold's search."""
+    roots = (deathclock._stationary(state, kind) if slope else
+             deathclock._tail_q0_roots(state, kind) + deathclock._roots(*state._q))
+    return deathclock._root_in(roots, x_hi, x_lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_xstates(), st.sampled_from(list(Switch)), st.booleans(),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(FLICKER_THRESHOLD, Switch.BOB, False, 0.5, 0.5)
+@example(*FLICKER_MINIMA[0], True, 0.5, 0.5)
+@example(*FLICKER_MINIMA[1], True, 0.5, 0.5)
+def test_each_search_is_a_function_of_the_state_and_kind(state, kind, slope, below, above):
+    # A search from its closed-form start gives the same bits on any
+    # bracket that holds its band: here on (0, TAU_ZERO), where u = e^-tau
+    # runs over all of [0, 1], and on a bracket drawn between that one and
+    # the widest band, 2**17 ulps of x either way of the start, whose ends
+    # have the same flags.  (Where even that band does not hold, the band
+    # is the whole bracket.)
+    probe = deathclock._probe(state, kind, slope)
+    lo, hi = 0.0, deathclock.TAU_ZERO
+    at_lo, at_hi = probe(lo), probe(hi)
+    assume(at_lo[0] != at_hi[0])
+    x0 = search_start(state, kind, slope, at_hi[-1], at_lo[-1])
+    j = deathclock._bits(x0 + 0.0)
+    near, far = (min(max(lo, deathclock._tau_of(k)), hi) for k in (j + (1 << 17), j - (1 << 17)))
+    assume(probe(near)[0] == at_lo[0] and probe(far)[0] == at_hi[0])
+    inner = (lo + below * (near - lo), far + above * (hi - far))
+    ends = probe(inner[0]), probe(inner[1])
+    assume(ends[0][0] == at_lo[0] and ends[1][0] == at_hi[0] and inner[0] < inner[1])
+    wide = deathclock._turn(probe, lo, hi, at_lo, at_hi, x0)
+    assert deathclock._turn(probe, *inner, *ends, x0) == wide, (state, kind, slope)
+    if not slope:
+        assert find_aversion_threshold(state, kind, inner) == wide[1][0]
 
 
 def test_threshold_starts_at_the_exact_root():
     # The closed-form start of the canonical thresholds.  After a both-qubit
-    # flip q0 = 9 - 12x + 2x**2, whose root in (0, 1] is 3 - 3/sqrt(2); the
-    # threshold, where the computed fate turns, lies a few ulps from
-    # -ln(3 - 3/sqrt(2)).  After Alice's flip q0 = x (6 - 5x): its root
-    # 6/5 lies outside (0, 1], so her flip never averts death.
-    root = 3.0 - 3.0 / math.sqrt(2.0)
-    assert deathclock._tail_q0(CANONICAL, Switch.BOTH) == (2.0, -12.0, 9.0)
-    start = deathclock._threshold_root(CANONICAL, Switch.BOTH, 0.0, 1.0)
-    assert abs(start - root) <= math.ulp(root)
+    # flip q0 = 2l**2 + 8l - 1 in l = 1 - x, whose root in (0, 1] gives
+    # x = 3 - 3/sqrt(2), correctly rounded; the threshold, where the computed
+    # fate turns, lies a few ulps from -ln(3 - 3/sqrt(2)).  After Alice's
+    # flip q0 = x (6 - 5x): its root 6/5 lies outside (0, 1], so her flip
+    # never averts death.
+    root = float(3 - 3 / Decimal(2).sqrt())
+    start = deathclock._root_in(deathclock._tail_q0_roots(CANONICAL, Switch.BOTH), 0.0, 1.0)
+    assert start == root
     threshold = find_aversion_threshold(CANONICAL)
     assert abs(threshold - THRESHOLD_BOTH) <= 16 * math.ulp(THRESHOLD_BOTH)
-    g2, g1, g0 = deathclock._tail_q0(CANONICAL, Switch.ALICE)
-    assert (g2, g1, g0) == (-5.0, 6.0, 0.0) and -g1 / g2 == 6 / 5
-    assert deathclock._tail_q0(CANONICAL, Switch.BOB) == (g2, g1, g0)
+    for kind in (Switch.ALICE, Switch.BOB):
+        assert sorted(deathclock._tail_q0_roots(CANONICAL, kind)) == [0.0, 6 / 5]
     with pytest.raises(NoCrossingError):
         find_aversion_threshold(CANONICAL, Switch.ALICE, (0.0, 744.0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(edge_xstates(), st.sampled_from(list(Switch)), st.floats(0.0, 1.0))
-def test_tail_q0_closed_forms_match_the_switched_tail(state, kind, x):
-    # The closed forms in x agree with the tail's q0 after the switch, as
+def test_sweep_minimum_starts_at_the_exact_root():
+    # The end time is stationary at x = 3(3 - sqrt(2))/7 after both flips and
+    # (78 + 18 sqrt(2))/151 after one: each closed-form start lies within an
+    # ulp of the anchor's float, and the minimum's x is that float.
+    single = (78 + 18 * math.sqrt(2)) / 151
+    for kind, anchor in ((Switch.BOTH, 3 * (3 - math.sqrt(2)) / 7),
+                         (Switch.ALICE, single), (Switch.BOB, single)):
+        start = deathclock._root_in(deathclock._stationary(CANONICAL, kind), 0.0, 1.0)
+        assert abs(start - anchor) <= math.ulp(anchor), kind
+        for grid in (None, np.linspace(0.0, 0.53, 4001)):
+            assert np.exp(-sweep_switch_times(CANONICAL, kind, grid).min_tau_sw) == anchor
+    # A root that is not real (NaN) is none; the start always lies in the
+    # bracket's range of x, which keeps the band's growth finite.
+    assert deathclock._root_in([math.nan, 2.0], 0.25, 0.75) == 0.75
+    assert deathclock._root_in([math.nan], 0.25, 0.75) == 0.25
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_xstates(), st.sampled_from(list(Switch)))
+def test_tail_q0_closed_forms_match_the_switched_tail(state, kind):
+    # At each root in (0, 1] the tail's q0 after the switch, as
     # _single_switch computes it from the flowed and switched coefficients,
-    # to round-off of the terms summed (|terms| <= 3 S**2, S = 3).  Where
-    # the coherence flows to 0 its slot reads as inner, and no form applies.
-    assume((state.z_inner or state.z_corner) * x != 0.0)
-    g2, g1, g0 = deathclock._tail_q0(state, kind)
-    _, (_, _, q0) = deathclock._single_switch(state, kind, np.array([x]))
-    assert (g2 * x + g1) * x + g0 == pytest.approx(float(q0[0]), abs=1e-13)
+    # is 0 to round-off of the terms summed (|terms| <= 3 S**2, S = 3).
+    # Where the coherence flows to 0 its slot reads as inner, and no form
+    # applies.
+    for x in deathclock._tail_q0_roots(state, kind):
+        if 0.0 < x <= 1.0 and (state.z_inner or state.z_corner) * x != 0.0:
+            _, (_, _, q0) = deathclock._single_switch(state, kind, np.array([x]))
+            assert float(q0[0]) == pytest.approx(0.0, abs=1e-13), (state, kind, x)
 
 
-@pytest.mark.parametrize("flat", [False, True])
-def test_search_lands_on_any_step_whatever_its_values(flat):
-    # The flag alone decides the sides; a value that misleads (constant,
-    # NaN, or of the wrong sign) costs probes, never the result or the bound.
-    # The flag reads t only through u = np.exp(-t), as the searches' probes
-    # do: it turns where u falls to that of the step.
-    rng = np.random.default_rng(5 + flat)
-    bound = 2 + deathclock.SLACK + 63
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 3.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
+       st.booleans(), st.floats(-1.0, 1.0), st.sampled_from(list(Switch)))
+def test_stationary_roots_are_turns_of_the_slope(a, w_b, w_c, w_d, corner, fraction, kind):
+    # Checks the factors, derived by hand, against the engine: at each
+    # root in (0, 1) where the end time turns from falling to rising over
+    # 2**12 ulps of x either way, the slope's sign turns within 32 ulps of
+    # it, the second band, and mostly within the first (2 ulps; README).
+    b, c, d = ((3.0 - a) * w / (w_b + w_c + w_d) for w in (w_b, w_c, w_d))
+    z = fraction * math.sqrt(a * d if corner else b * c)
+    state = XState(a, b, c, d, **{f"z_{'corner' if corner else 'inner'}": z})
+    probe = deathclock._probe(state, kind, slope=True)
+    for x in deathclock._stationary(state, kind):
+        if not 0.0 < x < 1.0:
+            continue
+        j = deathclock._bits(x)
+
+        def rising(m):  # at m ulps of x below the root
+            return probe(deathclock._tau_of(j - m))[0]
+
+        if rising(1 << 12) and not rising(-(1 << 12)):
+            assert rising(32) and not rising(-32), (state, kind, x)
+
+
+@pytest.mark.parametrize("misleading", [False, True])
+def test_search_lands_on_any_step_whatever_its_start(misleading):
+    # The flag alone decides the sides; a start that misleads costs probes,
+    # never the result or the bound.  The flag reads t only through
+    # u = np.exp(-t), as the searches' probes do: it turns where u falls to
+    # that of the step.  From the step's own u, as a closed form gives it, a
+    # search takes at most 6 probes, ends included; from a bracket end or
+    # anywhere else, at most 2 + 6 + 62: its band's rounds, then halvings
+    # (the secant search took up to 2 + 8 + 63 from the bracket's ends).
+    rng = np.random.default_rng(5 + misleading)
+    bound = 2 + 6 + 62 if misleading else 6
     searched = 0
     for _ in range(400):
         lo, hi = sorted(float(x) for x in 10.0 ** rng.uniform(-320, 308, 2))
@@ -1796,20 +1925,27 @@ def test_search_lands_on_any_step_whatever_its_values(flat):
         step = float(rng.uniform(lo, hi)) if rng.random() < 0.5 else float(
             10.0 ** rng.uniform(math.log10(max(lo, 5e-324)), math.log10(hi)))
         step = min(max(step, math.nextafter(lo, math.inf)), hi)
-        if np.exp(-lo) <= (u_step := np.exp(-step)):
+        if np.exp(-lo) <= (u_step := float(np.exp(-step))):
             continue  # lo and the step share their u: no bracket
-        value = (lambda t: math.nan) if flat else (lambda t: float(rng.normal()))
         probes = []
 
         def probe(t):
             probes.append(t)
             u = float(np.exp(-t))
-            return u <= u_step, value(t), u
+            return u <= u_step, u
 
-        (t_lo, _), (t_hi, _) = deathclock._search(probe, lo, hi, probe(lo), probe(hi))
+        at_lo, at_hi = probe(lo), probe(hi)
+        j_lo, j_hi = deathclock._bits(at_lo[1]), deathclock._bits(at_hi[1])
+        if not misleading:
+            x0 = u_step
+        elif rng.random() < 0.3:  # a bracket end
+            x0 = (at_lo[1], at_hi[1])[int(rng.integers(2))]
+        else:
+            x0 = bits_float(int(rng.integers(j_hi, j_lo + 1)))
+        (t_lo, _), (t_hi, _) = deathclock._turn(probe, lo, hi, at_lo, at_hi, x0)
         assert lo <= t_lo and math.nextafter(t_lo, math.inf) == t_hi <= hi, (lo, hi, step)
         assert np.exp(-t_hi) <= u_step < np.exp(-t_lo), (lo, hi, step)
-        assert len(probes) <= bound
+        assert len(probes) <= bound, (lo, hi, step, x0, len(probes))
         searched += 1
     assert searched >= 120
 
