@@ -22,18 +22,20 @@ a closed-form root; neither has a tolerance.
 An ``XState`` keeps, from when it was built, its coefficients as floats, its
 discriminant at tau = 0 and its first stretch's Q (``qstate._constants``
 reads all three), and the engine reads them rather than derive them per
-query.  ``find_end_time`` walks one schedule's events in one flat
-loop, the tail after it, with one ``np.exp`` per finite stretch and the
-helpers' operations written out, so that its only Python-level calls are
-``check_coefficients`` and ``DeathReport``.  ``state_at`` and
+query.  ``find_end_time`` walks one schedule's events in one flat loop, the
+tail after it, with one ``np.exp`` per finite stretch and the helpers'
+operations written out, so that its only Python-level calls are
+``check_coefficients`` and ``DeathReport``; the searches' probes write out
+the same float arithmetic and call no Python function.  ``state_at`` and
 ``trajectory`` walk the same stretches through ``_stretches``, and
 ``end_times`` decides a single switch at an array of switch times with the
-same arithmetic, ``BLOCK_ROWS`` rows at a time; the sweep
-(``sweep_switch_times``) calls it once, on times it has checked.  exp and
-log come from numpy on every path, floats and arrays alike, so all of them
-agree bit for bit.  Every public function here that takes a state raises
-TypeError for one that is not an ``XState``, and refuses times that are
-not real numbers.
+same arithmetic, ``BLOCK_ROWS`` rows at a time, computing only what a row
+reads: q0 on the tail's slot, and the first stretch only in a block where
+some row dies in it.  The sweep (``sweep_switch_times``) calls it once, on
+times it has checked.  exp and log come from numpy on every path, floats and
+arrays alike, so all of them agree bit for bit.  Every public function here
+that takes a state raises TypeError for one that is not an ``XState``, and
+refuses times that are not real numbers.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ import numpy as np
 
 from .channel import _check_tau, damped_coefficients
 from .intervention import _SWITCHED, Schedule, Switch, switch_coefficients
-from .qstate import (XState, _constants, _is_finite, _quadratic, check_coefficients,
-                     xstate_measures)
+from .qstate import XState, _constants, _is_finite, check_coefficients, xstate_measures
 
 
 BLOCK_ROWS = 1 << 14  # rows per block of end_times and of evolve: bounded temporaries
@@ -69,6 +70,7 @@ class Fate(IntEnum):
 # The members as plain module globals: an Enum class attribute lookup costs
 # more than a whole stretch test on the scalar path.
 _FINITE_END, _AVERTED, _NEVER_ENTANGLED = Fate
+_FINITE_END_INT = int(_FINITE_END)  # an int8 array compares 5x faster with an int
 
 
 class NoCrossingError(RuntimeError):
@@ -342,13 +344,19 @@ def _single_switch(state: XState, kind: Switch, u: np.ndarray):
     """First-stretch fate and the tail after one ``kind`` switch at u = e^-tau_sw.
 
     Whether the first stretch dies (``find_end_time``'s test at u) and the
-    tail's (q2, q1, q0), on arrays; the tail's slot is read off z_corner.
+    tail's (q2, q1, q0), on arrays.  q0 is evaluated on the tail's slot, which
+    the state and the kind fix, and on both slots only where some row's
+    z_corner * u underflowed to 0, a row ``find_end_time`` takes as inner.
     """
     p2, p1, p0 = state._q
     a, b, c, _, z_inner, z_corner = switch_coefficients(
         kind, damped_coefficients(*state._coefficients, u))
-    q0 = np.where(z_corner != 0.0, (b + a) * (c + a) - z_corner * z_corner,
-                  3.0 * a - z_inner * z_inner)
+    if switch_coefficients(kind, state._coefficients)[5] == 0.0:  # an inner tail
+        q0 = 3.0 * a - z_inner * z_inner
+    else:
+        q0 = (b + a) * (c + a) - z_corner * z_corner
+        if not z_corner.all():  # z_corner * u underflowed to 0 on some row
+            q0 = np.where(z_corner != 0.0, q0, 3.0 * a - z_inner * z_inner)
     q_end = (p2 * u + p1) * u + p0
     return (q_end > 0.0) | ((q_end == 0.0) & (u > 0.0)), (a * a, -a * (b + c + 2.0 * a), q0)
 
@@ -356,37 +364,45 @@ def _single_switch(state: XState, kind: Switch, u: np.ndarray):
 def _probe(state: XState, kind: Switch, slope: bool = False) -> Callable:
     """``_single_switch`` at a float tau_sw, on the constants the state keeps.
 
-    Float arithmetic on x = e^-tau_sw from ``np.exp``, with the tail's root
-    from ``_smaller_root``, so it agrees with ``end_times`` bit for bit.
+    Float arithmetic on x = e^-tau_sw from ``np.exp``, its only numpy call,
+    with the flow, the switch, Q and the root written out as ``find_end_time``
+    writes them, so it agrees with ``end_times`` bit for bit.
     Gives the threshold's (dies, x).  With ``slope``, the minimum's
     (rising, v, x): the end time -ln(x v), v the tail's root, falls iff
     x Q_x - v Q_v < 0, as dv/dx = -Q_x / Q_v and Q_v < 0.
     Deaths before the tail or at its start do not fall (v None).
     """
-    s, d0, (p2, p1, p0) = _constants(state)
-    entangled = d0 < 0.0
+    (a0, b0, c0, d0, z_inner0, z_corner0), disc, (p2, p1, p0) = _constants(state)
+    entangled = disc < 0.0
     switched = itemgetter(*switch_coefficients(kind, range(6)))
 
     def probe(tau_sw: float) -> tuple:
         x = float(_exp(-tau_sw))
-        tail = switched(damped_coefficients(*s, x))
-        q2, q1, q0 = _quadratic(tail)
+        feed, loss = a0 * (x - x * x), 1.0 - x  # the flow to x, then the switch
+        a, b, c, _, z_inner, z_corner = switched((
+            a0 * x * x, b0 * x + feed, c0 * x + feed, d0 + loss * (b0 + c0 + a0 * loss),
+            z_inner0 * x, z_corner0 * x))
+        q0 = ((b + a) * (c + a) - z_corner * z_corner if z_corner != 0.0
+              else 3.0 * a - z_inner * z_inner)
         q_end = (p2 * x + p1) * x + p0
         first = q_end > 0.0 or q_end == 0.0 and x > 0.0
         if not slope:
             return entangled and (first or q0 > 0.0), x
+        q2, q1 = a * a, -a * (b + c + 2.0 * a)
         if first or not q2 + q1 + q0 < 0.0 < q0:
             return True, None, x
-        v = min(float(_smaller_root(q2, q1, q0)), 1.0)
-        a, b, c, _, z_inner, z_corner = tail
-        ramp = s[0] * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
+        w, r = q0 / -q1, q2 / -q1  # _smaller_root, then min(., 1)
+        t = 1.0 - 4.0 * r * w
+        v = 2.0 * w / (1.0 + math.sqrt(0.0 if 0.0 > t else t))
+        v = 1.0 if v > 1.0 else v
+        ramp = a0 * (1.0 - 2.0 * x)  # x-derivatives of the switched coefficients
         da, db, dc, _, dz_inner, dz_corner = switched((
-            2.0 * s[0] * x, s[1] + ramp, s[2] + ramp,
-            -(s[1] + s[2] + 2.0 * s[0] * (1.0 - x)), s[4], s[5]))
-        d0 = ((db + da) * (c + a) + (b + a) * (dc + da) - 2.0 * z_corner * dz_corner
-              if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
-        d2, d1 = 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da)
-        falls, flat = x * ((d2 * v + d1) * v + d0), v * (2.0 * q2 * v + q1)
+            2.0 * a0 * x, b0 + ramp, c0 + ramp, -(b0 + c0 + 2.0 * a0 * (1.0 - x)),
+            z_inner0, z_corner0))
+        dq0 = ((db + da) * (c + a) + (b + a) * (dc + da) - 2.0 * z_corner * dz_corner
+               if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
+        dq2, dq1 = 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da)
+        falls, flat = x * ((dq2 * v + dq1) * v + dq0), v * (2.0 * q2 * v + q1)
         return falls >= flat, v, x
 
     return probe
@@ -420,6 +436,9 @@ def _end_times(
     bounded whatever the number of rows.  Every row computes its dying
     stretch's root, clamp and log, so no row is gathered or scattered; a
     row that does not die computes a value (or NaN) that is never kept.
+    Only a block where some row dies in the first stretch (``first.any()``)
+    selects that stretch's Q, end and start; a sweep grid stops short of the
+    unswitched end, so every row of it takes the tail's, u_end = 0 from tau_sw.
     """
     if not isinstance(kind, Switch):
         raise TypeError(f"expected a named Switch, got {kind!r}")
@@ -431,14 +450,17 @@ def _end_times(
     for rows in (slice(i, i + BLOCK_ROWS) for i in range(0, tau_sw.size, BLOCK_ROWS)):
         u_sw = np.exp(-tau_sw[rows])
         first, (r2, r1, r0) = _single_switch(state, kind, u_sw)
-        dies = first | (r0 > 0.0)
-        fate[rows] = ~dies  # FINITE_END is 0, AVERTED 1
+        dies = r0 > 0.0
 
         # The dying stretch: the first, from u = 1 at tau = 0 down to u_sw,
         # or the tail, from u = 1 at tau_sw down to u = 0.
-        for r, p in zip((r2, r1, r0), state._q):
-            np.copyto(r, p, where=first)
-        u_end, start = np.where(first, u_sw, 0.0), np.where(first, 0.0, tau_sw[rows])
+        u_end, start = 0.0, tau_sw[rows]
+        if first.any():
+            dies |= first
+            for r, p in zip((r2, r1, r0), state._q):
+                np.copyto(r, p, where=first)
+            u_end, start = np.where(first, u_sw, 0.0), np.where(first, 0.0, start)
+        fate[rows] = ~dies  # FINITE_END is 0, AVERTED 1
         with np.errstate(all="ignore"):
             u_root = np.minimum(np.maximum(_smaller_root(r2, r1, r0), u_end), 1.0)
             u_root = np.where(r2 + r1 + r0 < 0.0, u_root, 1.0)  # else death at the start
@@ -703,7 +725,7 @@ def _sweep_switch_times(
         with contextlib.suppress(BracketError, NoCrossingError):
             threshold = find_aversion_threshold(state, kind, (0.0, baseline_end))
 
-    dies = fate == Fate.FINITE_END
+    dies = fate == _FINITE_END_INT
     min_tau_sw = min_tau_end = None
     if dies.any():
         i = int(np.argmin(np.where(dies, tau_end, np.inf)))

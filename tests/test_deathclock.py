@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ from esdsim import (
     sweep_switch_times,
     trajectory,
 )
-from esdsim.channel import evolve_kraus
-from esdsim.intervention import apply_unitary
+from esdsim.channel import damped_coefficients, evolve_kraus
+from esdsim.intervention import apply_unitary, switch_coefficients
 from esdsim.qstate import (
     concurrence,
     negativity,
@@ -50,7 +51,8 @@ from esdsim.qstate import (
 import esdsim.cli
 from esdsim import deathclock, qstate
 from esdsim.cli import main as cli_main
-from esdsim.deathclock import _quadratic, single_switch_curve
+from esdsim.deathclock import single_switch_curve
+from esdsim.qstate import _quadratic
 
 from conftest import random_xstate
 
@@ -1240,6 +1242,121 @@ def test_search_probe_slope_sign_matches_the_end_times():
                     assert rising == (slope > 0.0), (state, kind, tau_sw)
                     checked += 1
     assert checked >= 150
+
+
+def helper_probe(state, kind, slope=False):
+    """The searches' probe spelled with the engine's helpers: the flow by
+    ``damped_coefficients``, Q by ``_quadratic`` and the tail's root by
+    ``_smaller_root``, where ``deathclock._probe`` writes them out."""
+    s, d0, (p2, p1, p0) = state._coefficients, state._d0, state._q
+    switched = itemgetter(*switch_coefficients(kind, range(6)))
+
+    def probe(tau_sw):
+        x = float(np.exp(-tau_sw))
+        tail = switched(damped_coefficients(*s, x))
+        q2, q1, q0 = _quadratic(tail)
+        q_end = (p2 * x + p1) * x + p0
+        first = q_end > 0.0 or q_end == 0.0 and x > 0.0
+        if not slope:
+            return d0 < 0.0 and (first or q0 > 0.0), x
+        if first or not q2 + q1 + q0 < 0.0 < q0:
+            return True, None, x
+        v = min(float(deathclock._smaller_root(q2, q1, q0)), 1.0)
+        a, b, c, _, z_inner, z_corner = tail
+        ramp = s[0] * (1.0 - 2.0 * x)
+        da, db, dc, _, dz_inner, dz_corner = switched((
+            2.0 * s[0] * x, s[1] + ramp, s[2] + ramp,
+            -(s[1] + s[2] + 2.0 * s[0] * (1.0 - x)), s[4], s[5]))
+        dq0 = ((db + da) * (c + a) + (b + a) * (dc + da) - 2.0 * z_corner * dz_corner
+               if z_corner != 0.0 else 3.0 * da - 2.0 * z_inner * dz_inner)
+        dq2, dq1 = 2.0 * a * da, -da * (b + c + 2.0 * a) - a * (db + dc + 2.0 * da)
+        falls, flat = x * ((dq2 * v + dq1) * v + dq0), v * (2.0 * q2 * v + q1)
+        return falls >= flat, v, x
+
+    return probe
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edge_xstates(),
+    st.sampled_from(list(Switch)),
+    st.booleans(),
+    st.lists(SWITCH_TIMES, min_size=1, max_size=4),
+)
+def test_search_probe_matches_its_helper_spelling_at_the_edges(state, kind, slope, taus):
+    # The probe writes the flow, the switch, Q and the tail's root out; each
+    # of its (flag, v, x) is the helpers', bit for bit (repr shows -0.0).
+    probe, reference = deathclock._probe(state, kind, slope), helper_probe(state, kind, slope)
+    for tau_sw in taus:
+        assert list(map(repr, probe(tau_sw))) == list(map(repr, reference(tau_sw))), tau_sw
+
+
+@pytest.mark.parametrize("where", ["tail", "first"])
+@pytest.mark.parametrize("state", [CANONICAL, CORNER], ids=["inner", "corner"])
+@pytest.mark.parametrize("kind", list(Switch))
+@pytest.mark.parametrize("slope", [False, True])
+def test_search_probe_calls_only_its_own_code(monkeypatch, slope, kind, state, where):
+    # A probe's call budget: it enters no Python function but its own, and
+    # of numpy it calls only np.exp, bound at import, whether the switch
+    # lands before the unswitched end, so that the tail dies, or after it,
+    # so that the first stretch does.  A helper back on this path, or a
+    # numpy call on floats such as np.sqrt, shows here.
+    baseline = find_end_time(state).tau_end
+    tau_sw = 0.9 * baseline if where == "tail" else 2.0 * baseline
+    report = find_end_time(state, Schedule.single(tau_sw, kind))
+    assert report.fate is Fate.FINITE_END
+    assert report.tau_end > tau_sw if where == "tail" else report.tau_end == baseline
+    probe, entered = deathclock._probe(state, kind, slope), []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    monkeypatch.setattr(deathclock, "np", None)  # any np.<name> on the path raises
+    sys.setprofile(profile)
+    try:
+        result = probe(tau_sw)
+    finally:
+        sys.setprofile(None)
+    monkeypatch.undo()
+    assert entered == [probe.__code__]
+    assert result == helper_probe(state, kind, slope)(tau_sw)
+    assert all(type(value) in (bool, float) for value in result if value is not None)
+    if slope:
+        assert (result[1] is not None) == (where == "tail")
+
+
+# Entangled, and never dies unswitched.  After a both-qubit switch at u = 0
+# its tail's a is 3 + 4.4e-16, so the corner formula gives q0 = a * a and
+# Q(1) = 0 (death at the switch), the inner one q0 = 3 a and a later death.
+CORNER_AVERTING = XState(1.0, 0.0, 0.0, 2.0000000000000004, z_corner=1.2)
+
+
+@pytest.mark.parametrize("state, kind, grid, corner, underflow, first", [
+    (CANONICAL, Switch.BOTH, np.linspace(0.0, 0.53, 41), False, False, False),
+    (CANONICAL, Switch.ALICE, np.linspace(0.0, 0.53, 41), True, False, False),
+    (CORNER_AVERTING, Switch.BOTH, [0.1, 744.5, 745.0, 800.0], True, True, False),
+    (CANONICAL, Switch.ALICE, [0.1, 744.5, 745.0, 800.0], True, True, True),
+    (CANONICAL, Switch.BOTH, [0.1, 0.3, 0.6, 2.0], False, False, True),
+    (CORNER, Switch.BOB, [0.1, 0.5, 0.8, 800.0], False, False, True),
+    (CORNER, Switch.BOTH, [0.1, 0.5, 0.8, 800.0], True, True, True),
+], ids=["inner_tail", "corner_tail", "corner_tail_underflow",
+        "corner_tail_underflow_first_stretch", "first_stretch", "inner_tail_first_stretch",
+        "corner_tail_first_stretch"])
+def test_end_times_match_find_end_time_on_each_branch(state, kind, grid, corner, underflow,
+                                                      first):
+    # end_times evaluates q0 on the tail's slot alone, on both slots only in
+    # a block where some row's z_corner * u underflowed to 0, and selects
+    # the first stretch only in a block where some row dies in it.  Each
+    # branch gives find_end_time's bits.  Past tau ~ 745, u = 0: a state
+    # that dies unswitched dies there in the first stretch, so only one
+    # whose unswitched death is averted reaches an underflowed tail alone;
+    # CORNER_AVERTING's end time there depends on which formula q0 takes.
+    u = np.exp(-np.array(grid))
+    z_corner = switch_coefficients(kind, state._coefficients)[5] * u
+    assert z_corner.any() == corner and (corner and not z_corner.all()) == underflow
+    assert deathclock._single_switch(state, kind, u)[0].any() == first
+    assert_end_times_match(state, kind, grid)
 
 
 def test_sweep_minimum_end_time_is_end_times_at_it(monkeypatch):
